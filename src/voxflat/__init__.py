@@ -1,11 +1,12 @@
 """voxflat: 3D tri-state voxel maps to 2D occupancy/height/slope maps.
 
-Pipeline: a sparse voxel map is reduced per column to free/occupied vertical
-ranges, unsafe free space is filtered out, floors and ceilings become a
-height map, local plane fits give a slope map, and two occupancy grids are
-derived (aerial and ground). 2D paths planned on those grids lift back into
-3D using the height data. An incremental mode recomputes only the columns an
-update touched plus their dependency halo.
+Pipeline: a dense voxel map (one byte per voxel, M*N*K bytes) is reduced
+per column to free/occupied vertical ranges, unsafe free space is filtered
+out, floors and ceilings become a height map, local plane fits give a slope
+map, and two occupancy grids are derived (aerial and ground). 2D paths
+planned on those grids lift back into 3D using the height data. An
+incremental mode recomputes only the columns an update touched plus their
+dependency halo.
 """
 from .column_extraction import (ColumnRanges, HeightCell, HeightMap,
                                 HeightRange, build_height_map, convert_column,

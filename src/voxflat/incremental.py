@@ -112,6 +112,7 @@ def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport
                 slope_degenerate[m, n] = True
             else:
                 slope_values[m, n] = s
+                slope_degenerate[m, n] = False
 
     occupancy_dirty = _dilate(dirty, radius + 1, M, N)
     free_mask = state.height.present_mask

@@ -8,6 +8,7 @@ formats are meant to be raw and composable with external compressors.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,11 +78,15 @@ def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
     kind = _field(lines[1], "kind", 1, path)[0]
     if kind not in GRID_KINDS:
         raise GridFormatError(f"{path}: unknown grid kind {kind!r}")
-    M, N = (int(v) for v in _field(lines[2], "extent", 2, path))
+    M, N = _field(lines[2], "extent", 2, path, int)
     if M < 1 or N < 1:
         raise GridFormatError(f"{path}: extent components must be >= 1")
-    res = float(_field(lines[3], "res", 1, path)[0])
-    origin = tuple(float(v) for v in _field(lines[4], "origin", 3, path))
+    res = _field(lines[3], "res", 1, path, float)[0]
+    if not (math.isfinite(res) and res > 0):
+        raise GridFormatError(f"{path}: resolution must be finite and positive, got {res}")
+    origin = _field(lines[4], "origin", 3, path, float)
+    if not all(map(math.isfinite, origin)):
+        raise GridFormatError(f"{path}: non-finite origin {origin}")
     robot = None
     window = None
     if kind in ("occupancy", "slope"):
@@ -95,7 +100,7 @@ def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
             if robot not in ("uav", "ugv"):
                 raise GridFormatError(f"{path}: unknown robot tag {robot!r}")
         else:
-            window = int(_field(extra, "window", 1, path)[0])
+            window = _field(extra, "window", 1, path, int)[0]
     hdr = GridFileHeader(kind, (M, N), res, origin, robot, window)
     if len(data) - offset != hdr.payload_bytes():
         raise GridFormatError(
@@ -105,11 +110,14 @@ def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
     return hdr, offset
 
 
-def _field(line: str, tag: str, n: int, path) -> list[str]:
+def _field(line: str, tag: str, n: int, path, convert=str) -> tuple:
     parts = line.split()
     if len(parts) != n + 1 or parts[0] != tag:
         raise GridFormatError(f"{path}: malformed {tag!r} line: {line!r}")
-    return parts[1:]
+    try:
+        return tuple(convert(p) for p in parts[1:])
+    except ValueError:
+        raise GridFormatError(f"{path}: unreadable value in {tag!r} line: {line!r}") from None
 
 
 # -- occupancy ------------------------------------------------------------
@@ -126,9 +134,7 @@ def write_occupancy(grid: OccupancyGrid, path: str | Path) -> None:
 
 
 def read_occupancy(path: str | Path) -> OccupancyGrid:
-    hdr, payload = _read_kind(path, "occupancy")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(hdr.extent)
-    values = np.where(raw == 255, -1.0, raw / 254.0)
+    hdr, (values,) = _read_kind(path, "occupancy")
     return OccupancyGrid(hdr.robot, hdr.resolution, hdr.origin, values)
 
 
@@ -147,14 +153,9 @@ def write_height(height: HeightMap, include_ceiling: bool, path: str | Path) -> 
 
 def read_height(path: str | Path) -> HeightMap:
     """Read either height kind; floor-only files get an all-NaN ceiling."""
-    hdr, payload = _read_kind(path, ("height-floor", "height-floor-ceiling"))
-    M, N = hdr.extent
-    plane = M * N * 4
-    floor = np.frombuffer(payload[:plane], dtype="<f4").reshape(M, N).astype(np.float64)
-    if hdr.kind == "height-floor-ceiling":
-        ceiling = np.frombuffer(payload[plane:], dtype="<f4").reshape(M, N).astype(np.float64)
-    else:
-        ceiling = np.full((M, N), np.nan)
+    hdr, planes = _read_kind(path, ("height-floor", "height-floor-ceiling"))
+    floor = planes[0]
+    ceiling = planes[1] if len(planes) == 2 else np.full(hdr.extent, np.nan)
     return HeightMap(hdr.resolution, hdr.origin, floor, ceiling)
 
 
@@ -169,8 +170,7 @@ def write_slope(slope: SlopeMap, path: str | Path) -> None:
 
 
 def read_slope(path: str | Path) -> SlopeMap:
-    hdr, payload = _read_kind(path, "slope")
-    values = np.frombuffer(payload, dtype="<f4").reshape(hdr.extent).astype(np.float64)
+    hdr, (values,) = _read_kind(path, "slope")
     return SlopeMap(hdr.resolution, hdr.origin, values,
                     np.zeros(hdr.extent, dtype=bool), hdr.window)
 
@@ -183,28 +183,22 @@ def read_grid(path: str | Path) -> tuple[GridFileHeader, list[np.ndarray]]:
     data = Path(path).read_bytes()
     hdr, offset = _parse_header(data, path)
     payload = data[offset:]
-    M, N = hdr.extent
     if hdr.kind == "occupancy":
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(M, N)
-        planes = [np.where(raw == 255, -1.0, raw / 254.0)]
-    elif hdr.kind == "height-floor-ceiling":
-        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        planes = [flat[:M * N].reshape(M, N), flat[M * N:].reshape(M, N)]
-    else:
-        planes = [np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(M, N)]
-    return hdr, planes
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(hdr.extent)
+        return hdr, [np.where(raw == 255, -1.0, raw / 254.0)]
+    planes = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    return hdr, list(planes.reshape(-1, *hdr.extent))
 
 
-def _read_kind(path, kinds) -> tuple[GridFileHeader, bytes]:
+def _read_kind(path, kinds) -> tuple[GridFileHeader, list[np.ndarray]]:
     if isinstance(kinds, str):
         kinds = (kinds,)
-    data = Path(path).read_bytes()
-    hdr, offset = _parse_header(data, path)
+    hdr, planes = read_grid(path)
     if hdr.kind not in kinds:
         raise GridFormatError(
             f"{path}: expected a {' or '.join(kinds)} file, found kind {hdr.kind!r}"
         )
-    return hdr, data[offset:]
+    return hdr, planes
 
 
 # -- PGM export -------------------------------------------------------------
@@ -219,20 +213,11 @@ def write_occupancy_pgm(grid: OccupancyGrid, path: str | Path) -> None:
     """
     values = grid.values
     M, N = values.shape
-    lines = [f"P2\n{M} {N}\n255\n"]
-    for n in range(N - 1, -1, -1):
-        row = []
-        for m in range(M):
-            v = values[m, n]
-            if v < 0.0:
-                gray = 127
-            else:
-                gray = 255 - int(round(v * 255.0))
-                if gray == 127:
-                    gray = 126
-            row.append(str(gray))
-        lines.append(" ".join(row) + "\n")
-    Path(path).write_text("".join(lines), encoding="ascii")
+    gray = 255 - np.rint(values * 255.0).astype(np.int64)
+    gray[gray == 127] = 126
+    gray[values < 0.0] = 127
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in gray.T[::-1].tolist())
+    Path(path).write_text(f"P2\n{M} {N}\n255\n" + rows, encoding="ascii")
 
 
 # -- size accounting --------------------------------------------------------

@@ -1,7 +1,8 @@
 """Conversion parameters and their validated defaults."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,9 @@ class ConversionParams:
     max_slope: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.min_clearance <= 0:
             raise ValueError(f"min_clearance must be positive, got {self.min_clearance}")
         if not (0.0 < self.min_occupancy <= 1.0):

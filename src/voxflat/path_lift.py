@@ -44,11 +44,16 @@ class LiftParams:
     def __post_init__(self):
         if self.mode not in ("uav", "ugv"):
             raise ValueError(f"mode must be 'uav' or 'ugv', got {self.mode!r}")
+        if not isinstance(self.lookahead, int) or isinstance(self.lookahead, bool):
+            raise ValueError(f"lookahead must be an int, got {self.lookahead!r}")
         if self.lookahead < 0:
             raise ValueError(f"lookahead must be >= 0, got {self.lookahead}")
+        if not math.isfinite(self.height_offset):
+            raise ValueError(f"height_offset must be finite, got {self.height_offset}")
         if self.mode == "uav":
-            if self.safety_radius is None or self.safety_radius <= 0:
-                raise ValueError("uav mode requires a positive safety_radius")
+            if (self.safety_radius is None or not math.isfinite(self.safety_radius)
+                    or self.safety_radius <= 0):
+                raise ValueError("uav mode requires a finite, positive safety_radius")
 
     @classmethod
     def uav_defaults(cls, resolution: float) -> "LiftParams":

@@ -234,7 +234,7 @@ class _Builder:
         return col
 
     def set_interior_column(self, mrel: int, nrel: int, template: np.ndarray):
-        self.vmap._columns[(mrel + _BORDER, nrel + _BORDER)] = template.copy()
+        self.vmap._voxels[mrel + _BORDER, nrel + _BORDER] = template
 
     def fill_profile(self, profile: np.ndarray, holes: set[int] | None = None):
         """Solid-below / free-above columns over the whole interior.

@@ -1,12 +1,14 @@
-"""Sparse three-state voxel map with a compact on-disk format.
+"""Dense three-state voxel map with a compact on-disk format.
 
-Storage is column-wise: each (x, y) cell that has ever been written owns a
-small array of voxel states along the height axis, and unwritten cells are
-Unknown at zero cost. Every downstream product (height, slope, occupancy)
-reads the map strictly per column, so there is no octree here.
+Storage is one uint8 array of shape (M, N, K) indexed (i, j, k), so a map
+costs M*N*K bytes however little of it has been observed (8 MB at
+512x512x32). Every downstream product (height, slope, occupancy) reads the
+map per column, and a column is a contiguous row of that array, so there is
+no octree here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -32,7 +34,8 @@ class VxgError(ValueError):
 
 
 class VxgHeaderError(VxgError):
-    """Header is missing, malformed, or carries a bad magic string."""
+    """Header is missing, malformed, carries a bad magic string, or declares
+    an extent too large to allocate."""
 
 
 class VxgVersionError(VxgError):
@@ -44,7 +47,8 @@ class VxgTruncatedError(VxgError):
 
 
 class VxgRecordError(VxgError):
-    """A record carries an out-of-range index or an invalid state."""
+    """A record carries an out-of-range index, an invalid state, or a voxel
+    an earlier record already named."""
 
 
 def fmt_float(value: float) -> str:
@@ -66,7 +70,7 @@ class ColumnView:
 
 
 class VoxelMap:
-    """Sparse M x N x K grid of tri-state voxels.
+    """Dense M x N x K grid of tri-state voxels.
 
     Cells never written are Unknown, as are all indices outside the extent.
     Voxel layer k spans world z in [origin_z + k*res, origin_z + (k+1)*res).
@@ -83,7 +87,7 @@ class VoxelMap:
         if len(self.origin) != 3:
             raise ValueError(f"origin must have three coordinates, got {origin!r}")
         self.extent = ext
-        self._columns: dict[Cell, np.ndarray] = {}
+        self._voxels = np.zeros(ext, dtype=np.uint8)
 
     # -- access ---------------------------------------------------------
 
@@ -92,28 +96,23 @@ class VoxelMap:
         M, N, K = self.extent
         if not (0 <= i < M and 0 <= j < N and 0 <= k < K):
             return VoxelState.UNKNOWN
-        col = self._columns.get((i, j))
-        if col is None:
-            return VoxelState.UNKNOWN
-        return VoxelState(int(col[k]))
+        return VoxelState(int(self._voxels[i, j, k]))
 
     def nonempty_columns(self) -> Iterator[Cell]:
-        """Columns holding at least one non-Unknown voxel."""
-        return iter(self._columns.keys())
+        """Columns holding at least one non-Unknown voxel, in (i, j) order."""
+        ii, jj = np.nonzero(self._voxels.any(axis=2))
+        return zip(ii.tolist(), jj.tolist())
 
     def cell_count(self) -> int:
         """Number of non-Unknown voxels."""
-        return sum(int(np.count_nonzero(col)) for col in self._columns.values())
+        return int(np.count_nonzero(self._voxels))
 
     def column(self, m: int, n: int) -> ColumnView:
         """Run-length view of column (m, n); runs partition [0, K)."""
-        M, N, K = self.extent
+        M, N, _ = self.extent
         if not (0 <= m < M and 0 <= n < N):
             raise IndexError(f"column ({m}, {n}) outside extent {M}x{N}")
-        col = self._columns.get((m, n))
-        if col is None:
-            return ColumnView((m, n), ((0, K, VoxelState.UNKNOWN),))
-        return ColumnView((m, n), _runs_of(col))
+        return ColumnView((m, n), _runs_of(self._voxels[m, n]))
 
     # -- mutation -------------------------------------------------------
 
@@ -134,19 +133,8 @@ class VoxelMap:
                 raise ValueError(f"update {pos}: invalid voxel state {state!r}")
         dirty: set[Cell] = set()
         for i, j, k, state in updates:
-            col = self._columns.get((i, j))
-            if col is None:
-                if int(state) == 0:
-                    dirty.add((i, j))
-                    continue
-                col = np.zeros(K, dtype=np.uint8)
-                self._columns[(i, j)] = col
-            col[k] = int(state)
+            self._voxels[i, j, k] = int(state)
             dirty.add((i, j))
-        for cell in dirty:
-            col = self._columns.get(cell)
-            if col is not None and not col.any():
-                del self._columns[cell]
         return dirty
 
     def fill_box(self, i0: int, i1: int, j0: int, j1: int, k0: int, k1: int,
@@ -157,37 +145,21 @@ class VoxelMap:
             raise IndexError(
                 f"box [{i0},{i1})x[{j0},{j1})x[{k0},{k1}) outside extent {M}x{N}x{K}"
             )
-        value = int(state)
-        erase = value == 0
-        for i in range(i0, i1):
-            for j in range(j0, j1):
-                col = self._columns.get((i, j))
-                if col is None:
-                    if erase:
-                        continue
-                    col = np.zeros(K, dtype=np.uint8)
-                    self._columns[(i, j)] = col
-                col[k0:k1] = value
-                if erase and not col.any():
-                    del self._columns[(i, j)]
+        self._voxels[i0:i1, j0:j1, k0:k1] = int(state)
 
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VoxelMap):
             return NotImplemented
-        if (self.resolution, self.origin, self.extent) != (
-                other.resolution, other.origin, other.extent):
-            return False
-        if self._columns.keys() != other._columns.keys():
-            return False
-        return all(np.array_equal(col, other._columns[cell])
-                   for cell, col in self._columns.items())
+        return ((self.resolution, self.origin, self.extent)
+                == (other.resolution, other.origin, other.extent)
+                and np.array_equal(self._voxels, other._voxels))
 
     def __repr__(self) -> str:
         M, N, K = self.extent
         return (f"VoxelMap(res={self.resolution}, extent={M}x{N}x{K}, "
-                f"columns={len(self._columns)})")
+                f"voxels={self.cell_count()})")
 
 
 _STATES = (VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE)
@@ -217,18 +189,17 @@ def _runs_of(col: np.ndarray) -> tuple[tuple[int, int, VoxelState], ...]:
 
 
 def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
-    """Write the canonical VXG encoding: deterministic bytes for equal maps."""
-    chunks = []
-    for cell in sorted(vmap._columns):
-        col = vmap._columns[cell]
-        ks = np.flatnonzero(col)
-        rec = np.empty((ks.size, 4), dtype="<u4")
-        rec[:, 0] = cell[0]
-        rec[:, 1] = cell[1]
-        rec[:, 2] = ks
-        rec[:, 3] = col[ks]
-        chunks.append(rec)
-    records = np.concatenate(chunks) if chunks else np.empty((0, 4), dtype="<u4")
+    """Write the canonical VXG encoding: deterministic bytes for equal maps.
+
+    np.nonzero walks the array in C order, which is the canonical (i, j, k)
+    record order. The index is dropped before the write and the records are
+    written without a bytes copy, to keep the peak memory of large maps low.
+    """
+    index = np.nonzero(vmap._voxels)
+    records = np.empty((index[0].size, 4), dtype="<u4")
+    for c, values in enumerate(index + (vmap._voxels[index],)):
+        records[:, c] = values
+    del index
     ox, oy, oz = vmap.origin
     M, N, K = vmap.extent
     header = (
@@ -238,7 +209,9 @@ def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
         f"extent {M} {N} {K}\n"
         f"count {records.shape[0]}\n"
     )
-    Path(path).write_bytes(header.encode("ascii") + records.tobytes())
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(records.data)
 
 
 def load_voxel_map(path: str | Path) -> VoxelMap:
@@ -263,14 +236,16 @@ def load_voxel_map(path: str | Path) -> VoxelMap:
     if version != 1:
         raise VxgVersionError(f"unsupported VXG version {version}")
 
-    resolution = _header_floats(lines[1], "res", 1)[0]
-    if resolution <= 0:
-        raise VxgHeaderError(f"non-positive resolution {resolution}")
-    origin = _header_floats(lines[2], "origin", 3)
-    extent = _header_ints(lines[3], "extent", 3)
+    resolution = _header_numbers(lines[1], "res", 1, float)[0]
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
+    origin = _header_numbers(lines[2], "origin", 3, float)
+    if not all(map(math.isfinite, origin)):
+        raise VxgHeaderError(f"non-finite origin {origin}")
+    extent = _header_numbers(lines[3], "extent", 3, int)
     if any(e < 1 for e in extent):
         raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
-    count = _header_ints(lines[4], "count", 1)[0]
+    count = _header_numbers(lines[4], "count", 1, int)[0]
     if count < 0:
         raise VxgHeaderError(f"negative record count {count}")
 
@@ -295,38 +270,33 @@ def load_voxel_map(path: str | Path) -> VoxelMap:
             f"{int(records[r, 2])}) outside extent {M}x{N}x{K}"
         )
 
-    vmap = VoxelMap(resolution, origin, extent)
-    if count:
-        key = records[:, 0].astype(np.int64) * N + records[:, 1]
-        order = np.argsort(key, kind="stable")
-        ordered = records[order]
-        keys = key[order]
-        group_starts = np.flatnonzero(np.r_[True, np.diff(keys) != 0])
-        group_ends = np.r_[group_starts[1:], len(keys)]
-        for s, e in zip(group_starts.tolist(), group_ends.tolist()):
-            i = int(ordered[s, 0])
-            j = int(ordered[s, 1])
-            col = np.zeros(K, dtype=np.uint8)
-            col[ordered[s:e, 2]] = ordered[s:e, 3]
-            vmap._columns[(i, j)] = col
+    try:
+        vmap = VoxelMap(resolution, origin, extent)
+    except (MemoryError, ValueError):
+        raise VxgHeaderError(
+            f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
+        ) from None
+    flat = vmap._voxels.reshape(-1)
+    linear = np.ravel_multi_index(tuple(records[:, :3].T), extent)
+    flat[linear] = records[:, 3]
+    # Every record writes a non-Unknown state, so fewer non-Unknown voxels
+    # than records means two records named the same voxel.
+    if np.count_nonzero(flat) != count:
+        order = np.argsort(linear, kind="stable")
+        repeats = order[1:][linear[order[1:]] == linear[order[:-1]]]
+        r = int(repeats.min())
+        raise VxgRecordError(
+            f"record {r}: duplicate voxel ({int(records[r, 0])}, "
+            f"{int(records[r, 1])}, {int(records[r, 2])})"
+        )
     return vmap
 
 
-def _header_floats(line: str, tag: str, n: int) -> tuple[float, ...]:
+def _header_numbers(line: str, tag: str, n: int, convert) -> tuple:
     parts = line.split()
     if len(parts) != n + 1 or parts[0] != tag:
         raise VxgHeaderError(f"malformed {tag!r} line: {line!r}")
     try:
-        return tuple(float(p) for p in parts[1:])
+        return tuple(convert(p) for p in parts[1:])
     except ValueError:
         raise VxgHeaderError(f"unreadable number in {tag!r} line: {line!r}") from None
-
-
-def _header_ints(line: str, tag: str, n: int) -> tuple[int, ...]:
-    parts = line.split()
-    if len(parts) != n + 1 or parts[0] != tag:
-        raise VxgHeaderError(f"malformed {tag!r} line: {line!r}")
-    try:
-        return tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise VxgHeaderError(f"unreadable integer in {tag!r} line: {line!r}") from None

@@ -150,3 +150,15 @@ def test_updates_that_toggle_back_still_rebuild_exactly():
     update(state, [(cell[0], cell[1], cell[2], F)])
     update(state, [(cell[0], cell[1], cell[2], original)])
     assert states_equal(state, init(state.voxels)) == []
+
+
+def test_update_clears_the_degeneracy_flag_when_a_fit_becomes_well_posed():
+    # Only row 2 has floor, so the center cell's slope window is collinear
+    # and its fit degenerate; adding floor at (1, 2) makes the fit well posed.
+    vmap = VoxelMap(0.1, (0.0, 0.0, 0.0), (5, 5, 12))
+    vmap.fill_box(2, 3, 0, 5, 0, 12, F)
+    state = init(vmap)
+    assert state.slope.degenerate[2, 2]
+    update(state, [(1, 2, k, F) for k in range(12)])
+    assert not state.slope.degenerate[2, 2]
+    assert states_equal(state, init(state.voxels)) == []

@@ -160,6 +160,59 @@ def test_pgm_export(tmp_path):
     assert 0 in pixels and 255 in pixels
 
 
+def test_pgm_export_golden_bytes(tmp_path):
+    # 0.3 * 255 = 76.5 and 0.5 * 255 = 127.5 round half to even (76, 128);
+    # 0.5 and 128/255 both land on the reserved 127 and are nudged to 126.
+    grid = occupancy_grid([[-1.0, 0.0, 0.3], [0.5, 1.0, 0.002],
+                           [0.25, 128 / 255, 0.998]])
+    path = tmp_path / "g.pgm"
+    write_occupancy_pgm(grid, path)
+    assert path.read_bytes() == (b"P2\n3 3\n255\n"
+                                 b"179 254 1\n255 0 126\n127 126 191\n")
+
+
+def test_height_reader_planes_are_the_generic_reader_planes(tmp_path):
+    height = make_height_map([[0.5, None], [1.25, 2.0]])
+    path = tmp_path / "h.g2d"
+    write_height(height, False, path)
+    _, planes = read_grid(path)
+    back = read_height(path)
+    assert len(planes) == 1
+    assert np.array_equal(back.floor, planes[0], equal_nan=True)
+    assert np.isnan(back.ceiling).all()
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    (b"res 0.1", b"res -0.5", "resolution"),
+    (b"res 0.1", b"res 0.0", "resolution"),
+    (b"res 0.1", b"res nan", "resolution"),
+    (b"res 0.1", b"res inf", "resolution"),
+    (b"res 0.1", b"res abc", "unreadable value in 'res'"),
+    (b"origin 0.0 0.0 0.0", b"origin 0.0 nan 0.0", "origin"),
+    (b"origin 0.0 0.0 0.0", b"origin 0.0 0.0 -inf", "origin"),
+    (b"origin 0.0 0.0 0.0", b"origin 0.0 x 0.0", "unreadable value in 'origin'"),
+    (b"extent 2 1", b"extent 2 one", "unreadable value in 'extent'"),
+    (b"extent 2 1", b"extent 2 1.0", "unreadable value in 'extent'"),
+])
+def test_grid_header_rejects_bad_numbers(tmp_path, line, replacement, message):
+    path = tmp_path / "g.g2d"
+    write_occupancy(occupancy_grid([[0.0], [1.0]]), path)
+    data = path.read_bytes()
+    assert line in data
+    path.write_bytes(data.replace(line, replacement, 1))
+    with pytest.raises(GridFormatError, match=message):
+        read_occupancy(path)
+
+
+def test_slope_header_rejects_unreadable_window(tmp_path):
+    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), np.zeros((1, 1)), np.zeros((1, 1), bool), 2)
+    path = tmp_path / "s.g2d"
+    write_slope(smap, path)
+    path.write_bytes(path.read_bytes().replace(b"window 2", b"window two"))
+    with pytest.raises(GridFormatError, match="unreadable value in 'window'"):
+        read_slope(path)
+
+
 def test_size_report_self_comparison(tmp_path):
     path = tmp_path / "v.vxg"
     path.write_bytes(b"x" * 1000)

@@ -191,6 +191,15 @@ def test_lift_params_validation_and_defaults():
         LiftParams("uav", 1, 1.0)  # uav needs a safety radius
     with pytest.raises(ValueError):
         LiftParams("ugv", -1, 1.0)
+    for lookahead in (2.0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="lookahead must be an int"):
+            LiftParams("ugv", lookahead, 1.0)
+    for offset in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="height_offset"):
+            LiftParams("ugv", 1, offset)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="safety_radius"):
+            LiftParams("uav", 1, 1.0, radius)
     uav = LiftParams.uav_defaults(0.1)
     assert (uav.lookahead, uav.height_offset, uav.safety_radius) == (20, 1.0, 0.5)
     ugv = LiftParams.ugv_defaults(0.1)

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxflat import (VoxelMap, VoxelState, VxgHeaderError, VxgRecordError,
                      VxgTruncatedError, VxgVersionError, load_voxel_map,
@@ -75,8 +78,15 @@ def test_header_errors_are_distinct(tmp_path):
     with pytest.raises(VxgVersionError):
         load_voxel_map(bad)
 
-    bad.write_bytes(base.replace(b"res 0.1", b"res zero"))
-    with pytest.raises(VxgHeaderError):
+    for old, new in ((b"res 0.1", b"res zero"), (b"res 0.1", b"res nan"),
+                     (b"res 0.1", b"res inf"), (b"origin 0.0 0.0 0.0", b"origin 0.0 nan 0.0")):
+        bad.write_bytes(base.replace(old, new))
+        with pytest.raises(VxgHeaderError):
+            load_voxel_map(bad)
+
+    # numpy refuses a 10^15-byte array at once, without touching memory
+    bad.write_bytes(base.replace(b"extent 2 2 2", b"extent 1000000 1000000 1000"))
+    with pytest.raises(VxgHeaderError, match="extent 1000000x1000000x1000"):
         load_voxel_map(bad)
 
     bad.write_bytes(base[:20])
@@ -107,6 +117,26 @@ def test_record_errors_carry_position(tmp_path):
     path.write_bytes(header + ok + out_of_range)
     with pytest.raises(VxgRecordError, match="record 1"):
         load_voxel_map(path)
+    for state in (1, 2):
+        duplicate = np.array([[0, 0, 0, state]], dtype="<u4").tobytes()
+        path.write_bytes(header + ok + duplicate)
+        with pytest.raises(VxgRecordError, match=r"record 1: duplicate voxel \(0, 0, 0\)"):
+            load_voxel_map(path)
+    three = header.replace(b"count 2", b"count 3")
+    path.write_bytes(three + ok + bad_state.replace(b"\x07", b"\x01") + ok)
+    with pytest.raises(VxgRecordError, match="record 2: duplicate"):
+        load_voxel_map(path)
+
+
+def test_save_writes_golden_bytes_in_ijk_order(tmp_path):
+    records = [(0, 1, 3, 1), (1, 0, 0, 2), (1, 0, 2, 1), (1, 1, 0, 2), (2, 1, 1, 2)]
+    vm = VoxelMap(0.25, (-1.0, 0.5, 0.0), (3, 2, 4))
+    vm.apply_cells([(i, j, k, VoxelState(s)) for i, j, k, s in reversed(records)])
+    path = tmp_path / "golden.vxg"
+    save_voxel_map(vm, path)
+    assert path.read_bytes() == (
+        b"VXG 1\nres 0.25\norigin -1.0 0.5 0.0\nextent 3 2 4\ncount 5\n"
+        + b"".join(struct.pack("<4I", *r) for r in records))
 
 
 def test_column_runs_merge_and_split():
@@ -202,3 +232,54 @@ def test_constructor_validation():
         VoxelMap(0.1, (0, 0, 0), (0, 1, 1))
     with pytest.raises(ValueError):
         VoxelMap(0.1, (0, 0), (1, 1, 1))
+
+
+@st.composite
+def voxel_scripts(draw):
+    """An extent plus a list of apply_cells batches and fill_box calls."""
+    M, N, K = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8)))
+    state = st.integers(0, 2)
+    update = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1),
+                       st.integers(0, K - 1), state)
+
+    def span(n):
+        return st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+
+    op = st.one_of(st.tuples(st.just("apply"), st.lists(update, max_size=12)),
+                   st.tuples(st.just("box"), st.tuples(span(M), span(N), span(K), state)))
+    return (M, N, K), draw(st.lists(op, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(voxel_scripts())
+def test_voxel_map_matches_a_plain_array(tmp_path_factory, script):
+    extent, ops = script
+    M, N, K = extent
+    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), extent)
+    ref = np.zeros(extent, dtype=np.uint8)
+    for kind, args in ops:
+        if kind == "apply":
+            dirty = vm.apply_cells([(i, j, k, VoxelState(s)) for i, j, k, s in args])
+            for i, j, k, s in args:
+                ref[i, j, k] = s
+            assert dirty == {(i, j) for i, j, _, _ in args}
+        else:
+            (i0, i1), (j0, j1), (k0, k1), s = args
+            vm.fill_box(i0, i1, j0, j1, k0, k1, VoxelState(s))
+            ref[i0:i1, j0:j1, k0:k1] = s
+
+        assert vm.cell_count() == np.count_nonzero(ref)
+        assert list(vm.nonempty_columns()) == [
+            (m, n) for m in range(M) for n in range(N) if ref[m, n].any()]
+        for m in range(M):
+            for n in range(N):
+                starts, lengths, states = zip(*vm.column(m, n).runs)
+                assert np.array_equal(np.repeat(states, lengths), ref[m, n])
+                assert list(starts) == [sum(lengths[:r]) for r in range(len(lengths))]
+
+    path = tmp_path_factory.mktemp("vxg") / "map.vxg"
+    save_voxel_map(vm, path)
+    loaded = load_voxel_map(path)
+    assert loaded == vm
+    assert all(loaded.state_at(i, j, k) == ref[i, j, k]
+               for i in range(M) for j in range(N) for k in range(K))
