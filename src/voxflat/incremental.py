@@ -2,9 +2,18 @@
 
 The correctness contract is rebuild equivalence: after any sequence of
 updates the state is bit-identical to a from-scratch conversion of the
-current voxel map. That holds because every stage is recomputed through the
-same per-column/per-cell functions the full build uses, over a dirty set
-dilated far enough to cover each stage's data dependencies.
+current voxel map. `update()` reaches every stage through the code the full
+build runs, over the dirty columns grown far enough to cover each stage's
+data dependencies:
+
+- heights: `convert_column` on each written column, as `build_height_map`
+  does for every column;
+- slopes: one `slope_at` call on the bounding box of the dirty columns grown
+  by the fit radius. `build_slope_map` is the same kernel over the whole
+  extent, and its exact integer sums make any window bit-identical to the
+  full map;
+- occupancy: `uav_cell_value` and `ugv_cell_value` on each cell within
+  radius + 1 of a dirty column, the per-cell rules the full builds apply.
 """
 from __future__ import annotations
 
@@ -69,10 +78,11 @@ def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport
     """Apply voxel writes and recompute only the affected columns and halos.
 
     Heights change only on written columns. Slopes depend on floors within
-    the fit radius, so they are recomputed on the dirty set dilated by that
-    radius; occupancy looks one further cell out (the 8-neighborhood), so it
-    is recomputed on the dirty set dilated by radius + 1. The state is
-    mutated in place; the report carries the per-stage recompute counts.
+    the fit radius, so `slope_at` recomputes the bounding box of the dirty
+    set dilated by that radius; occupancy looks one further cell out (the
+    8-neighborhood), so it is recomputed on the dirty set dilated by
+    radius + 1. The state is mutated in place; the report carries the
+    per-stage recompute counts.
     """
     t0 = time.perf_counter_ns()
     vmap = state.voxels
@@ -98,42 +108,53 @@ def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport
 
     M, N, _ = vmap.extent
     radius = state.params.slope_radius_cells(res)
-    slope_dirty = _dilate(dirty, radius, M, N)
-    slope_values = state.slope.values
-    slope_degenerate = state.slope.degenerate
-    for m, n in slope_dirty:
-        if np.isnan(floor[m, n]):
-            slope_values[m, n] = np.nan
-            slope_degenerate[m, n] = False
-        else:
-            s = slope_at(state.height, m, n, radius)
-            if s is None:
-                slope_values[m, n] = 0.0
-                slope_degenerate[m, n] = True
-            else:
-                slope_values[m, n] = s
-                slope_degenerate[m, n] = False
+    slope_cells = 0
+    occupancy_cells: list[Cell] = []
+    if dirty:
+        # One kernel call over the bounding box of the slope halo; every cell
+        # of the box is rewritten, values and flags alike.
+        rows, cols = _halo_box(dirty, radius, M, N)
+        values, degenerate = slope_at(state.height, rows, cols, radius)
+        state.slope.values[rows, cols] = values
+        state.slope.degenerate[rows, cols] = degenerate
+        slope_cells = values.size
 
-    occupancy_dirty = _dilate(dirty, radius + 1, M, N)
-    free_mask = state.height.present_mask
-    uav_values = state.uav.values
-    ugv_values = state.ugv.values
-    for m, n in occupancy_dirty:
-        v = uav_cell_value(m, n, state.ranges, state.height, free_mask,
-                           state.params.min_occupancy)
-        uav_values[m, n] = v
-        ugv_values[m, n] = ugv_cell_value(v, slope_values[m, n],
-                                          state.params.max_slope)
+        occupancy_cells = _dilate(dirty, radius + 1, M, N)
+        # uav_cell_value reads free_mask at most one cell beyond the
+        # occupancy halo, so the mask is filled there and nowhere else.
+        rows, cols = _halo_box(dirty, radius + 2, M, N)
+        free_mask = np.zeros((M, N), dtype=bool)
+        free_mask[rows, cols] = ~np.isnan(floor[rows, cols])
+        slope_values = state.slope.values
+        uav_values = state.uav.values
+        ugv_values = state.ugv.values
+        for m, n in occupancy_cells:
+            v = uav_cell_value(m, n, state.ranges, state.height, free_mask,
+                               state.params.min_occupancy)
+            uav_values[m, n] = v
+            ugv_values[m, n] = ugv_cell_value(v, slope_values[m, n],
+                                              state.params.max_slope)
 
     elapsed_us = (time.perf_counter_ns() - t0) // 1000
-    return DirtyReport(len(dirty), len(slope_dirty), len(occupancy_dirty),
+    return DirtyReport(len(dirty), slope_cells, len(occupancy_cells),
                        int(elapsed_us))
 
 
-def _dilate(cells: set[Cell], radius: int, M: int, N: int) -> set[Cell]:
-    out: set[Cell] = set()
+def _halo_box(cells: set[Cell], radius: int, M: int,
+              N: int) -> tuple[slice, slice]:
+    """Bounding box of the cells grown by radius, clipped to the extent."""
+    ms = [m for m, _ in cells]
+    ns = [n for _, n in cells]
+    return (slice(max(0, min(ms) - radius), min(M, max(ms) + radius + 1)),
+            slice(max(0, min(ns) - radius), min(N, max(ns) + radius + 1)))
+
+
+def _dilate(cells: set[Cell], radius: int, M: int, N: int) -> list[Cell]:
+    """Cells within Chebyshev distance radius of any given cell, in the map."""
+    rows, cols = _halo_box(cells, radius, M, N)
+    mask = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
     for m, n in cells:
-        for mm in range(max(0, m - radius), min(M, m + radius + 1)):
-            for nn in range(max(0, n - radius), min(N, n + radius + 1)):
-                out.add((mm, nn))
-    return out
+        mask[max(0, m - radius - rows.start):m + radius + 1 - rows.start,
+             max(0, n - radius - cols.start):n + radius + 1 - cols.start] = True
+    hit_m, hit_n = np.nonzero(mask)
+    return list(zip((hit_m + rows.start).tolist(), (hit_n + cols.start).tolist()))

@@ -152,7 +152,9 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     A violating waypoint is clamped to the nearest end of the feasible
     interval [max floor + radius, min ceiling - radius], overriding whatever
     offset lifting applied. An empty interval (navigable span locally thinner
-    than the sphere) is an error naming the waypoint, never a compromise.
+    than the sphere) is an error naming the waypoint, never a compromise; so
+    is a waypoint off the map or with no height cell within the radius,
+    where nothing is known to be clear.
     """
     if radius <= 0:
         raise ValueError(f"clearance radius must be positive, got {radius}")
@@ -170,6 +172,8 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     for idx, (x, y, z) in enumerate(path):
         m = int(math.floor((x - ox) / res))
         n = int(math.floor((y - oy) / res))
+        if not (0 <= m < M and 0 <= n < N):
+            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) is off the map")
         max_floor = -math.inf
         min_ceiling = math.inf
         for dm, dn in offsets:
@@ -185,8 +189,8 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
                 if c < min_ceiling:
                     min_ceiling = c
         if max_floor == -math.inf:
-            out.append((x, y, z))
-            continue
+            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) has no height "
+                             f"cell within clearance radius {radius}")
         lo = max_floor + radius
         hi = min_ceiling - radius
         if lo > hi:

@@ -266,18 +266,18 @@ class _Builder:
 
         A full rectangular window makes the y terms drop out, so the 2D fit
         reduces to this 1D weighted sum; y-truncation near the side walls
-        keeps the window rectangular and does not disturb it. Claims stop
-        one window short of interior x edges and holes.
+        keeps the window rectangular and does not disturb it. The sums run on
+        the profile's voxel indices (the offsets sum to zero, so origin_z and
+        res cancel), which makes each claim the exactly rounded rise/run.
+        Claims stop one window short of interior x edges and holes.
         """
         sa = self.sa
-        denom = self.res * sum(d * d for d in range(-sa, sa + 1))
+        denom = sum(d * d for d in range(-sa, sa + 1))
         for mrel in range(sa, self.ix - sa):
             window = range(mrel - sa, mrel + sa + 1)
             if holes and any(w in holes for w in window):
                 continue
-            acc = 0.0
-            for d in range(-sa, sa + 1):
-                acc += d * self.z(int(profile[mrel + d]))
+            acc = sum(d * int(profile[mrel + d]) for d in range(-sa, sa + 1))
             self.slope[self.interior_slice(mrel)] = abs(acc) / denom
 
     def claim_flat_slope_everywhere(self):

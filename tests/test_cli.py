@@ -249,6 +249,22 @@ def test_lift_infeasible_clearance_names_the_waypoint(tmp_path, capsys):
     assert "waypoint" in capsys.readouterr().err
 
 
+def test_lift_off_map_waypoint_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # a lifted path that strays off the map fails the clearance check with
+    # exit code 2 instead of passing through unchecked
+    import voxflat.cli as cli
+    real_lift = cli.lift_path
+    monkeypatch.setattr(cli, "lift_path",
+                        lambda *a: real_lift(*a) + [(100.0, 100.0, -5.0)])
+    vxg = synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6")
+    out = convert(tmp_path, vxg)
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height",
+               out / "height.g2d", "--mode", "uav", "--start", 5, 5,
+               "--goal", 12, 10, "--out", tmp_path / "p.txt") == 2
+    assert "is off the map" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
 def test_convert_outputs_match_the_sidecar(tmp_path):
     vxg = synth(tmp_path, "composite")
     out = convert(tmp_path, vxg)

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from voxflat import (ConversionParams, DirtyReport, VoxelMap, VoxelState, init,
                      update)
@@ -162,3 +166,77 @@ def test_update_clears_the_degeneracy_flag_when_a_fit_becomes_well_posed():
     update(state, [(1, 2, k, F) for k in range(12)])
     assert not state.slope.degenerate[2, 2]
     assert states_equal(state, init(state.voxels)) == []
+
+
+def floor_column(m, n, f, K):
+    """Writes that give column (m, n) a floor face at k = f: solid below,
+    free from f to the top (a floor only if that run is tall enough)."""
+    return ([(m, n, k, O) for k in range(f)]
+            + [(m, n, k, F) for k in range(f, K)])
+
+
+class RebuildEquivalence(RuleBasedStateMachine):
+    """Random update sequences on small maps; after every step the state
+    equals a fresh init() of its voxel map."""
+
+    @initialize(extent=st.tuples(st.integers(1, 12), st.integers(1, 12),
+                                 st.integers(1, 16)),
+                radius=st.integers(1, 3))
+    def start(self, extent, radius):
+        params = ConversionParams(min_clearance=0.3, slope_window_m=0.1 * radius)
+        self.state = init(VoxelMap(0.1, (0.0, 0.0, 0.0), extent), params)
+
+    @rule(data=st.data())
+    def write_batch(self, data):
+        M, N, K = self.state.voxels.extent
+        voxel = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1),
+                          st.integers(0, K - 1), st.sampled_from([U, O, F]))
+        update(self.state, data.draw(st.lists(voxel, max_size=20)))
+
+    @rule(data=st.data())
+    def write_floors(self, data):
+        M, N, K = self.state.voxels.extent
+        cells = data.draw(st.lists(st.tuples(st.integers(0, M - 1),
+                                             st.integers(0, N - 1),
+                                             st.integers(0, K - 1)),
+                                   min_size=1, max_size=12))
+        update(self.state, [w for m, n, f in cells for w in floor_column(m, n, f, K)])
+
+    @rule(layout=st.sampled_from(["isolated", "row", "column", "diagonal"]),
+          at=st.integers(0, 11), data=st.data())
+    def degenerate_layout(self, layout, at, data):
+        # erase the map, then floor one cell or one line of cells: every
+        # slope fit is degenerate (fewer than 3 samples, or collinear)
+        M, N, K = self.state.voxels.extent
+        m0, n0 = at % M, at % N
+        cells = {"isolated": [(m0, n0)],
+                 "row": [(m0, n) for n in range(N)],
+                 "column": [(m, n0) for m in range(M)],
+                 "diagonal": [(d, d) for d in range(min(M, N))]}[layout]
+        floors = data.draw(st.lists(st.integers(0, max(0, K - 3)),
+                                    min_size=len(cells), max_size=len(cells)))
+        erase = [(m, n, k, U) for m in range(M) for n in range(N) for k in range(K)]
+        update(self.state, erase + [w for (m, n), f in zip(cells, floors)
+                                    for w in floor_column(m, n, f, K)])
+        present = ~np.isnan(self.state.height.floor)
+        assert np.array_equal(self.state.slope.degenerate, present)
+
+    @rule(which=st.integers(0, 5))
+    def reject_out_of_extent(self, which):
+        M, N, K = self.state.voxels.extent
+        bad = [(M, 0, 0), (0, N, 0), (0, 0, K), (-1, 0, 0), (0, -1, 0),
+               (0, 0, -1)][which]
+        before = copy.deepcopy(self.state.voxels)
+        with pytest.raises(IndexError):
+            update(self.state, [(0, 0, 0, F), (*bad, F)])
+        assert self.state.voxels == before
+
+    @invariant()
+    def rebuild_equivalent(self):
+        fresh = init(self.state.voxels, self.state.params)
+        assert states_equal(self.state, fresh) == []
+
+
+TestRebuildEquivalence = RebuildEquivalence.TestCase
+TestRebuildEquivalence.settings = settings(max_examples=40, stateful_step_count=12,
+                                           deadline=None)

@@ -178,6 +178,23 @@ def test_clearance_errors_deterministically_when_squeezed():
     assert str(first.value) == str(second.value)
 
 
+def test_clearance_rejects_waypoints_with_no_height_data():
+    height = make_height_map([[0.0] * 4 for _ in range(4)],
+                             [[3.0] * 4 for _ in range(4)])
+    inside = (0.15, 0.15, 1.0)
+    with pytest.raises(ValueError, match=r"waypoint 1 at \(10.0, 10.0, -5\) "
+                                         r"is off the map"):
+        enforce_clearance([inside, (10.0, 10.0, -5)], height, 0.5)
+    with pytest.raises(ValueError, match="waypoint 0 .* is off the map"):
+        enforce_clearance([(-0.05, 0.15, 1.0)], height, 0.5)
+    # on the map, but every height cell within the radius is absent
+    sparse = make_height_map([[0.0] + [None] * 9] + [[None] * 10] * 9)
+    with pytest.raises(ValueError, match=r"waypoint 0 at \(0.85, 0.85, 1.0\) "
+                                         "has no height cell"):
+        enforce_clearance([(0.85, 0.85, 1.0)], sparse, 0.5)
+    assert enforce_clearance([inside], height, 0.5) == [inside]
+
+
 def test_clearance_radius_validation():
     height = make_height_map([[0.0]])
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from voxflat import build_slope_map, fit_plane, slope_at
+from voxflat import HeightMap, build_slope_map, fit_plane, slope_at
 from voxflat.scenes import SceneSpec, generate
 from voxflat import init
 
@@ -73,13 +75,18 @@ def test_plane_recovery_for_any_radius_and_subset():
         assert abs(fit.b - b) <= 1e-9
 
 
+def window_slope(height, m, n, radius):
+    """slope_at on the one-cell window (m, n): its value and its flag."""
+    values, degenerate = slope_at(height, slice(m, m + 1), slice(n, n + 1), radius)
+    return values[0, 0], degenerate[0, 0]
+
+
 def test_flat_region_has_zero_slope():
-    # the sample mean of identical heights picks up rounding, so the slope is
-    # zero only to machine precision, not bitwise
+    # the fit runs on exact integer moments, so a flat floor reads exactly 0
     height = make_height_map([[0.3] * 7 for _ in range(7)])
-    assert slope_at(height, 3, 3, 2) == pytest.approx(0.0, abs=1e-12)
-    edge = slope_at(height, 0, 0, 2)  # truncated window, still a flat plane
-    assert edge == pytest.approx(0.0, abs=1e-12)
+    assert window_slope(height, 3, 3, 2) == (0.0, False)
+    edge = window_slope(height, 0, 0, 2)  # truncated window, still a flat plane
+    assert edge == (0.0, False)
 
 
 def test_ramp_slope_matches_construction():
@@ -87,17 +94,28 @@ def test_ramp_slope_matches_construction():
     state = init(vmap)
     claimed = ~np.isnan(truth.slope)
     assert claimed.any()
-    diffs = np.abs(state.slope.values[claimed] - truth.slope[claimed])
-    assert np.nanmax(diffs) <= 1e-9
+    assert np.array_equal(state.slope.values[claimed], truth.slope[claimed])
     interior = truth.slope[claimed]
-    assert np.all(np.abs(interior - 0.5) <= 1e-12)
+    assert np.all(interior == 0.5)
+
+
+def test_slopes_exactly_at_the_threshold_stay_traversable():
+    # a 2:1 ramp sits exactly on the default max_slope of 2; every claimed
+    # cell must read exactly 2.0, so no claimed cell is steep for the UGV
+    vmap, truth = generate(SceneSpec(kind="ramp", slope=2.0))
+    state = init(vmap)
+    assert state.params.max_slope == 2.0
+    claimed = ~np.isnan(truth.slope)
+    assert claimed.any()
+    assert np.all(state.slope.values[claimed] == 2.0)
+    assert not np.any(state.ugv.values[claimed] == 1.0)
 
 
 def test_isolated_cell_is_degenerate():
     rows = [[None] * 5 for _ in range(5)]
     rows[2][2] = 1.0
     height = make_height_map(rows)
-    assert slope_at(height, 2, 2, 2) is None
+    assert window_slope(height, 2, 2, 2) == (0.0, True)
     smap = build_slope_map(height, 2)
     assert smap.values[2, 2] == 0.0
     assert smap.degenerate[2, 2]
@@ -109,7 +127,8 @@ def test_absent_cell_has_no_slope():
     rows = [[1.0] * 5 for _ in range(5)]
     rows[1][1] = None
     height = make_height_map(rows)
-    assert slope_at(height, 1, 1, 2) is None
+    assert np.isnan(window_slope(height, 1, 1, 2)[0])
+    assert not window_slope(height, 1, 1, 2)[1]
     smap = build_slope_map(height, 2)
     assert np.isnan(smap.values[1, 1])
 
@@ -147,6 +166,60 @@ def test_slope_invariant_under_horizontal_translation():
 def test_radius_validation():
     height = make_height_map([[0.0]])
     with pytest.raises(ValueError):
-        slope_at(height, 0, 0, 0)
+        slope_at(height, slice(0, 1), slice(0, 1), 0)
     with pytest.raises(ValueError):
         build_slope_map(height, 0)
+
+
+@st.composite
+def floor_grids(draw):
+    """A height map on voxel faces with a sparse, isolated or collinear layout."""
+    M, N = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    k = draw(arrays(np.int64, (M, N), elements=st.integers(-20, 40)))
+    present = draw(arrays(np.bool_, (M, N)))
+    mm, nn = np.indices((M, N))
+    layout = draw(st.sampled_from(["any", "isolated", "row", "column", "diagonal"]))
+    offset = draw(st.integers(0, 23))
+    if layout == "isolated":
+        present &= (mm % 7 == offset % 7) & (nn % 7 == offset // 7 % 7)
+    elif layout == "row":
+        present &= mm == offset % M
+    elif layout == "column":
+        present &= nn == offset % N
+    elif layout == "diagonal":
+        present &= nn - mm == offset - 12
+    res = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    origin_z = draw(st.sampled_from([0.0, -1.3, 12.7]))
+    floor = np.where(present, origin_z + k * res, np.nan)
+    height = HeightMap(res, (0.0, 0.0, origin_z), floor, floor + 3.0)
+    return height, draw(st.integers(1, 3))
+
+
+def spans(size):
+    return st.tuples(st.integers(0, size), st.integers(0, size)).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_grids(), st.data())
+def test_kernel_windows_equal_the_full_map_and_the_float_fit(grid, data):
+    height, radius = grid
+    M, N = height.extent
+    full = build_slope_map(height, radius)
+    (m0, m1), (n0, n1) = data.draw(spans(M)), data.draw(spans(N))
+    values, degenerate = slope_at(height, slice(m0, m1), slice(n0, n1), radius)
+    assert np.array_equal(values, full.values[m0:m1, n0:n1], equal_nan=True)
+    assert np.array_equal(degenerate, full.degenerate[m0:m1, n0:n1])
+
+    res = height.resolution
+    for m, n in zip(*np.nonzero(~np.isnan(height.floor))):
+        samples = [((mm + 0.5) * res, (nn + 0.5) * res, height.floor[mm, nn])
+                   for mm in range(max(0, m - radius), min(M, m + radius + 1))
+                   for nn in range(max(0, n - radius), min(N, n + radius + 1))
+                   if not np.isnan(height.floor[mm, nn])]
+        fit = fit_plane(samples)
+        assert full.degenerate[m, n] == (fit is None)
+        if fit is None:
+            assert full.values[m, n] == 0.0
+        else:
+            assert abs(full.values[m, n] - np.hypot(fit.a, fit.b)) <= 1e-9
+    assert np.array_equal(np.isnan(full.values), np.isnan(height.floor))
