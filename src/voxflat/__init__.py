@@ -1,12 +1,20 @@
 """voxflat: 3D tri-state voxel maps to 2D occupancy/height/slope maps.
 
-Pipeline: a dense voxel map (one byte per voxel, M*N*K bytes) is reduced
-per column to free/occupied vertical ranges, unsafe free space is filtered
-out, floors and ceilings become a height map, local plane fits give a slope
-map, and two occupancy grids are derived (aerial and ground). 2D paths
-planned on those grids lift back into 3D using the height data. An
-incremental mode recomputes only the columns an update touched plus their
-dependency halo.
+Pipeline: a dense voxel map (one byte per voxel, M*N*K bytes) becomes four
+2D grids, each stage one array kernel. Integer run detection along each
+column keeps the free runs tall enough for the robot and gives floor and
+ceiling voxel-face indices (the height map); exact integer plane-fit moments
+over each cell's window give the slope map; boundary cells of the aerial
+(UAV) grid take the share of their occupied voxels inside a free neighbour's
+span; and the ground (UGV) grid marks too-steep free cells occupied. 2D paths
+planned on those grids lift back into 3D using the height data.
+
+`init()` runs each kernel over the whole extent; `update()` runs the same
+kernels over the boxes of dirty columns grown by each stage's halo, so the
+streamed state stays bit-identical to a fresh conversion. The per-column
+range functions (`extract_ranges`, `filter_free_ranges`,
+`height_from_ranges`, `occupancy_value`) and `fit_plane` state the same
+rules one column or window at a time, as references for the kernels.
 """
 from .column_extraction import (ColumnRanges, HeightCell, HeightMap,
                                 HeightRange, build_height_map, convert_column,
@@ -18,7 +26,8 @@ from .io_formats import (GridFileHeader, GridFormatError, SizeReport,
                          size_report, write_height, write_occupancy,
                          write_occupancy_pgm, write_slope)
 from .occupancy_maps import (OccupancyGrid, build_ugv_map, build_uav_map,
-                             occupancy_value, overlap_length)
+                             occupancy_value, overlap_length, uav_cell_value,
+                             ugv_values)
 from .params import ConversionParams
 from .path_lift import (LiftParams, enforce_clearance, lift_path, plan_2d,
                         read_path_2d, read_path_3d, write_path_2d,

@@ -101,6 +101,8 @@ def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
                 raise GridFormatError(f"{path}: unknown robot tag {robot!r}")
         else:
             window = _field(extra, "window", 1, path, int)[0]
+            if window < 1:
+                raise GridFormatError(f"{path}: slope window must be >= 1, got {window}")
     hdr = GridFileHeader(kind, (M, N), res, origin, robot, window)
     if len(data) - offset != hdr.payload_bytes():
         raise GridFormatError(
@@ -186,7 +188,9 @@ def read_grid(path: str | Path) -> tuple[GridFileHeader, list[np.ndarray]]:
     if hdr.kind == "occupancy":
         raw = np.frombuffer(payload, dtype=np.uint8).reshape(hdr.extent)
         return hdr, [np.where(raw == 255, -1.0, raw / 254.0)]
-    planes = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    # A signalling NaN in the payload reads as an absent cell, quietly.
+    with np.errstate(invalid="ignore"):
+        planes = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return hdr, list(planes.reshape(-1, *hdr.extent))
 
 

@@ -4,6 +4,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+# A free range's height is a difference of origin_z + k*res terms, so an
+# exactly threshold-tall range can land a few ulps below the threshold; this
+# tolerance (meters) keeps it, in the voxel count and the range rule alike.
+CLEARANCE_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class ConversionParams:
@@ -36,3 +41,8 @@ class ConversionParams:
 
     def slope_radius_cells(self, resolution: float) -> int:
         return max(1, round(self.slope_window_m / resolution))
+
+    def min_run(self, resolution: float) -> int:
+        """Fewest free voxels a run needs to be navigable: L*res reaches
+        min_clearance, within CLEARANCE_EPS."""
+        return max(1, math.ceil((self.min_clearance - CLEARANCE_EPS) / resolution))

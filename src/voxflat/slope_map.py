@@ -6,7 +6,8 @@ cell centers. The fit runs on voxel-face indices: a floor is
 `origin_z + k*res` with integer k, and cell centers sit on integer (m, n), so
 the gradient in meters per meter equals the gradient of k over (m, n) and the
 resolution cancels. A floor that is not on a voxel face (a hand-built
-`HeightMap`) is snapped to the nearest face.
+`HeightMap`) is snapped to the nearest face by `HeightMap.face_index`, the
+snap the aerial-map kernel uses too.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
 Σnk) are int64 box sums taken from summed-area tables (Crow, SIGGRAPH 1984),
@@ -156,7 +157,7 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     p = np.zeros((H, W), dtype=np.int64)
     p[inside] = ok
     kk = np.zeros((H, W), dtype=np.int64)
-    kk[inside] = np.where(ok, np.rint((src - height.origin[2]) / height.resolution), 0)
+    kk[inside] = np.where(ok, height.face_index(src), 0)
     mm = np.arange(H, dtype=np.int64)[:, None] * p
     nn = np.arange(W, dtype=np.int64)[None, :] * p
     # Summed-area tables of the nine moments, with a leading row and column

@@ -98,6 +98,13 @@ class VoxelMap:
             return VoxelState.UNKNOWN
         return VoxelState(int(self._voxels[i, j, k]))
 
+    @property
+    def states(self) -> np.ndarray:
+        """Read-only (M, N, K) uint8 view of all voxel states, indexed (i, j, k)."""
+        view = self._voxels.view()
+        view.flags.writeable = False
+        return view
+
     def nonempty_columns(self) -> Iterator[Cell]:
         """Columns holding at least one non-Unknown voxel, in (i, j) order."""
         ii, jj = np.nonzero(self._voxels.any(axis=2))

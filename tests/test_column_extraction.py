@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxflat import (ColumnRanges, HeightCell, HeightRange, VoxelMap,
-                     VoxelState, build_height_map, extract_ranges,
-                     filter_free_ranges, height_from_ranges)
+from voxflat import (ColumnRanges, ConversionParams, HeightCell, HeightRange,
+                     VoxelMap, VoxelState, build_height_map, convert_column,
+                     extract_ranges, filter_free_ranges, height_from_ranges, init)
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import column_from_array, random_column, rasterize_ranges
@@ -82,7 +83,7 @@ def test_height_from_ranges():
 
 def test_flat_room_height_map_is_uniform():
     vmap, truth = generate(SceneSpec(kind="flat-room"))
-    height, ranges = build_height_map(vmap, 1.0)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
     claimed = ~np.isnan(truth.floor)
     assert claimed.any()
     floors = height.floor[claimed]
@@ -94,7 +95,7 @@ def test_flat_room_height_map_is_uniform():
 
 def test_crawl_space_columns_have_no_height_cell():
     vmap, truth = generate(SceneSpec(kind="crawl-space"))
-    height, _ = build_height_map(vmap, 1.0)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
     strip = truth.uav != 0  # claimed non-free cells include the crawl strip
     M, N, _ = vmap.extent
     # every interior cell the truth marks occupied/unknown must lack a height
@@ -107,9 +108,9 @@ def test_crawl_space_columns_have_no_height_cell():
 
 def test_empty_map_has_empty_height_map():
     vmap = VoxelMap(0.1, (0, 0, 0), (6, 6, 6))
-    height, ranges = build_height_map(vmap, 1.0)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
     assert np.isnan(height.floor).all()
-    assert ranges == {}
+    assert init(vmap).ranges == {}
 
 
 def test_height_map_invariants_on_random_maps():
@@ -120,7 +121,8 @@ def test_height_map_invariants_on_random_maps():
                     int(rng.integers(20)), VoxelState(int(rng.integers(0, 3))))
                    for _ in range(120)]
         vmap.apply_cells(updates)
-        height, ranges = build_height_map(vmap, 0.4)
+        state = init(vmap, ConversionParams(min_clearance=0.4))
+        height, ranges = state.height, state.ranges
         for m in range(7):
             for n in range(6):
                 cr = ranges.get((m, n), ColumnRanges((), ()))
@@ -132,3 +134,51 @@ def test_height_map_invariants_on_random_maps():
                     assert all(cell.floor <= r.low for r in cr.free)
                     assert all(cell.ceiling >= r.high for r in cr.free)
                     assert cell.ceiling - cell.floor >= 0.4 - 1e-9
+
+
+def stacked_columns(draw_runs, shape, K):
+    """A (*shape, K) uint8 stack of columns built from drawn (state, length)
+    runs, each column cut or padded with Unknown to K voxels."""
+    out = np.zeros((*shape, K), dtype=np.uint8)
+    for index in np.ndindex(*shape):
+        col = [state for state, length in draw_runs() for _ in range(length)]
+        out[index][:min(K, len(col))] = col[:K]
+    return out
+
+
+RUNS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), res=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+       origin_z=st.floats(-100.0, 100.0), min_clearance=st.floats(1e-3, 3.0))
+def test_convert_column_matches_the_per_column_range_rule(data, res, origin_z,
+                                                          min_clearance):
+    # One clearance rule: the kernel's integer run length and the range
+    # pipeline's float heights keep the same runs, and the floors and
+    # ceilings agree bit for bit.
+    shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    K = data.draw(st.integers(1, 40))
+    columns = stacked_columns(lambda: data.draw(RUNS), shape, K)
+    min_run = ConversionParams(min_clearance=min_clearance).min_run(res)
+    floor_k, ceil_k = convert_column(columns, min_run)
+    assert floor_k.shape == ceil_k.shape == shape
+    for index in np.ndindex(*shape):
+        want = height_from_ranges(filter_free_ranges(
+            extract_ranges(column_from_array(columns[index]), res, origin_z),
+            min_clearance))
+        if want is None:
+            assert floor_k[index] == ceil_k[index] == -1
+        else:
+            assert (origin_z + floor_k[index] * res,
+                    origin_z + ceil_k[index] * res) == want
+
+
+def test_convert_column_validates_min_run():
+    with pytest.raises(ValueError):
+        convert_column(np.zeros((2, 5), dtype=np.uint8), 0)
+    with pytest.raises(ValueError):
+        convert_column(np.zeros((2, 5), dtype=np.uint8), 1.0)
+    # a run threshold taller than the column keeps nothing
+    floor_k, ceil_k = convert_column(np.full((2, 5), int(F), dtype=np.uint8), 6)
+    assert floor_k.tolist() == ceil_k.tolist() == [-1, -1]

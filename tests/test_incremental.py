@@ -54,7 +54,7 @@ def test_single_voxel_halo_bounds():
     report = update(state, [(M // 2, N // 2, K // 2, F)])
     assert report.columns == 1
     assert report.slope_cells == (2 * radius + 1) ** 2
-    assert report.occupancy_cells <= (2 * (radius + 1) + 1) ** 2
+    assert report.occupancy_cells == (2 * radius + 1) ** 2
 
 
 def test_update_matches_from_scratch_rebuild():
@@ -68,28 +68,30 @@ def test_update_matches_from_scratch_rebuild():
 
 
 def test_cells_outside_the_halo_are_untouched():
-    rng = np.random.default_rng(43)
+    # Two one-column edits: one occupied voxel inside the free span, and a
+    # pillar that removes the column's height cell. Each grid may change only
+    # within its own halo: heights in the column, UAV within Chebyshev
+    # distance 1, slope and UGV within the fit radius r.
     vmap, _ = generate(SceneSpec(kind="flat-room", size_x=4.0, size_y=4.0))
-    state = init(vmap)
-    before = {name: grid.copy() for name, grid in
-              (("floor", state.height.floor), ("ceiling", state.height.ceiling),
-               ("slope", state.slope.values), ("uav", state.uav.values),
-               ("ugv", state.ugv.values))}
     M, N, K = vmap.extent
-    target = (M // 2, N // 2)
-    radius = ConversionParams().slope_radius_cells(vmap.resolution) + 1
-    update(state, [(target[0], target[1], K // 2, O)])
-    inside = np.zeros((M, N), dtype=bool)
-    inside[max(0, target[0] - radius):target[0] + radius + 1,
-           max(0, target[1] - radius):target[1] + radius + 1] = True
-    for name, grid in (("floor", state.height.floor),
-                       ("ceiling", state.height.ceiling),
-                       ("slope", state.slope.values),
-                       ("uav", state.uav.values),
-                       ("ugv", state.ugv.values)):
-        outside_equal = np.array_equal(grid[~inside], before[name][~inside],
-                                       equal_nan=True)
-        assert outside_equal, f"{name} changed outside the halo"
+    m, n = M // 2, N // 2
+    r = ConversionParams().slope_radius_cells(vmap.resolution)
+    for edit in ([(m, n, K // 2, O)], [(m, n, k, O) for k in range(K)]):
+        state = init(copy.deepcopy(vmap))
+        grids = {"floor": (state.height.floor, 0), "ceiling": (state.height.ceiling, 0),
+                 "uav": (state.uav.values, 1), "slope": (state.slope.values, r),
+                 "ugv": (state.ugv.values, r)}
+        before = {name: grid.copy() for name, (grid, _) in grids.items()}
+        report = update(state, edit)
+        assert report.occupancy_cells == (2 * r + 1) ** 2
+        for name, (grid, halo) in grids.items():
+            inside = np.zeros((M, N), dtype=bool)
+            inside[m - halo:m + halo + 1, n - halo:n + halo + 1] = True
+            assert np.array_equal(grid[~inside], before[name][~inside], equal_nan=True), \
+                f"{name} changed outside its halo of {halo}"
+        assert states_equal(state, init(state.voxels)) == []
+    # the pillar reached every grid
+    assert np.isnan(state.height.floor[m, n]) and state.uav.values[m, n] == 1.0
 
 
 def test_update_cost_scales_with_the_dirty_halo_not_the_map():

@@ -207,10 +207,13 @@ def test_grid_header_rejects_bad_numbers(tmp_path, line, replacement, message):
 def test_slope_header_rejects_unreadable_window(tmp_path):
     smap = SlopeMap(0.1, (0.0, 0.0, 0.0), np.zeros((1, 1)), np.zeros((1, 1), bool), 2)
     path = tmp_path / "s.g2d"
-    write_slope(smap, path)
-    path.write_bytes(path.read_bytes().replace(b"window 2", b"window two"))
-    with pytest.raises(GridFormatError, match="unreadable value in 'window'"):
-        read_slope(path)
+    for window, message in ((b"window two", "unreadable value in 'window'"),
+                            (b"window 0", "slope window must be >= 1"),
+                            (b"window -3", "slope window must be >= 1")):
+        write_slope(smap, path)
+        path.write_bytes(path.read_bytes().replace(b"window 2", window))
+        with pytest.raises(GridFormatError, match=message):
+            read_slope(path)
 
 
 def test_size_report_self_comparison(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voxflat import (HeightRange, VoxelMap, VoxelState, build_height_map,
-                     build_ugv_map, build_uav_map, build_slope_map, init,
-                     occupancy_value, overlap_length)
+from voxflat import (ConversionParams, HeightRange, VoxelMap, VoxelState,
+                     build_height_map, build_ugv_map, build_uav_map,
+                     build_slope_map, init, occupancy_value, overlap_length,
+                     uav_cell_value)
 from voxflat.column_extraction import (extract_ranges, filter_free_ranges,
                                         height_from_ranges)
 from voxflat.scenes import SceneSpec, generate
@@ -30,6 +32,11 @@ def test_overlap_length_is_symmetric():
         hi = min(a.high, b.high)
         expected = hi - lo if hi > lo else 0.0
         assert overlap_length(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+def no_voxels(height):
+    """An all-Unknown voxel map under a hand-built height map."""
+    return VoxelMap(height.resolution, height.origin, (*height.extent, 1))
 
 
 def _two_cell_height(floor, ceiling):
@@ -78,8 +85,8 @@ def test_low_wall_hand_ratio():
 
 def test_flat_room_uav_map_classes():
     vmap, _ = generate(SceneSpec(kind="flat-room", size_x=2.0, size_y=1.6))
-    height, ranges = build_height_map(vmap, 1.0)
-    grid = build_uav_map(ranges, height, 0.5)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
+    grid = build_uav_map(vmap, height, 0.5)
     M, N, _ = vmap.extent
     interior = grid.values[2:M - 2, 2:N - 2]
     assert np.all(interior == 0.0)
@@ -101,14 +108,14 @@ def test_unobserved_low_wall_is_invisible_to_the_aerial_map():
 
 def test_all_unknown_map_is_all_unknown():
     vmap = VoxelMap(0.1, (0, 0, 0), (5, 5, 5))
-    height, ranges = build_height_map(vmap, 1.0)
-    grid = build_uav_map(ranges, height, 0.5)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
+    grid = build_uav_map(vmap, height, 0.5)
     assert np.all(grid.values == -1.0)
 
 
 def test_nonfree_cell_with_free_neighbor_but_no_occupied_stays_unknown():
     height = _two_cell_height(0.0, 2.0)
-    grid = build_uav_map({}, height, 0.5)
+    grid = build_uav_map(no_voxels(height), height, 0.5)
     assert grid.values[1, 0] == -1.0
     assert grid.values[0, 0] == 0.0
 
@@ -164,9 +171,9 @@ def test_raising_min_occupancy_only_shrinks_the_occupied_set():
                 int(rng.integers(14)), VoxelState(int(rng.integers(0, 3))))
                for _ in range(300)]
     vmap.apply_cells(updates)
-    height, ranges = build_height_map(vmap, 1.0)
-    low = build_uav_map(ranges, height, 0.3)
-    high = build_uav_map(ranges, height, 0.7)
+    height = build_height_map(vmap, ConversionParams().min_run(vmap.resolution))
+    low = build_uav_map(vmap, height, 0.3)
+    high = build_uav_map(vmap, height, 0.7)
     assert np.all((high.values > 0) <= (low.values > 0))
     # no cell that was unknown at the lower threshold becomes occupied
     assert not np.any((low.values == -1.0) & (high.values > 0))
@@ -203,7 +210,7 @@ def test_degenerate_slope_cells_stay_free_in_the_ground_map():
     # the ground map must keep it navigable rather than blocking it
     height = make_height_map([[None, None, None], [None, 0.5, None],
                               [None, None, None]])
-    uav = build_uav_map({}, height, 0.5)
+    uav = build_uav_map(no_voxels(height), height, 0.5)
     slope = build_slope_map(height, 2)
     assert slope.degenerate[1, 1]
     ugv = build_ugv_map(uav, slope, 2.0)
@@ -213,8 +220,51 @@ def test_degenerate_slope_cells_stay_free_in_the_ground_map():
 def test_build_map_validation():
     height = make_height_map([[0.0]])
     with pytest.raises(ValueError):
-        build_uav_map({}, height, 0.0)
-    grid = build_uav_map({}, height, 0.5)
+        build_uav_map(no_voxels(height), height, 0.0)
+    grid = build_uav_map(no_voxels(height), height, 0.5)
     slope = build_slope_map(height, 1)
     with pytest.raises(ValueError):
         build_ugv_map(build_ugv_map(grid, slope, 2.0), slope, 2.0)
+
+
+RUNS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), res=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+       origin_z=st.floats(-10.0, 10.0), min_occupancy=st.floats(0.01, 1.0),
+       run=st.integers(1, 4))
+def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy, run):
+    M, N = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    K = data.draw(st.integers(1, 16))
+    vmap = VoxelMap(res, (0.0, 0.0, origin_z), (M, N, K))
+    for m in range(M):
+        for n in range(N):
+            k = 0
+            for state, length in data.draw(RUNS):
+                vmap.fill_box(m, m + 1, n, n + 1, min(k, K), min(k + length, K),
+                              VoxelState(state))
+                k += length
+    # free runs of `run` voxels or more are navigable
+    state = init(vmap, ConversionParams(min_clearance=run * res, min_occupancy=min_occupancy))
+    m0, m1 = sorted(data.draw(st.tuples(st.integers(0, M), st.integers(0, M))))
+    n0, n1 = sorted(data.draw(st.tuples(st.integers(0, N), st.integers(0, N))))
+    got = uav_cell_value(vmap, state.height, slice(m0, m1), slice(n0, n1), min_occupancy)
+    assert np.array_equal(got, state.uav.values[m0:m1, n0:n1])
+    present = state.height.present_mask
+    for m in range(m0, m1):
+        for n in range(n0, n1):
+            value = got[m - m0, n - n0]
+            if present[m, n]:
+                assert value == 0.0
+                continue
+            occupied = state.ranges[(m, n)].occupied if (m, n) in state.ranges else ()
+            ratio = occupancy_value((m, n), occupied, state.height, present)
+            if ratio is None:
+                assert value == -1.0
+            elif abs(ratio - min_occupancy) <= 1e-12:
+                assert value == -1.0 or abs(value - ratio) <= 1e-12
+            elif ratio >= min_occupancy:
+                assert abs(value - ratio) <= 1e-12
+            else:
+                assert value == -1.0
