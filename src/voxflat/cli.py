@@ -227,7 +227,11 @@ def _cmd_lift(args) -> int:
 
     path3d = lift_path(path2d, height, params)
     if args.mode == "uav":
-        path3d = enforce_clearance(path3d, height, params.safety_radius)
+        lifted = path3d
+        path3d = enforce_clearance(lifted, height, params.safety_radius)
+        dz = [abs(b[2] - a[2]) for a, b in zip(lifted, path3d)]
+        print(f"clearance moved {sum(d > 0 for d in dz)} of {len(dz)} waypoints, "
+              f"max |dz| {max(dz, default=0.0):.3f} m")
     write_path_3d(path3d, args.out)
     print(f"wrote {args.out} ({len(path3d)} waypoints)")
     return 0

@@ -6,6 +6,8 @@ current voxel map. Each stage is one kernel that `init()` runs over the whole
 extent and `update()` runs over the dirty columns grown by the stage's halo,
 the reach of its data dependencies:
 
+- voxels: `VoxelMap.apply_cells` writes the batch by one validated scatter
+  and returns the written columns as sorted (rows, cols) index arrays;
 - heights: `convert_column` on the written columns (halo 0);
 - slopes: `slope_at` on the dirty columns grown by the fit radius r. Its
   integer sums are exact, so a window gives the same bits as the full map;
@@ -13,8 +15,8 @@ the reach of its data dependencies:
   its own voxels and its 8-neighbours' spans;
 - UGV: `ugv_values` on the slope box, since it reads UAV and slope.
 
-A stage's box is the bounding box of the dirty columns grown by its halo.
-Every cell of a box is rewritten, so no stale value survives.
+A stage's box is the bounding box of the dirty columns, computed once, grown
+by its halo. Every cell of a box is rewritten, so no stale value survives.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .column_extraction import (ColumnRanges, HeightMap, build_height_map,
                                 convert_column, extract_ranges, filter_free_ranges)
@@ -104,33 +104,37 @@ def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport
     vmap = state.voxels
     dirty = vmap.apply_cells(updates)
     state.__dict__.pop("ranges", None)  # the cached view is stale now
+    m, n = dirty
     slope_cells = 0
-    if dirty:
+    if m.size:
         params = state.params
         res = vmap.resolution
         radius = params.slope_radius_cells(res)
         M, N, _ = vmap.extent
-        index = tuple(np.array(list(dirty)).T)
-        state.height.set_faces(index, *convert_column(vmap.states[index],
+        state.height.set_faces(dirty, *convert_column(vmap.states[dirty],
                                                       params.min_run(res)))
-        rows, cols = _halo_box(index, radius, M, N)
+        # m comes back sorted; for the few dirty columns of an update, Python
+        # min and max of n are cheaper than two numpy reductions.
+        ns = n.tolist()
+        box = (int(m[0]), int(m[-1]) + 1, min(ns), max(ns) + 1)
+        rows, cols = _grow(box, radius, M, N)
         values, degenerate = slope_at(state.height, rows, cols, radius)
         state.slope.values[rows, cols] = values
         state.slope.degenerate[rows, cols] = degenerate
         slope_cells = values.size
-        uav_rows, uav_cols = _halo_box(index, 1, M, N)
+        uav_rows, uav_cols = _grow(box, 1, M, N)
         state.uav.values[uav_rows, uav_cols] = uav_cell_value(
             vmap, state.height, uav_rows, uav_cols, params.min_occupancy)
         state.ugv.values[rows, cols] = ugv_values(state.uav.values[rows, cols],
                                                   values, params.max_slope)
 
     elapsed_us = (time.perf_counter_ns() - t0) // 1000
-    return DirtyReport(len(dirty), slope_cells, slope_cells, int(elapsed_us))
+    return DirtyReport(m.size, slope_cells, slope_cells, int(elapsed_us))
 
 
-def _halo_box(index: tuple[np.ndarray, np.ndarray], halo: int, M: int,
-              N: int) -> tuple[slice, slice]:
-    """Bounding box of the cells (m, n) grown by halo, clipped to the extent."""
-    m, n = index
-    return (slice(max(0, int(m.min()) - halo), min(M, int(m.max()) + halo + 1)),
-            slice(max(0, int(n.min()) - halo), min(N, int(n.max()) + halo + 1)))
+def _grow(box: tuple[int, int, int, int], halo: int, M: int,
+          N: int) -> tuple[slice, slice]:
+    """Half-open box (m0, m1, n0, n1) grown by halo, clipped to the extent."""
+    m0, m1, n0, n1 = box
+    return (slice(max(0, m0 - halo), min(M, m1 + halo)),
+            slice(max(0, n0 - halo), min(N, n1 + halo)))

@@ -14,12 +14,17 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
-from .voxel_store import Cell, cell_center
+from .voxel_store import Cell, cell_center, int_records
 
 Waypoint3D = tuple[float, float, float]
+
+# enforce_clearance gathers at most this many waypoint x disc cells at once,
+# which bounds its memory on long paths with large radii
+_GATHER_CELLS = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
 _STEPS = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
@@ -126,22 +131,22 @@ def lift_path(path: Sequence[Cell], height: HeightMap,
     The window is clipped at the path ends. Every waypoint must sit on a
     present height cell; the raised error names the offending waypoint.
     """
+    if not path:
+        return []
     M, N = height.extent
-    floors: list[float] = []
-    for idx, (m, n) in enumerate(path):
-        if not (0 <= m < M and 0 <= n < N) or np.isnan(height.floor[m, n]):
-            raise ValueError(
-                f"waypoint {idx} at cell ({m}, {n}) has no height data"
-            )
-        floors.append(float(height.floor[m, n]))
+    m, n = int_records(path, 2, "waypoint").T
+    on_map = (m >= 0) & (m < M) & (n >= 0) & (n < N)
+    floors = height.floor[np.where(on_map, m, 0), np.where(on_map, n, 0)]
+    missing = ~on_map | np.isnan(floors)
+    if missing.any():
+        idx = int(np.argmax(missing))
+        bad_m, bad_n = path[idx]
+        raise ValueError(f"waypoint {idx} at cell ({bad_m}, {bad_n}) has no height data")
     w = params.lookahead
-    out: list[Waypoint3D] = []
-    count = len(path)
-    for i, (m, n) in enumerate(path):
-        window = floors[max(0, i - w):min(count, i + w + 1)]
-        x, y = cell_center(height.origin, height.resolution, m, n)
-        out.append((x, y, max(window) + params.height_offset))
-    return out
+    padded = np.concatenate((np.full(w, -np.inf), floors, np.full(w, -np.inf)))
+    z = sliding_window_view(padded, 2 * w + 1).max(axis=1) + params.height_offset
+    x, y = cell_center(height.origin, height.resolution, m, n)
+    return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
 def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
@@ -154,56 +159,63 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     offset lifting applied. An empty interval (navigable span locally thinner
     than the sphere) is an error naming the waypoint, never a compromise; so
     is a waypoint off the map or with no height cell within the radius,
-    where nothing is known to be clear.
+    where nothing is known to be clear. An error names the first waypoint
+    that has one.
     """
     if radius <= 0:
         raise ValueError(f"clearance radius must be positive, got {radius}")
+    if not path:
+        return []
     res = height.resolution
-    ox, oy = height.origin[0], height.origin[1]
-    floor = height.floor
-    ceiling = height.ceiling
     M, N = height.extent
     reach = math.ceil(radius / res)
-    offsets = [(dm, dn)
-               for dm in range(-reach, reach + 1)
-               for dn in range(-reach, reach + 1)
-               if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]
-    out: list[Waypoint3D] = []
-    for idx, (x, y, z) in enumerate(path):
-        m = int(math.floor((x - ox) / res))
-        n = int(math.floor((y - oy) / res))
-        if not (0 <= m < M and 0 <= n < N):
-            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) is off the map")
-        max_floor = -math.inf
-        min_ceiling = math.inf
-        for dm, dn in offsets:
-            mm = m + dm
-            nn = n + dn
-            if not (0 <= mm < M and 0 <= nn < N):
-                continue
-            f = floor[mm, nn]
-            if f == f:  # NaN check
-                if f > max_floor:
-                    max_floor = float(f)
-                c = float(ceiling[mm, nn])
-                if c < min_ceiling:
-                    min_ceiling = c
-        if max_floor == -math.inf:
-            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) has no height "
+    dm, dn = np.array([(dm, dn)
+                       for dm in range(-reach, reach + 1)
+                       for dn in range(-reach, reach + 1)
+                       if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]).T
+    points = np.array(path, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("waypoints must be (x, y, z) triples")
+    x, y, z = points.T
+    m = np.floor((x - height.origin[0]) / res)
+    n = np.floor((y - height.origin[1]) / res)
+    off_map = ~((m >= 0) & (m < M) & (n >= 0) & (n < N))
+    m = np.where(off_map, 0, m).astype(np.int64)
+    n = np.where(off_map, 0, n).astype(np.int64)
+    # Floors and ceilings of every waypoint x disc offset, NaN off the map;
+    # fmax and fmin skip NaN, so absent cells drop out of both extremes.
+    max_floor = np.empty(m.size)
+    min_ceiling = np.empty(m.size)
+    step = max(1, _GATHER_CELLS // dm.size)
+    for s in range(0, m.size, step):
+        mm = m[s:s + step, None] + dm
+        nn = n[s:s + step, None] + dn
+        inside = (mm >= 0) & (mm < M) & (nn >= 0) & (nn < N)
+        mm = np.where(inside, mm, 0)
+        nn = np.where(inside, nn, 0)
+        floor = np.where(inside, height.floor[mm, nn], np.nan)
+        ceiling = np.where(np.isnan(floor), np.nan, height.ceiling[mm, nn])
+        max_floor[s:s + step] = np.fmax.reduce(floor, axis=1, initial=-np.inf)
+        min_ceiling[s:s + step] = np.fmin.reduce(ceiling, axis=1, initial=np.inf)
+    no_height = max_floor == -np.inf
+    lo = max_floor + radius
+    hi = min_ceiling - radius
+    too_narrow = lo > hi
+    bad = off_map | no_height | too_narrow
+    if bad.any():
+        idx = int(np.argmax(bad))
+        bx, by, bz = path[idx]
+        if off_map[idx]:
+            raise ValueError(f"waypoint {idx} at ({bx}, {by}, {bz}) is off the map")
+        if no_height[idx]:
+            raise ValueError(f"waypoint {idx} at ({bx}, {by}, {bz}) has no height "
                              f"cell within clearance radius {radius}")
-        lo = max_floor + radius
-        hi = min_ceiling - radius
-        if lo > hi:
-            raise ValueError(
-                f"waypoint {idx}: navigable span [{max_floor}, {min_ceiling}] "
-                f"is too narrow for clearance radius {radius}"
-            )
-        if z < lo:
-            z = lo
-        elif z > hi:
-            z = hi
-        out.append((x, y, z))
-    return out
+        raise ValueError(
+            f"waypoint {idx}: navigable span [{float(max_floor[idx])}, "
+            f"{float(min_ceiling[idx])}] is too narrow for clearance radius {radius}"
+        )
+    z = np.minimum(np.maximum(z, lo), hi)
+    return [(wx, wy, wz) for (wx, wy, _), wz in zip(path, z.tolist())]
 
 
 # -- path files -----------------------------------------------------------

@@ -4,13 +4,17 @@ Storage is one uint8 array of shape (M, N, K) indexed (i, j, k), so a map
 costs M*N*K bytes however little of it has been observed (8 MB at
 512x512x32). Every downstream product (height, slope, occupancy) reads the
 map per column, and a column is a contiguous row of that array, so there is
-no octree here.
+no octree here. A batch of voxel writes is validated as one array and stored
+by one flat scatter; the columns it touched come back as sorted index arrays.
 """
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -59,6 +63,35 @@ def fmt_float(value: float) -> str:
 def cell_center(origin: Sequence[float], resolution: float, m: int, n: int) -> tuple[float, float]:
     """World (x, y) of the center of grid cell (m, n)."""
     return (origin[0] + (m + 0.5) * resolution, origin[1] + (n + 0.5) * resolution)
+
+
+def int_records(records: Sequence[Sequence[int]], width: int, label: str) -> np.ndarray:
+    """Integer records as one int64 (n, width) array, converted in one C pass.
+
+    Fields must be integers in the sense of operator.index: Python and numpy
+    ints and IntEnums pass, and bool acts as its integer. A record of another
+    length raises ValueError and a non-integer field TypeError, both naming
+    the record as f"{label} {position}". Values beyond int64 are clamped to
+    -1 or 2**62, which are out of range for any caller's bounds check.
+    """
+    n = len(records)
+    out = np.empty((n, width), np.int64)
+    try:
+        if set(map(len, records)) <= {width}:
+            # struct's "q" code takes integers only, through __index__.
+            struct.pack_into(f"={width * n}q", out, 0, *chain.from_iterable(records))
+            return out
+    except (TypeError, struct.error):
+        pass
+    for pos, record in enumerate(records):
+        try:
+            fields = [min(max(operator.index(v), -1), 2**62) for v in record]
+        except TypeError:
+            raise TypeError(f"{label} {pos}: expected {width} integers, got {record!r}") from None
+        if len(fields) != width:
+            raise ValueError(f"{label} {pos}: expected {width} integers, got {record!r}")
+        out[pos] = fields
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,26 +156,46 @@ class VoxelMap:
 
     # -- mutation -------------------------------------------------------
 
-    def apply_cells(self, updates: Sequence[CellUpdate]) -> set[Cell]:
-        """Write voxel states, last write wins, and return touched columns.
+    def apply_cells(self, updates: Sequence[CellUpdate]) -> tuple[np.ndarray, np.ndarray]:
+        """Write voxel states, last write wins, and return the touched columns.
 
-        The whole batch is validated before anything is written, so a bad
-        record leaves the map untouched. Rewriting a voxel with its current
-        state still marks its column dirty (dirtiness is conservative).
+        The batch becomes one int64 (n, 4) array, is validated whole, and is
+        written by one flat scatter, so a bad record leaves the map untouched.
+        Fields must be integers (bool acts as its integer): a float, str or
+        None raises TypeError, an index outside the extent IndexError and a
+        state outside 0-2 ValueError, each naming the first bad record.
+        The touched columns come back as (rows, cols) int64 arrays, unique and
+        sorted in (i, j) order like np.nonzero. Rewriting a voxel with its
+        current state still marks its column dirty (dirtiness is conservative).
         """
         M, N, K = self.extent
-        for pos, (i, j, k, state) in enumerate(updates):
-            if not (0 <= i < M and 0 <= j < N and 0 <= k < K):
+        records = int_records(updates, 4, "update")
+        i, j, k, state = records.T
+        try:
+            linear = np.ravel_multi_index((i, j, k), self.extent)
+        except ValueError:  # some voxel outside the extent
+            linear = None
+        # Viewed as unsigned, a negative field wraps to a huge value, so one
+        # comparison checks both ends of its range.
+        if linear is None or np.count_nonzero(state.view(np.uint64) > 2):
+            bad = records.view(np.uint64) >= np.array((M, N, K, 3), np.uint64)
+            pos = int(np.argmax(bad.any(axis=1)))
+            i, j, k, state = updates[pos]
+            if bad[pos, :3].any():
                 raise IndexError(
-                    f"update {pos}: voxel ({i}, {j}, {k}) outside extent {M}x{N}x{K}"
-                )
-            if int(state) not in (0, 1, 2):
-                raise ValueError(f"update {pos}: invalid voxel state {state!r}")
-        dirty: set[Cell] = set()
-        for i, j, k, state in updates:
-            self._voxels[i, j, k] = int(state)
-            dirty.add((i, j))
-        return dirty
+                    f"update {pos}: voxel ({i}, {j}, {k}) outside extent {M}x{N}x{K}")
+            raise ValueError(f"update {pos}: invalid voxel state {state!r}")
+        # Repeated voxels: a 1-D integer-array assignment stores its values in
+        # order, so the last write wins (pinned by the voxel store tests).
+        self._voxels.reshape(-1)[linear] = state
+        column = linear // K
+        # Batches arrive in runs of one column, on which a stable sort is
+        # near linear; np.unique does the same work several times slower.
+        column.sort(kind="stable")
+        if column.size and column[0] != column[-1]:
+            column = np.concatenate((column[:1], column[1:][column[1:] != column[:-1]]))
+            return np.divmod(column, N)
+        return i[:1], j[:1]  # at most one column, as in single-column edits
 
     def fill_box(self, i0: int, i1: int, j0: int, j1: int, k0: int, k1: int,
                  state: VoxelState) -> None:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computation paths:
 rasterization inverts range extraction by painting voxels, the plane search
-is exhaustive, and the grid planner cost check is a plain Dijkstra.
+is exhaustive, the grid planner cost check is a plain Dijkstra, and path
+lifting and clearance are per-waypoint loops.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from voxflat import ColumnRanges, HeightMap, VoxelState
+from voxflat.voxel_store import cell_center
 
 
 def rasterize_ranges(ranges: ColumnRanges, resolution: float, origin_z: float,
@@ -152,3 +154,58 @@ def states_equal(a, b) -> list[str]:
     if a.ranges != b.ranges:
         problems.append("ranges")
     return problems
+
+
+def lift_path_reference(path, height: HeightMap, lookahead: int, offset: float):
+    """lift_path as a per-waypoint loop: max floor over the clipped window."""
+    M, N = height.extent
+    floors = []
+    for idx, (m, n) in enumerate(path):
+        if not (0 <= m < M and 0 <= n < N) or np.isnan(height.floor[m, n]):
+            raise ValueError(f"waypoint {idx} at cell ({m}, {n}) has no height data")
+        floors.append(float(height.floor[m, n]))
+    out = []
+    for i, (m, n) in enumerate(path):
+        window = floors[max(0, i - lookahead):min(len(path), i + lookahead + 1)]
+        x, y = cell_center(height.origin, height.resolution, m, n)
+        out.append((x, y, max(window) + offset))
+    return out
+
+
+def enforce_clearance_reference(path, height: HeightMap, radius: float):
+    """enforce_clearance as a loop over waypoints and the cells of the disc."""
+    res = height.resolution
+    ox, oy = height.origin[0], height.origin[1]
+    M, N = height.extent
+    reach = math.ceil(radius / res)
+    offsets = [(dm, dn)
+               for dm in range(-reach, reach + 1)
+               for dn in range(-reach, reach + 1)
+               if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]
+    out = []
+    for idx, (x, y, z) in enumerate(path):
+        m = int(math.floor((x - ox) / res))
+        n = int(math.floor((y - oy) / res))
+        if not (0 <= m < M and 0 <= n < N):
+            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) is off the map")
+        max_floor = -math.inf
+        min_ceiling = math.inf
+        for dm, dn in offsets:
+            mm, nn = m + dm, n + dn
+            if not (0 <= mm < M and 0 <= nn < N):
+                continue
+            f = height.floor[mm, nn]
+            if f == f:  # NaN check
+                max_floor = max(max_floor, float(f))
+                min_ceiling = min(min_ceiling, float(height.ceiling[mm, nn]))
+        if max_floor == -math.inf:
+            raise ValueError(f"waypoint {idx} at ({x}, {y}, {z}) has no height "
+                             f"cell within clearance radius {radius}")
+        lo = max_floor + radius
+        hi = min_ceiling - radius
+        if lo > hi:
+            raise ValueError(
+                f"waypoint {idx}: navigable span [{max_floor}, {min_ceiling}] "
+                f"is too narrow for clearance radius {radius}")
+        out.append((x, y, lo if z < lo else hi if z > hi else z))
+    return out

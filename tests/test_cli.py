@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from voxflat import read_height, read_occupancy, read_path_3d, write_path_2d
+from voxflat import (LiftParams, lift_path, read_height, read_occupancy, read_path_3d,
+                     write_path_2d)
 from voxflat.cli import main
 from voxflat.scenes import SceneTruth
 
@@ -76,14 +77,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("synth", "--scene", "volcano", "--out", tmp_path / "x.vxg") == 1
 
 
-def test_lift_uav_on_flat_scene(tmp_path):
+def test_lift_uav_on_flat_scene(tmp_path, capsys):
     vxg = synth(tmp_path, "flat-room")
     out = convert(tmp_path, vxg)
     truth = SceneTruth.read(tmp_path / "flat-room.json")
     path_out = tmp_path / "path.txt"
+    capsys.readouterr()
     assert run("lift", "--grid", out / "uav_map.g2d", "--height",
                out / "height.g2d", "--mode", "uav", "--start", 5, 5,
                "--goal", 20, 5, "--out", path_out) == 0
+    assert "clearance moved 0 of 16 waypoints, max |dz| 0.000 m\n" in capsys.readouterr().out
     path = read_path_3d(path_out)
     assert len(path) == 16
     floor = truth.floor[5, 5]
@@ -106,6 +109,26 @@ def test_lift_ugv_tracks_the_floor(tmp_path):
         m = int(x / 0.1)
         n = int(y / 0.1)
         assert z >= float(height.floor[m, n]) + 0.1 - 1e-6
+
+
+def test_lift_uav_reports_what_clearance_moved(tmp_path, capsys):
+    vxg = synth(tmp_path, "overhang")
+    out = convert(tmp_path, vxg)
+    height = read_height(out / "height.g2d")
+    M, N = height.extent
+    path2d = [(m, N // 2) for m in range(2, M - 2)]  # under the beam
+    p2 = tmp_path / "p2.txt"
+    write_path_2d(path2d, p2)
+    capsys.readouterr()
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height",
+               out / "height.g2d", "--mode", "uav", "--path-in", p2,
+               "--out", tmp_path / "p3.txt") == 0
+    lifted = lift_path(path2d, height, LiftParams.uav_defaults(height.resolution))
+    dz = [abs(a[2] - b[2]) for a, b in zip(lifted, read_path_3d(tmp_path / "p3.txt"))]
+    moved = sum(d > 0 for d in dz)
+    assert moved > 0
+    assert (f"clearance moved {moved} of {len(dz)} waypoints, max |dz| {max(dz):.3f} m\n"
+            in capsys.readouterr().out)
 
 
 def test_lift_accepts_a_path_file_and_validates_it(tmp_path, capsys):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxflat import (LiftParams, OccupancyGrid, enforce_clearance, init,
                      lift_path, plan_2d, read_path_2d, read_path_3d,
                      write_path_2d, write_path_3d)
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import bfs_hops, dijkstra_cost, make_height_map
+from oracles import (bfs_hops, dijkstra_cost, enforce_clearance_reference,
+                     lift_path_reference, make_height_map)
 
 
 def grid_from_rows(rows):
@@ -110,12 +112,38 @@ def test_window_monotonicity_in_lookahead():
         height = make_height_map(floors)
         path = [(m, 0) for m in range(20)]
         previous = None
-        for lookahead in (0, 1, 2, 5):
-            z = [wp[2] for wp in
-                 lift_path(path, height, LiftParams("ugv", lookahead, 0.3))]
+        for lookahead in (0, 1, 2, 5, 25):
+            lifted = lift_path(path, height, LiftParams("ugv", lookahead, 0.3))
+            assert lifted == lift_path_reference(path, height, lookahead, 0.3)
+            z = [wp[2] for wp in lifted]
             if previous is not None:
                 assert all(b >= a for a, b in zip(previous, z))
             previous = z
+
+
+def test_lift_matches_the_scalar_window_on_random_2d_paths():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        floors = np.round(rng.uniform(-1, 2, (9, 7)), 2)
+        floors[rng.random((9, 7)) < 0.2] = np.nan
+        height = make_height_map(floors.tolist(), resolution=0.05,
+                                 origin=(-0.3, 1.7, 0.0))
+        present = np.argwhere(~np.isnan(floors)).tolist()
+        path = [tuple(present[i]) for i in rng.integers(0, len(present), 30)]
+        for lookahead in (0, 1, 4, 40):
+            params = LiftParams("ugv", lookahead, 0.25)
+            assert lift_path(path, height, params) == lift_path_reference(
+                path, height, lookahead, 0.25)
+        missing = np.argwhere(np.isnan(floors)).tolist()
+        if missing:
+            bad = [*path[:5], tuple(missing[0]), (9, 0), *path[5:]]
+            with pytest.raises(ValueError) as got:
+                lift_path(bad, height, LiftParams("ugv", 2, 0.25))
+            with pytest.raises(ValueError) as want:
+                lift_path_reference(bad, height, 2, 0.25)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("waypoint 5 ")
+    assert lift_path([], height, LiftParams("ugv", 2, 0.25)) == []
 
 
 def test_lift_is_idempotent_on_its_own_projection():
@@ -193,6 +221,57 @@ def test_clearance_rejects_waypoints_with_no_height_data():
                                          "has no height cell"):
         enforce_clearance([(0.85, 0.85, 1.0)], sparse, 0.5)
     assert enforce_clearance([inside], height, 0.5) == [inside]
+
+
+def test_clearance_reads_no_cell_off_the_map():
+    # a low ceiling at cell (0, 0), far outside the disc of a corner waypoint
+    # whose disc reaches past the map edge
+    floors = [[0.0] * 12 for _ in range(12)]
+    ceilings = [[3.0] * 12 for _ in range(12)]
+    ceilings[0][0] = 0.8
+    height = make_height_map(floors, ceilings)
+    corner = [(1.15, 1.15, 1.0), (1.15, 0.05, 2.9)]
+    assert enforce_clearance(corner, height, 0.5) == [(1.15, 1.15, 1.0), (1.15, 0.05, 2.5)]
+    assert enforce_clearance_reference(corner, height, 0.5) == enforce_clearance(
+        corner, height, 0.5)
+
+
+@st.composite
+def clearance_cases(draw):
+    """A small height map with absent cells, waypoints on and at the edges of
+    it, perhaps one off it, and a radius; spans are sometimes too thin for the
+    sphere."""
+    M, N = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    res = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    span = st.none() | st.tuples(st.integers(-5, 5), st.integers(1, 120))
+    grid = [[draw(span) for _ in range(N)] for _ in range(M)]
+    floor = [[None if c is None else c[0] * res for c in row] for row in grid]
+    ceiling = [[None if c is None else (c[0] + c[1]) * res for c in row] for row in grid]
+    height = make_height_map(floor, ceiling, resolution=res, origin=(-0.4, 0.3, 0.0))
+    frac = st.sampled_from([0.0, 0.5, 0.999]) | st.floats(0, 1, exclude_max=True)
+    z = st.floats(-3, 6, allow_nan=False)
+    cell = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1))
+    cells = draw(st.lists(cell, max_size=12))
+    if cells and draw(st.booleans()):
+        edge = draw(st.sampled_from([(-1, 0), (M, 0), (0, -1), (0, N)]))
+        cells.insert(draw(st.integers(0, len(cells))), edge)
+    path = [(-0.4 + (m + draw(frac)) * res, 0.3 + (n + draw(frac)) * res, draw(z))
+            for m, n in cells]
+    return height, path, draw(st.floats(0.05, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clearance_cases())
+def test_clearance_matches_the_per_waypoint_loop(case):
+    height, path, radius = case
+    try:
+        want = enforce_clearance_reference(path, height, radius)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            enforce_clearance(path, height, radius)
+        assert str(got.value) == str(error)
+        return
+    assert enforce_clearance(path, height, radius) == want
 
 
 def test_clearance_radius_validation():

@@ -170,13 +170,78 @@ def test_runs_partition_height_for_random_columns():
                     assert st0 != st1
 
 
+def cells(dirty) -> set[tuple[int, int]]:
+    """The (rows, cols) arrays apply_cells returns, as a set of columns."""
+    return set(zip(*map(np.ndarray.tolist, dirty)))
+
+
 def test_apply_cells_dirty_semantics():
     vm = VoxelMap(0.1, (0, 0, 0), (6, 6, 6))
-    assert vm.apply_cells([]) == set()
+    assert cells(vm.apply_cells([])) == set()
     dirty = vm.apply_cells([(1, 1, 0, F), (1, 1, 1, F), (2, 2, 0, O)])
-    assert dirty == {(1, 1), (2, 2)}
+    assert cells(dirty) == {(1, 1), (2, 2)}
     # rewriting a cell with its current state still marks the column dirty
-    assert vm.apply_cells([(1, 1, 0, F)]) == {(1, 1)}
+    assert cells(vm.apply_cells([(1, 1, 0, F)])) == {(1, 1)}
+
+
+def test_apply_cells_returns_sorted_unique_index_arrays():
+    vm = VoxelMap(0.1, (0, 0, 0), (6, 6, 6))
+    rows, cols = vm.apply_cells([(4, 0, 1, F), (1, 5, 0, O), (4, 0, 2, F),
+                                 (1, 2, 3, F), (0, 3, 0, O)])
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == [0, 1, 1, 4]
+    assert cols.tolist() == [3, 2, 5, 0]
+    rows, cols = vm.apply_cells([])
+    assert rows.shape == cols.shape == (0,)
+
+
+def test_apply_cells_last_write_wins_for_repeated_voxels():
+    vm = VoxelMap(0.1, (0, 0, 0), (2, 2, 2))
+    vm.apply_cells([(0, 0, 0, F), (0, 0, 0, O), (1, 1, 1, O), (0, 0, 0, U),
+                    (1, 1, 1, F)])
+    assert (vm.state_at(0, 0, 0), vm.state_at(1, 1, 1)) == (U, F)
+    # a batch long enough for numpy's general indexing loops
+    rng = np.random.default_rng(3)
+    voxels = rng.integers(0, 2, (20000, 3))
+    states = rng.integers(0, 3, 20000)
+    vm.apply_cells([(*v, s) for v, s in zip(voxels.tolist(), states.tolist())])
+    last = {tuple(v): s for v, s in zip(voxels.tolist(), states.tolist())}
+    assert all(vm.state_at(*v) == s for v, s in last.items())
+
+
+def test_apply_cells_bool_index_acts_as_its_integer():
+    vm = VoxelMap(0.1, (0, 0, 0), (3, 3, 4))
+    dirty = vm.apply_cells([(True, 0, 1, F)])
+    assert cells(dirty) == {(1, 0)}
+    expected = np.zeros((3, 3, 4), np.uint8)
+    expected[1, 0, 1] = F
+    assert np.array_equal(vm.states, expected)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [1.5, 1.0, 2.7, "1", None])
+def test_apply_cells_rejects_non_integer_fields_without_mutating(field, value):
+    vm = VoxelMap(0.1, (0, 0, 0), (3, 3, 4))
+    bad = [0, 1, 1, 1]
+    bad[field] = value
+    with pytest.raises(TypeError, match="update 1"):
+        vm.apply_cells([(0, 0, 0, O), tuple(bad)])
+    assert vm.cell_count() == 0
+
+
+def test_apply_cells_rejects_malformed_records():
+    vm = VoxelMap(0.1, (0, 0, 0), (3, 3, 4))
+    with pytest.raises(ValueError, match="update 1: expected 4 integers"):
+        vm.apply_cells([(0, 0, 0, O), (0, 0, 1)])
+    with pytest.raises(ValueError, match="update 0: expected 4 integers"):
+        vm.apply_cells([(0, 0, 0, O, 1)])
+    with pytest.raises(TypeError, match="update 2"):
+        vm.apply_cells([(0, 0, 0, O), (0, 0, 1, O), 5])
+    with pytest.raises(IndexError, match=r"update 1: voxel \(0, 0, 100000000000000000000\)"):
+        vm.apply_cells([(0, 0, 0, O), (0, 0, 10**20, O)])
+    with pytest.raises(ValueError, match="update 0: invalid voxel state -1"):
+        vm.apply_cells([(0, 0, 0, -1)])
+    assert vm.cell_count() == 0
 
 
 def test_apply_cells_rejects_bad_updates_without_mutating():
@@ -195,7 +260,7 @@ def test_apply_cells_touches_only_reported_columns():
                   for m in range(8) for n in range(8)}
         updates = [(int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(6)),
                     VoxelState(int(rng.integers(0, 3)))) for _ in range(5)]
-        dirty = vm.apply_cells(updates)
+        dirty = cells(vm.apply_cells(updates))
         for m in range(8):
             for n in range(8):
                 if (m, n) not in dirty:
@@ -262,7 +327,7 @@ def test_voxel_map_matches_a_plain_array(tmp_path_factory, script):
             dirty = vm.apply_cells([(i, j, k, VoxelState(s)) for i, j, k, s in args])
             for i, j, k, s in args:
                 ref[i, j, k] = s
-            assert dirty == {(i, j) for i, j, _, _ in args}
+            assert cells(dirty) == {(i, j) for i, j, _, _ in args}
         else:
             (i0, i1), (j0, j1), (k0, k1), s = args
             vm.fill_box(i0, i1, j0, j1, k0, k1, VoxelState(s))
@@ -283,3 +348,55 @@ def test_voxel_map_matches_a_plain_array(tmp_path_factory, script):
     assert loaded == vm
     assert all(loaded.state_at(i, j, k) == ref[i, j, k]
                for i in range(M) for j in range(N) for k in range(K))
+
+
+_INT_TYPES = (int, np.int64, np.int32, np.uint16, np.intp)
+
+
+@st.composite
+def write_batches(draw):
+    """An extent, a prior map, and a batch that may hold one bad record.
+
+    Indices come from a small range, so batches repeat voxels; fields come as
+    Python or numpy integers, and states include Unknown (an erase).
+    """
+    M, N, K = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6)))
+    prior = draw(st.lists(st.integers(0, 2), min_size=M * N * K, max_size=M * N * K))
+    as_int = st.sampled_from(_INT_TYPES)
+    record = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1),
+                       st.integers(0, K - 1), st.integers(0, 2))
+    batch = [tuple(draw(as_int)(v) for v in r)
+             for r in draw(st.lists(record, max_size=25))]
+    bad = draw(st.none() | st.sampled_from([
+        (IndexError, (M, 0, 0, 1)), (IndexError, (0, -1, 0, 1)),
+        (IndexError, (0, 0, K, 2)), (ValueError, (0, 0, 0, 3)),
+        (ValueError, (0, 0, 0, -1)), (TypeError, (0, 0.0, 0, 1)),
+        (TypeError, (0, 0, 0, 2.7)), (TypeError, ("0", 0, 0, 1)),
+        (TypeError, (0, 0, None, 1)), (ValueError, (0, 0, 0))]))
+    if bad is not None:
+        pos = draw(st.integers(0, len(batch)))
+        batch.insert(pos, bad[1])
+        bad = (bad[0], pos)
+    return (M, N, K), np.array(prior, np.uint8).reshape(M, N, K), batch, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(write_batches())
+def test_apply_cells_matches_a_per_voxel_loop(case):
+    extent, prior, batch, bad = case
+    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), extent)
+    for (i, j, k), s in np.ndenumerate(prior):
+        vm.fill_box(i, i + 1, j, j + 1, k, k + 1, VoxelState(int(s)))
+    if bad is not None:
+        error, pos = bad
+        with pytest.raises(error, match=f"^update {pos}: "):
+            vm.apply_cells(batch)
+        assert np.array_equal(vm.states, prior)
+        return
+    ref = prior.copy()
+    for i, j, k, s in batch:  # in order, so the last write wins
+        ref[i, j, k] = s
+    rows, cols = vm.apply_cells(batch)
+    assert np.array_equal(vm.states, ref)
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(
+        {(int(i), int(j)) for i, j, _, _ in batch})
