@@ -8,22 +8,14 @@ meters as `origin_z + k*res`. `convert_column` finds both indices for any
 (..., K) stack of columns with whole-array operations, so `build_height_map`
 (every column, in row bands) and `update()` (the written columns) run the
 same code.
-
-The per-column range functions (`extract_ranges`, `filter_free_ranges`,
-`height_from_ranges`) state the same rule on world-meter ranges, one column
-at a time. They stay public as the reference the kernel is tested against,
-as `fit_plane` is for the slope kernel, and they build the
-`ConversionState.ranges` view; no conversion path calls them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .params import CLEARANCE_EPS
-from .voxel_store import ColumnView, VoxelMap, VoxelState
+from .voxel_store import VoxelMap, VoxelState
 
 # Voxels per convert_column pass in build_height_map; bounds its int32
 # temporaries to a few MB.
@@ -31,71 +23,6 @@ _BAND_VOXELS = 1 << 18
 
 # A plain int: numpy compares an array with an IntEnum member much slower.
 _FREE = int(VoxelState.FREE)
-
-
-class HeightRange(NamedTuple):
-    low: float
-    high: float
-
-
-class HeightCell(NamedTuple):
-    floor: float
-    ceiling: float
-
-
-@dataclass(frozen=True)
-class ColumnRanges:
-    """Ordered, disjoint, non-adjacent vertical ranges of one column."""
-
-    free: tuple[HeightRange, ...]
-    occupied: tuple[HeightRange, ...]
-
-    def is_empty(self) -> bool:
-        return not self.free and not self.occupied
-
-
-def extract_ranges(view: ColumnView, resolution: float, origin_z: float) -> ColumnRanges:
-    """Convert a column's runs to world-meter ranges; Unknown yields nothing.
-
-    A run starting at index z0 with length L spans the voxel faces
-    [origin_z + z0*res, origin_z + (z0+L)*res], so range heights are exact
-    voxel-count multiples of the resolution.
-    """
-    free: list[HeightRange] = []
-    occupied: list[HeightRange] = []
-    for z0, length, state in view.runs:
-        if state == VoxelState.UNKNOWN:
-            continue
-        rng = HeightRange(origin_z + z0 * resolution,
-                          origin_z + (z0 + length) * resolution)
-        if state == VoxelState.FREE:
-            free.append(rng)
-        else:
-            occupied.append(rng)
-    return ColumnRanges(tuple(free), tuple(occupied))
-
-
-def filter_free_ranges(ranges: ColumnRanges, min_clearance: float) -> ColumnRanges:
-    """Drop free ranges shorter than min_clearance; occupied pass through.
-
-    Exactly threshold-tall ranges are kept (removal uses a strict less-than).
-    """
-    if min_clearance <= 0:
-        raise ValueError(f"min_clearance must be positive, got {min_clearance}")
-    kept = tuple(r for r in ranges.free
-                 if r.high - r.low >= min_clearance - CLEARANCE_EPS)
-    return ColumnRanges(kept, ranges.occupied)
-
-
-def height_from_ranges(ranges: ColumnRanges) -> HeightCell | None:
-    """Floor = bottom of the first free range, ceiling = top of the last.
-
-    Assumes a single level of navigable space; disjoint free ranges collapse
-    into one floor-to-ceiling span. Returns None when no free range survives.
-    """
-    if not ranges.free:
-        return None
-    return HeightCell(ranges.free[0].low, ranges.free[-1].high)
 
 
 def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +67,6 @@ class HeightMap:
     @property
     def present_mask(self) -> np.ndarray:
         return ~np.isnan(self.floor)
-
-    def cell(self, m: int, n: int) -> HeightCell | None:
-        f = self.floor[m, n]
-        if np.isnan(f):
-            return None
-        return HeightCell(float(f), float(self.ceiling[m, n]))
 
     def set_faces(self, index, floor_k: np.ndarray, ceil_k: np.ndarray) -> None:
         """Store face indices at `index` as `origin_z + k*res`; -1 stores NaN."""

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .column_extraction import (ColumnRanges, HeightMap, build_height_map,
-                                convert_column, extract_ranges, filter_free_ranges)
+from .column_extraction import HeightMap, build_height_map, convert_column
 from .occupancy_maps import (OccupancyGrid, build_ugv_map, build_uav_map,
                              ugv_values, uav_cell_value)
 from .params import ConversionParams
 from .slope_map import SlopeMap, build_slope_map, slope_at
-from .voxel_store import Cell, CellUpdate, VoxelMap
+from .voxel_store import Cell, CellUpdate, VoxelMap, VoxelState
 
 CSV_HEADER = "update_index,columns_dirty,slope_cells,occupancy_cells,wall_time_us"
 
@@ -66,20 +65,23 @@ class ConversionState:
     ugv: OccupancyGrid
 
     @cached_property
-    def ranges(self) -> dict[Cell, ColumnRanges]:
-        """Post-filter ranges of every column that has any, keyed by cell.
+    def ranges(self) -> dict[Cell, tuple[tuple[int, int, VoxelState], ...]]:
+        """Kept runs (k0, length, state) of every column that has any, keyed by cell.
 
-        Built from the voxels by the per-column reference functions on first
-        read and cached until the next update(); no conversion stage reads it.
+        A run is kept when it is occupied, or free and at least
+        `params.min_run(res)` voxels long; each column's runs are in k order.
+        Built from the voxels on first read and cached until the next
+        update(); no conversion stage reads it.
         """
         vmap = self.voxels
+        min_run = self.params.min_run(vmap.resolution)
         out = {}
         for cell in vmap.nonempty_columns():
-            cr = filter_free_ranges(
-                extract_ranges(vmap.column(*cell), vmap.resolution, vmap.origin[2]),
-                self.params.min_clearance)
-            if not cr.is_empty():
-                out[cell] = cr
+            kept = tuple(run for run in vmap.column(*cell).runs
+                         if run[2] == VoxelState.OCCUPIED
+                         or (run[2] == VoxelState.FREE and run[1] >= min_run))
+            if kept:
+                out[cell] = kept
         return out
 
 

@@ -12,10 +12,6 @@ extent, and `update()` for the dirty columns grown by one cell.
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
 for the full build and for every update window.
-
-`occupancy_value` and `overlap_length` state the aerial rule on world-meter
-ranges for one cell; they stay public as the reference the kernel is tested
-against and are not called by any conversion path.
 """
 from __future__ import annotations
 
@@ -23,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, HeightRange
+from .column_extraction import HeightMap
 from .slope_map import SlopeMap
-from .voxel_store import Cell, VoxelMap, VoxelState
+from .voxel_store import VoxelMap, VoxelState
 
 NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 # Row and column offsets of the 8-neighbours in a block padded by one cell.
@@ -55,55 +51,6 @@ class OccupancyGrid:
     @property
     def extent(self) -> tuple[int, int]:
         return self.values.shape
-
-    @property
-    def free_mask(self) -> np.ndarray:
-        return self.values == 0.0
-
-    @property
-    def occupied_mask(self) -> np.ndarray:
-        return self.values > 0.0
-
-    @property
-    def unknown_mask(self) -> np.ndarray:
-        return self.values == -1.0
-
-
-def overlap_length(a: HeightRange, b: HeightRange) -> float:
-    """Length of the overlap of two vertical ranges, 0 when disjoint."""
-    return max(0.0, min(a.high, b.high) - max(a.low, b.low))
-
-
-def occupancy_value(cell: Cell, occupied: tuple[HeightRange, ...],
-                    height: HeightMap, free_mask: np.ndarray) -> float | None:
-    """Max over free 8-neighbors of the occupied-overlap ratio, in [0, 1].
-
-    For each free neighbor, the cell's occupied ranges are intersected with
-    the neighbor's floor-to-ceiling span and the summed overlap is divided by
-    that span's height. Ratios above 1 (obstacle taller than the neighboring
-    navigable space) clamp to 1. Returns None when no 8-neighbor is free; a
-    cell with no occupied ranges but a free neighbor yields 0.0.
-    """
-    m, n = cell
-    M, N = height.extent
-    floor = height.floor
-    ceiling = height.ceiling
-    best = None
-    for dm, dn in NEIGHBORS_8:
-        mm = m + dm
-        nn = n + dn
-        if not (0 <= mm < M and 0 <= nn < N) or not free_mask[mm, nn]:
-            continue
-        span = HeightRange(floor[mm, nn], ceiling[mm, nn])
-        total = 0.0
-        for r in occupied:
-            total += overlap_length(span, r)
-        ratio = total / (span.high - span.low)
-        if ratio > 1.0:
-            ratio = 1.0
-        if best is None or ratio > best:
-            best = ratio
-    return best
 
 
 def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,

@@ -4,10 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-# A free range's height is a difference of origin_z + k*res terms, so an
-# exactly threshold-tall range can land a few ulps below the threshold; this
-# tolerance (meters) keeps it, in the voxel count and the range rule alike.
-CLEARANCE_EPS = 1e-9
+# min_clearance / res can land a few ulps above a whole voxel count when res
+# is not a binary fraction (2.1 / 0.3 is 7.000000000000001); this tolerance
+# (meters) keeps a clearance of exactly L voxels from asking for L + 1.
+_CLEARANCE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,5 +44,5 @@ class ConversionParams:
 
     def min_run(self, resolution: float) -> int:
         """Fewest free voxels a run needs to be navigable: L*res reaches
-        min_clearance, within CLEARANCE_EPS."""
-        return max(1, math.ceil((self.min_clearance - CLEARANCE_EPS) / resolution))
+        min_clearance, within _CLEARANCE_EPS."""
+        return max(1, math.ceil((self.min_clearance - _CLEARANCE_EPS) / resolution))

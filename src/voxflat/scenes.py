@@ -151,38 +151,25 @@ def generate(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
 def verify_against_truth(truth: SceneTruth, height: HeightMap, slope: SlopeMap,
                          uav: OccupancyGrid, ugv: OccupancyGrid,
                          slope_tol: float = 1e-9) -> list[str]:
-    """Check converted grids against a truth grid; returns mismatch messages."""
+    """Check converted grids against a truth grid; returns mismatch messages.
+
+    Floors and ceilings must match exactly and slopes within slope_tol (a NaN
+    reading fails); occupancy values must fall in the claimed class.
+    """
     problems: list[str] = []
-    M, N = truth.floor.shape
-    for m in range(M):
-        for n in range(N):
-            f = truth.floor[m, n]
-            if f == f:
-                got = height.floor[m, n]
-                if not got == f:
-                    problems.append(f"floor ({m},{n}): expected {f}, got {got}")
-            c = truth.ceiling[m, n]
-            if c == c:
-                got = height.ceiling[m, n]
-                if not got == c:
-                    problems.append(f"ceiling ({m},{n}): expected {c}, got {got}")
-            s = truth.slope[m, n]
-            if s == s:
-                got = slope.values[m, n]
-                if not (got == got and abs(got - s) <= slope_tol):
-                    problems.append(f"slope ({m},{n}): expected {s}, got {got}")
-            for name, grid, claim in (("uav", uav, truth.uav[m, n]),
-                                      ("ugv", ugv, truth.ugv[m, n])):
-                if claim == CLAIM_NONE:
-                    continue
-                v = grid.values[m, n]
-                ok = ((claim == CLASS_FREE and v == 0.0)
-                      or (claim == CLASS_OCCUPIED and v > 0.0)
-                      or (claim == CLASS_UNKNOWN and v == -1.0))
-                if not ok:
-                    problems.append(
-                        f"{name} ({m},{n}): expected {_CLASS_NAMES[int(claim)]}, got {v}"
-                    )
+    for name, want, got, ok in (
+            ("floor", truth.floor, height.floor, height.floor == truth.floor),
+            ("ceiling", truth.ceiling, height.ceiling, height.ceiling == truth.ceiling),
+            ("slope", truth.slope, slope.values,
+             np.abs(slope.values - truth.slope) <= slope_tol)):
+        for m, n in np.argwhere(~np.isnan(want) & ~ok):
+            problems.append(f"{name} ({m},{n}): expected {want[m, n]}, got {got[m, n]}")
+    for name, claim, v in (("uav", truth.uav, uav.values), ("ugv", truth.ugv, ugv.values)):
+        ok = (((claim == CLASS_FREE) & (v == 0.0)) | ((claim == CLASS_OCCUPIED) & (v > 0.0))
+              | ((claim == CLASS_UNKNOWN) & (v == -1.0)))
+        for m, n in np.argwhere((claim != CLAIM_NONE) & ~ok):
+            problems.append(f"{name} ({m},{n}): expected "
+                            f"{_CLASS_NAMES[int(claim[m, n])]}, got {v[m, n]}")
     return problems
 
 

@@ -17,15 +17,10 @@ An exact sum has no summation order, so any window of the map gives the same
 bits as the full map: `init()` and `update()` share `slope_at`, and rebuild
 equivalence holds by construction. An exact plane reads exactly, so a flat
 floor has slope 0.0 and a 2:1 ramp has slope 2.0.
-
-`fit_plane` is the float fit on arbitrary samples, kept as the oracle the
-kernel is tested against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,50 +32,6 @@ _MAX_CONDITION = 1e12
 
 # Output rows per kernel pass; bounds the kernel's temporaries to a few MB.
 _BAND_ROWS = 64
-
-
-class PlaneFit(NamedTuple):
-    a: float  # slope along x, meters per meter
-    b: float  # slope along y
-    c: float  # offset, meters
-
-
-def fit_plane(samples: Sequence[tuple[float, float, float]]) -> PlaneFit | None:
-    """Least-squares plane through (x, y, z) samples, or None if degenerate.
-
-    Minimizes sum((a*x + b*y + c - z)^2). The normal equations are solved in
-    mean-centered coordinates, which gives the same minimizer but keeps the
-    solve well conditioned for maps far from the world origin; degeneracy
-    (fewer than 3 samples, collinear layout, condition estimate above 1e12)
-    yields None rather than a garbage plane.
-    """
-    n = len(samples)
-    if n < 3:
-        return None
-    mx = sum(s[0] for s in samples) / n
-    my = sum(s[1] for s in samples) / n
-    mz = sum(s[2] for s in samples) / n
-    cxx = cxy = cyy = cxz = cyz = 0.0
-    for x, y, z in samples:
-        dx = x - mx
-        dy = y - my
-        dz = z - mz
-        cxx += dx * dx
-        cxy += dx * dy
-        cyy += dy * dy
-        cxz += dx * dz
-        cyz += dy * dz
-    # Eigenvalues of the centered 2x2 normal matrix bound its conditioning.
-    trace = cxx + cyy
-    disc = math.sqrt(max((cxx - cyy) * (cxx - cyy) + 4.0 * cxy * cxy, 0.0))
-    lam_min = (trace - disc) / 2.0
-    lam_max = (trace + disc) / 2.0
-    if lam_min <= 0.0 or lam_max > lam_min * _MAX_CONDITION:
-        return None
-    det = cxx * cyy - cxy * cxy
-    a = (cyy * cxz - cxy * cyz) / det
-    b = (cxx * cyz - cxy * cxz) / det
-    return PlaneFit(a, b, mz - a * mx - b * my)
 
 
 @dataclass

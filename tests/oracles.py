@@ -1,19 +1,183 @@
 """Independent oracles and small builders the tests compare against.
 
 Everything here deliberately avoids the library's own computation paths:
-rasterization inverts range extraction by painting voxels, the plane search
-is exhaustive, the grid planner cost check is a plain Dijkstra, and path
-lifting and clearance are per-waypoint loops.
+the column, occupancy and plane-fit rules are stated on float world-meter
+ranges and samples, one column or cell at a time, where the library's kernels
+work on integer voxel indices over whole windows; rasterization inverts range
+extraction by painting voxels, the plane search is exhaustive, the grid
+planner cost check is a plain Dijkstra, and path lifting and clearance are
+per-waypoint loops.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from voxflat import ColumnRanges, HeightMap, VoxelState
-from voxflat.voxel_store import cell_center
+from voxflat import ColumnView, HeightMap, VoxelState
+from voxflat.occupancy_maps import NEIGHBORS_8
+from voxflat.voxel_store import Cell, cell_center
+
+
+# -- float-meter column ranges: the height rule, one column at a time -------
+
+class HeightRange(NamedTuple):
+    low: float
+    high: float
+
+
+class HeightCell(NamedTuple):
+    floor: float
+    ceiling: float
+
+
+@dataclass(frozen=True)
+class ColumnRanges:
+    """Ordered, disjoint, non-adjacent vertical ranges of one column."""
+
+    free: tuple[HeightRange, ...]
+    occupied: tuple[HeightRange, ...]
+
+    def is_empty(self) -> bool:
+        return not self.free and not self.occupied
+
+
+def extract_ranges(view: ColumnView, resolution: float, origin_z: float) -> ColumnRanges:
+    """Convert a column's runs to world-meter ranges; Unknown yields nothing.
+
+    A run starting at index z0 with length L spans the voxel faces
+    [origin_z + z0*res, origin_z + (z0+L)*res], so range heights are exact
+    voxel-count multiples of the resolution.
+    """
+    free: list[HeightRange] = []
+    occupied: list[HeightRange] = []
+    for z0, length, state in view.runs:
+        if state == VoxelState.UNKNOWN:
+            continue
+        rng = HeightRange(origin_z + z0 * resolution,
+                          origin_z + (z0 + length) * resolution)
+        if state == VoxelState.FREE:
+            free.append(rng)
+        else:
+            occupied.append(rng)
+    return ColumnRanges(tuple(free), tuple(occupied))
+
+
+def filter_free_ranges(ranges: ColumnRanges, min_clearance: float) -> ColumnRanges:
+    """Drop free ranges shorter than min_clearance; occupied pass through.
+
+    Exactly threshold-tall ranges are kept (removal uses a strict less-than).
+    A range's height is a difference of origin_z + k*res terms, so an exactly
+    threshold-tall range can land a few ulps below the threshold; a 1e-9 m
+    tolerance keeps it.
+    """
+    if min_clearance <= 0:
+        raise ValueError(f"min_clearance must be positive, got {min_clearance}")
+    kept = tuple(r for r in ranges.free
+                 if r.high - r.low >= min_clearance - 1e-9)
+    return ColumnRanges(kept, ranges.occupied)
+
+
+def height_from_ranges(ranges: ColumnRanges) -> HeightCell | None:
+    """Floor = bottom of the first free range, ceiling = top of the last.
+
+    Assumes a single level of navigable space; disjoint free ranges collapse
+    into one floor-to-ceiling span. Returns None when no free range survives.
+    """
+    if not ranges.free:
+        return None
+    return HeightCell(ranges.free[0].low, ranges.free[-1].high)
+
+
+# -- float-meter aerial rule, one cell at a time ----------------------------
+
+def overlap_length(a: HeightRange, b: HeightRange) -> float:
+    """Length of the overlap of two vertical ranges, 0 when disjoint."""
+    return max(0.0, min(a.high, b.high) - max(a.low, b.low))
+
+
+def occupancy_value(cell: Cell, occupied: tuple[HeightRange, ...],
+                    height: HeightMap, free_mask: np.ndarray) -> float | None:
+    """Max over free 8-neighbors of the occupied-overlap ratio, in [0, 1].
+
+    For each free neighbor, the cell's occupied ranges are intersected with
+    the neighbor's floor-to-ceiling span and the summed overlap is divided by
+    that span's height. Ratios above 1 (obstacle taller than the neighboring
+    navigable space) clamp to 1. Returns None when no 8-neighbor is free; a
+    cell with no occupied ranges but a free neighbor yields 0.0.
+    """
+    m, n = cell
+    M, N = height.extent
+    floor = height.floor
+    ceiling = height.ceiling
+    best = None
+    for dm, dn in NEIGHBORS_8:
+        mm = m + dm
+        nn = n + dn
+        if not (0 <= mm < M and 0 <= nn < N) or not free_mask[mm, nn]:
+            continue
+        span = HeightRange(floor[mm, nn], ceiling[mm, nn])
+        total = 0.0
+        for r in occupied:
+            total += overlap_length(span, r)
+        ratio = total / (span.high - span.low)
+        if ratio > 1.0:
+            ratio = 1.0
+        if best is None or ratio > best:
+            best = ratio
+    return best
+
+
+# -- float plane fit on arbitrary samples -----------------------------------
+
+class PlaneFit(NamedTuple):
+    a: float  # slope along x, meters per meter
+    b: float  # slope along y
+    c: float  # offset, meters
+
+
+def fit_plane(samples: Sequence[tuple[float, float, float]]) -> PlaneFit | None:
+    """Least-squares plane through (x, y, z) samples, or None if degenerate.
+
+    Minimizes sum((a*x + b*y + c - z)^2). The normal equations are solved in
+    mean-centered coordinates, which gives the same minimizer but keeps the
+    solve well conditioned for maps far from the world origin; degeneracy
+    (fewer than 3 samples, collinear layout, condition estimate above 1e12)
+    yields None rather than a garbage plane.
+    """
+    n = len(samples)
+    if n < 3:
+        return None
+    mx = sum(s[0] for s in samples) / n
+    my = sum(s[1] for s in samples) / n
+    mz = sum(s[2] for s in samples) / n
+    cxx = cxy = cyy = cxz = cyz = 0.0
+    for x, y, z in samples:
+        dx = x - mx
+        dy = y - my
+        dz = z - mz
+        cxx += dx * dx
+        cxy += dx * dy
+        cyy += dy * dy
+        cxz += dx * dz
+        cyz += dy * dz
+    # Eigenvalues of the centered 2x2 normal matrix bound its conditioning.
+    trace = cxx + cyy
+    disc = math.sqrt(max((cxx - cyy) * (cxx - cyy) + 4.0 * cxy * cxy, 0.0))
+    lam_min = (trace - disc) / 2.0
+    lam_max = (trace + disc) / 2.0
+    if lam_min <= 0.0 or lam_max > lam_min * 1e12:
+        return None
+    det = cxx * cyy - cxy * cxy
+    a = (cyy * cxz - cxy * cyz) / det
+    b = (cxx * cyz - cxy * cxz) / det
+    return PlaneFit(a, b, mz - a * mx - b * my)
+
+
+# -- builders and other oracles ---------------------------------------------
 
 
 def rasterize_ranges(ranges: ColumnRanges, resolution: float, origin_z: float,

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from voxflat import (ConversionParams, LiftParams, VoxelState,
-                     enforce_clearance, fit_plane, init, lift_path,
-                     occupancy_value, save_voxel_map, update)
+                     enforce_clearance, init, lift_path, save_voxel_map, update)
 from voxflat.cli import main as cli_main
-from voxflat.column_extraction import (HeightRange, extract_ranges,
-                                       filter_free_ranges, height_from_ranges)
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import (best_grid_residual, column_from_array, make_height_map,
+from oracles import (HeightRange, best_grid_residual, column_from_array,
+                     extract_ranges, filter_free_ranges, fit_plane,
+                     height_from_ranges, make_height_map, occupancy_value,
                      plane_residual, random_column, states_equal)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE

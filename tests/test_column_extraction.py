@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ColumnRanges, ConversionParams, HeightCell, HeightRange,
-                     VoxelMap, VoxelState, build_height_map, convert_column,
-                     extract_ranges, filter_free_ranges, height_from_ranges, init)
+from voxflat import (ConversionParams, VoxelMap, VoxelState, build_height_map,
+                     convert_column, init)
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import column_from_array, random_column, rasterize_ranges
+from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
+                     extract_ranges, filter_free_ranges, height_from_ranges,
+                     random_column, rasterize_ranges)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -121,19 +122,23 @@ def test_height_map_invariants_on_random_maps():
                     int(rng.integers(20)), VoxelState(int(rng.integers(0, 3))))
                    for _ in range(120)]
         vmap.apply_cells(updates)
-        state = init(vmap, ConversionParams(min_clearance=0.4))
-        height, ranges = state.height, state.ranges
+        params = ConversionParams(min_clearance=0.4)
+        min_run = params.min_run(vmap.resolution)
+        assert min_run == 4
+        state = init(vmap, params)
+        height = state.height
+        floor_k = height.face_index(height.floor)
+        ceil_k = height.face_index(height.ceiling)
         for m in range(7):
             for n in range(6):
-                cr = ranges.get((m, n), ColumnRanges((), ()))
-                for r in cr.free:
-                    assert r.high - r.low >= 0.4 - 1e-9
-                cell = height.cell(m, n)
-                assert (cell is not None) == bool(cr.free)
-                if cell is not None:
-                    assert all(cell.floor <= r.low for r in cr.free)
-                    assert all(cell.ceiling >= r.high for r in cr.free)
-                    assert cell.ceiling - cell.floor >= 0.4 - 1e-9
+                free = [(k0, k0 + length) for k0, length, s in state.ranges.get((m, n), ())
+                        if s == F]
+                assert all(k1 - k0 >= min_run for k0, k1 in free)
+                assert height.present_mask[m, n] == bool(free)
+                if free:
+                    assert all(floor_k[m, n] <= k0 for k0, _ in free)
+                    assert all(ceil_k[m, n] >= k1 for _, k1 in free)
+                    assert ceil_k[m, n] - floor_k[m, n] >= min_run
 
 
 def stacked_columns(draw_runs, shape, K):

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from voxflat import (ConversionParams, DirtyReport, VoxelMap, VoxelState, init,
@@ -10,7 +10,7 @@ from voxflat import (ConversionParams, DirtyReport, VoxelMap, VoxelState, init,
 from voxflat.incremental import CSV_HEADER
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import states_equal
+from oracles import HeightRange, extract_ranges, filter_free_ranges, states_equal
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -175,6 +175,50 @@ def floor_column(m, n, f, K):
     free from f to the top (a floor only if that run is tall enough)."""
     return ([(m, n, k, O) for k in range(f)]
             + [(m, n, k, F) for k in range(f, K)])
+
+
+def assert_ranges_match_the_oracle(state):
+    """Each kept run of state.ranges, in meters and split by state, equals
+    the float range rule for its column; cells are absent where it is empty."""
+    vmap = state.voxels
+    res, oz = vmap.resolution, vmap.origin[2]
+    M, N, _ = vmap.extent
+    expected = set()
+    for m in range(M):
+        for n in range(N):
+            want = filter_free_ranges(extract_ranges(vmap.column(m, n), res, oz),
+                                      state.params.min_clearance)
+            if want.is_empty():
+                continue
+            expected.add((m, n))
+            runs = state.ranges[(m, n)]
+            got = {s: tuple(HeightRange(oz + k0 * res, oz + (k0 + length) * res)
+                            for k0, length, s_ in runs if s_ == s) for s in (F, O)}
+            assert (got[F], got[O]) == (want.free, want.occupied), (m, n)
+            assert len(runs) == len(want.free) + len(want.occupied)
+    assert set(state.ranges) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), res=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+       origin_z=st.floats(-100.0, 100.0), min_clearance=st.floats(1e-3, 1.0))
+def test_ranges_are_the_range_rule_in_voxels(data, res, origin_z, min_clearance):
+    # Runs of one state along k, written as (m, n, k0, length, state), so
+    # that free runs of every length occur; read after init and after each
+    # streamed batch, which also checks that update() drops the cached view.
+    M, N, K = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)),
+               data.draw(st.integers(1, 24)))
+    run = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1),
+                    st.integers(0, K - 1), st.integers(1, K),
+                    st.sampled_from([U, O, F]))
+    batches = data.draw(st.lists(st.lists(run, max_size=12), min_size=1, max_size=4))
+    state = init(VoxelMap(res, (0.0, 0.0, origin_z), (M, N, K)),
+                 ConversionParams(min_clearance=min_clearance))
+    assert_ranges_match_the_oracle(state)
+    for batch in batches:
+        update(state, [(m, n, k, s) for m, n, k0, length, s in batch
+                       for k in range(k0, min(K, k0 + length))])
+        assert_ranges_match_the_oracle(state)
 
 
 class RebuildEquivalence(RuleBasedStateMachine):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ConversionParams, HeightRange, VoxelMap, VoxelState,
-                     build_height_map, build_ugv_map, build_uav_map,
-                     build_slope_map, init, occupancy_value, overlap_length,
+from voxflat import (ConversionParams, VoxelMap, VoxelState, build_height_map,
+                     build_ugv_map, build_uav_map, build_slope_map, init,
                      uav_cell_value)
-from voxflat.column_extraction import (extract_ranges, filter_free_ranges,
-                                        height_from_ranges)
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import column_from_array, make_height_map, random_column
+from oracles import (HeightRange, column_from_array, extract_ranges,
+                     filter_free_ranges, height_from_ranges, make_height_map,
+                     occupancy_value, overlap_length, random_column)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -258,7 +257,7 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
             if present[m, n]:
                 assert value == 0.0
                 continue
-            occupied = state.ranges[(m, n)].occupied if (m, n) in state.ranges else ()
+            occupied = extract_ranges(vmap.column(m, n), res, origin_z).occupied
             ratio = occupancy_value((m, n), occupied, state.height, present)
             if ratio is None:
                 assert value == -1.0

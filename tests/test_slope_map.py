@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voxflat import HeightMap, build_slope_map, fit_plane, slope_at
+from voxflat import HeightMap, build_slope_map, slope_at
 from voxflat.scenes import SceneSpec, generate
 from voxflat import init
 
-from oracles import best_grid_residual, make_height_map, plane_residual
+from oracles import best_grid_residual, fit_plane, make_height_map, plane_residual
 
 
 def plane_samples(a, b, c, positions):
