@@ -10,10 +10,20 @@ wall ring, and the interior. Slope and ground-robot class claims assume the
 default conversion parameters (they bake in the fit window and the
 traversable-slope threshold); the verifier below checks exactly those
 claims against converted grids.
+
+Every interior is y-invariant slice by slice, so a scene is stated as its x
+slices: slice m holds one voxel column, used for every y, and that column's
+claims (floor and ceiling as voxel face indices, slope, aerial class).
+One assembler frames the slices, extrudes them along y, turns faces into
+heights with the pipeline's own `origin_z + k*res`, and derives the wall
+ring and ground-robot claims. Flat-room clutter pillars are the only
+columns that break the slice model; the assembler places them and clears
+the claims their fit windows reach.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,8 +35,8 @@ from .params import ConversionParams
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState
 
-SCENE_KINDS = ("flat-room", "corridor", "ramp", "step", "overhang",
-               "low-wall", "crawl-space", "composite")
+SCENE_KINDS = ("flat-room", "ramp", "step", "overhang", "low-wall",
+               "crawl-space", "composite")
 
 # Occupancy class claims.
 CLAIM_NONE = -2
@@ -60,7 +70,7 @@ class SceneSpec:
     beam_low: float = 1.2        # overhang underside
     beam_high: float = 2.0       # overhang top
     observed_above: bool = True  # low-wall: was the space above the wall mapped?
-    clutter: int = 0             # flat-room/corridor: random pillars
+    clutter: int = 0             # flat-room: random pillars
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -69,8 +79,8 @@ class SceneSpec:
             raise ValueError("resolution must be positive")
         if min(self.size_x, self.size_y, self.height) <= 0:
             raise ValueError("scene dimensions must be positive")
-        if self.clutter and self.kind not in ("flat-room", "corridor"):
-            raise ValueError("clutter is only supported for flat-room and corridor")
+        if self.clutter and self.kind != "flat-room":
+            raise ValueError("clutter is only supported for flat-room")
 
 
 @dataclass
@@ -116,28 +126,75 @@ class SceneTruth:
 
     @classmethod
     def read(cls, path: str | Path) -> "SceneTruth":
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-        if doc.get("format") != "voxflat-scene-truth" or doc.get("version") != 1:
-            raise ValueError(f"{path}: not a scene truth file")
+        """Load a truth file; any malformed document raises ValueError naming
+        the path, and every grid must match the extent's (M, N)."""
+        def bad(what):
+            return ValueError(f"{path}: {what}")
 
-        def grid(rows):
-            return np.array([[np.nan if v is None else v for v in row] for row in rows])
+        try:
+            doc = json.loads(Path(path).read_text(encoding="ascii"))
+        except ValueError as e:  # not ASCII, or not JSON
+            raise bad(f"not a scene truth file ({e})") from e
+        if (not isinstance(doc, dict) or doc.get("format") != "voxflat-scene-truth"
+                or doc.get("version") != 1):
+            raise bad("not a scene truth file")
+        missing = {"kind", "resolution", "origin", "extent", "floor", "ceiling",
+                   "slope", "uav", "ugv"} - doc.keys()
+        if missing:
+            raise bad(f"missing {', '.join(sorted(missing))}")
+        kind, res, origin, extent = (doc[k] for k in ("kind", "resolution", "origin", "extent"))
+        if not isinstance(kind, str):
+            raise bad(f"kind must be a string, got {kind!r}")
+        if not (_is_number(res) and 0 < res < math.inf):
+            raise bad(f"resolution must be a positive number, got {res!r}")
+        if not (isinstance(origin, list) and len(origin) == 3
+                and all(_is_number(c) for c in origin)):
+            raise bad(f"origin must be three numbers, got {origin!r}")
+        if not (isinstance(extent, list) and len(extent) == 3
+                and all(isinstance(e, int) and not isinstance(e, bool) and e >= 1
+                        for e in extent)):
+            raise bad(f"extent must be three counts >= 1, got {extent!r}")
+        spec = doc.get("spec", {})
+        if not isinstance(spec, dict):
+            raise bad(f"spec must be an object, got {spec!r}")
 
-        def classes(rows):
-            return np.array([[_CLASS_CODES.get(v, CLAIM_NONE) for v in row]
-                             for row in rows], dtype=np.int8)
+        def grid(name, cell, dtype):
+            rows = doc[name]
+            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                raise bad(f"{name} must be a list of rows")
+            if [len(r) for r in rows] != [extent[1]] * extent[0]:
+                raise bad(f"{name} grid does not match the extent {extent[0]}x{extent[1]}")
+            try:
+                return np.array([[cell(v) for v in row] for row in rows], dtype=dtype)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise bad(f"{name}: {e}") from None
 
-        return cls(doc["kind"], doc["resolution"], tuple(doc["origin"]),
-                   tuple(doc["extent"]), grid(doc["floor"]), grid(doc["ceiling"]),
-                   grid(doc["slope"]), classes(doc["uav"]), classes(doc["ugv"]),
-                   doc.get("spec", {}))
+        def height(v):
+            if v is None:
+                return np.nan
+            if not _is_number(v):
+                raise TypeError(f"cell {v!r} is not a number or null")
+            return v
+
+        def occupancy(v):
+            if v is not None and (not isinstance(v, str) or v not in _CLASS_CODES):
+                raise ValueError(f"cell {v!r} is not a class name or null")
+            return _CLASS_CODES.get(v, CLAIM_NONE)
+
+        return cls(kind, res, tuple(origin), tuple(extent),
+                   grid("floor", height, float), grid("ceiling", height, float),
+                   grid("slope", height, float), grid("uav", occupancy, np.int8),
+                   grid("ugv", occupancy, np.int8), spec)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def generate(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
     """Build the scene's voxel map and its analytic truth grid."""
     builder = {
         "flat-room": _flat_room,
-        "corridor": _flat_room,
         "ramp": _ramp,
         "step": _step,
         "overhang": _overhang,
@@ -145,7 +202,7 @@ def generate(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
         "crawl-space": _crawl_space,
         "composite": _composite,
     }[spec.kind]
-    return builder(spec)
+    return _assemble(spec, builder(spec))
 
 
 def verify_against_truth(truth: SceneTruth, height: HeightMap, slope: SlopeMap,
@@ -176,389 +233,289 @@ def verify_against_truth(truth: SceneTruth, height: HeightMap, slope: SlopeMap,
 # -- construction helpers ---------------------------------------------------
 
 _BORDER = 2  # margin ring + wall ring
+_OCC = int(VoxelState.OCCUPIED)
+_FREE = int(VoxelState.FREE)
+_PARAMS = ConversionParams()
 
 
-class _Builder:
-    def __init__(self, spec: SceneSpec, ix: int, iy: int, K: int):
-        self.spec = spec
-        self.ix = ix
-        self.iy = iy
-        self.K = K
-        self.res = spec.resolution
-        M = ix + 2 * _BORDER
-        N = iy + 2 * _BORDER
-        self.M = M
-        self.N = N
-        self.vmap = VoxelMap(spec.resolution, (0.0, 0.0, 0.0), (M, N, K))
-        self.floor = np.full((M, N), np.nan)
-        self.ceiling = np.full((M, N), np.nan)
-        self.slope = np.full((M, N), np.nan)
-        self.uav = np.full((M, N), CLAIM_NONE, dtype=np.int8)
-        self.ugv = np.full((M, N), CLAIM_NONE, dtype=np.int8)
-        self.params = ConversionParams()
-        self.sa = self.params.slope_radius_cells(spec.resolution)
-        self._fill_wall_ring()
+@dataclass
+class _Slices:
+    """The interior's x slices; entry m stands for every column of slice m.
 
-    # world z of voxel face k, the exact expression the pipeline uses
-    def z(self, k: int) -> float:
-        return self.vmap.origin[2] + k * self.res
+    column is the (ix, K) voxel states; floor_k and ceil_k the claimed floor
+    and ceiling voxel faces (-1: no claim); slope the claimed slope (NaN: no
+    claim); uav the claimed aerial class (CLAIM_NONE: no claim).
+    """
 
-    def _fill_wall_ring(self):
-        M, N, K = self.M, self.N, self.K
-        occ = VoxelState.OCCUPIED
-        self.vmap.fill_box(1, M - 1, 1, 2, 0, K, occ)
-        self.vmap.fill_box(1, M - 1, N - 2, N - 1, 0, K, occ)
-        self.vmap.fill_box(1, 2, 2, N - 2, 0, K, occ)
-        self.vmap.fill_box(M - 2, M - 1, 2, N - 2, 0, K, occ)
+    column: np.ndarray
+    floor_k: np.ndarray
+    ceil_k: np.ndarray
+    slope: np.ndarray
+    uav: np.ndarray
 
-    def column_template(self, floor_idx: int, ceiling_idx: int | None = None) -> np.ndarray:
-        """Solid below floor_idx, free up to the ceiling slab at the top."""
-        top = self.K - 1 if ceiling_idx is None else ceiling_idx
-        col = np.zeros(self.K, dtype=np.uint8)
-        col[:floor_idx] = int(VoxelState.OCCUPIED)
-        col[floor_idx:top] = int(VoxelState.FREE)
-        col[top:] = int(VoxelState.OCCUPIED)
-        return col
 
-    def set_interior_column(self, mrel: int, nrel: int, template: np.ndarray):
-        self.vmap._voxels[mrel + _BORDER, nrel + _BORDER] = template
+def _columns(floor_k, K: int, top: int | None = None) -> np.ndarray:
+    """Columns solid below floor_k, free up to the solid slab from top
+    (default: the one-voxel ceiling slab at K - 1)."""
+    k = np.arange(K)
+    solid = (k < np.asarray(floor_k)[..., None]) | (k >= (K - 1 if top is None else top))
+    return np.where(solid, _OCC, _FREE).astype(np.uint8)
 
-    def fill_profile(self, profile: np.ndarray, holes: set[int] | None = None):
-        """Solid-below / free-above columns over the whole interior.
 
-        profile[mrel] is the first free voxel index of that x slice; holes
-        are x slices skipped entirely (filled by the caller).
-        """
-        for mrel in range(self.ix):
-            if holes and mrel in holes:
-                continue
-            template = self.column_template(int(profile[mrel]))
-            for nrel in range(self.iy):
-                self.set_interior_column(mrel, nrel, template)
+def _profile(profile: np.ndarray, K: int) -> _Slices:
+    """Slices solid below profile[m] and free up to the ceiling slab, with
+    their floors, ceilings and free aerial class claimed; no slope claims."""
+    ix = len(profile)
+    return _Slices(_columns(profile, K), np.array(profile), np.full(ix, K - 1),
+                   np.full(ix, np.nan), np.full(ix, CLASS_FREE, dtype=np.int8))
 
-    def claim_profile_heights(self, profile: np.ndarray, holes: set[int] | None = None):
-        top = self.z(self.K - 1)
-        for mrel in range(self.ix):
-            if holes and mrel in holes:
-                continue
-            f = self.z(int(profile[mrel]))
-            sl = self.interior_slice(mrel)
-            self.floor[sl] = f
-            self.ceiling[sl] = top
-            self.uav[sl] = CLASS_FREE
 
-    def claim_profile_slopes(self, profile: np.ndarray,
-                             holes: set[int] | None = None):
-        """Exact fit result for full windows of y-invariant floor data.
+def _profile_slopes(floor_k: np.ndarray, res: float) -> np.ndarray:
+    """Exact fit result for full windows of y-invariant floor data.
 
-        A full rectangular window makes the y terms drop out, so the 2D fit
-        reduces to this 1D weighted sum; y-truncation near the side walls
-        keeps the window rectangular and does not disturb it. The sums run on
-        the profile's voxel indices (the offsets sum to zero, so origin_z and
-        res cancel), which makes each claim the exactly rounded rise/run.
-        Claims stop one window short of interior x edges and holes.
-        """
-        sa = self.sa
-        denom = sum(d * d for d in range(-sa, sa + 1))
-        for mrel in range(sa, self.ix - sa):
-            window = range(mrel - sa, mrel + sa + 1)
-            if holes and any(w in holes for w in window):
-                continue
-            acc = sum(d * int(profile[mrel + d]) for d in range(-sa, sa + 1))
-            self.slope[self.interior_slice(mrel)] = abs(acc) / denom
+    A full rectangular window makes the y terms drop out, so the 2D fit
+    reduces to this 1D weighted sum; y-truncation near the side walls
+    keeps the window rectangular and does not disturb it. The sums run on
+    the voxel face indices (the offsets sum to zero, so origin_z and res
+    cancel), which makes each claim the exactly rounded rise/run. Claims
+    stop one window short of interior x edges and of slices without a floor.
+    """
+    sa = _PARAMS.slope_radius_cells(res)
+    offsets = range(-sa, sa + 1)
+    n = max(len(floor_k) - 2 * sa, 0)
+    window = [floor_k[sa + d:sa + d + n] for d in offsets]
+    acc = sum(d * w for d, w in zip(offsets, window))
+    full = np.logical_and.reduce([w >= 0 for w in window])
+    slope = np.full(len(floor_k), np.nan)
+    slope[sa:sa + n][full] = np.abs(acc[full]) / sum(d * d for d in offsets)
+    return slope
 
-    def claim_flat_slope_everywhere(self):
-        # A flat floor fits a zero-slope plane exactly from any sample subset,
-        # so the claim extends through truncated windows at the edges.
-        self.slope[_BORDER:self.M - _BORDER, _BORDER:self.N - _BORDER] = 0.0
 
-    def interior_slice(self, mrel: int):
-        return (mrel + _BORDER, slice(_BORDER, self.N - _BORDER))
+def _strip(s: _Slices, lo: int, hi: int, column: np.ndarray, uav: int,
+           ends: int | None = None) -> None:
+    """Slices lo..hi-1 become `column` with no height or slope claim and
+    aerial class `uav`; `ends`, if given, is the class of the two end slices."""
+    s.column[lo:hi] = column
+    s.floor_k[lo:hi] = -1
+    s.ceil_k[lo:hi] = -1
+    s.slope[lo:hi] = np.nan
+    s.uav[lo:hi] = uav
+    if ends is not None:
+        s.uav[[lo, hi - 1]] = ends
 
-    def unclaim_box(self, m0: int, m1: int, n0: int, n1: int):
-        m0 = max(0, m0)
-        n0 = max(0, n0)
-        m1 = min(self.M, m1)
-        n1 = min(self.N, n1)
-        self.floor[m0:m1, n0:n1] = np.nan
-        self.ceiling[m0:m1, n0:n1] = np.nan
-        self.slope[m0:m1, n0:n1] = np.nan
-        self.uav[m0:m1, n0:n1] = CLAIM_NONE
-        self.ugv[m0:m1, n0:n1] = CLAIM_NONE
 
-    def finish(self) -> tuple[VoxelMap, SceneTruth]:
-        M, N = self.M, self.N
-        # Margin ring: nothing was ever written near it, so it stays unknown.
-        self.uav[0, :] = CLASS_UNKNOWN
-        self.uav[M - 1, :] = CLASS_UNKNOWN
-        self.uav[:, 0] = CLASS_UNKNOWN
-        self.uav[:, N - 1] = CLASS_UNKNOWN
-        # Wall ring: full-height walls read as occupied wherever they touch a
-        # cell claimed free; elsewhere their class depends on unclaimed cells.
-        free = self.uav == CLASS_FREE
-        ring = np.zeros((M, N), dtype=bool)
-        ring[1, 1:N - 1] = True
-        ring[M - 2, 1:N - 1] = True
-        ring[1:M - 1, 1] = True
-        ring[1:M - 1, N - 2] = True
-        for m, n in zip(*np.nonzero(ring)):
-            neighborhood = free[max(0, m - 1):m + 2, max(0, n - 1):n + 2]
-            if neighborhood.any():
-                self.uav[m, n] = CLASS_OCCUPIED
-        # Ground-robot claims follow the aerial ones, with steep free cells
-        # flipping to occupied and near-threshold slopes left unclaimed.
-        self.ugv = self.uav.copy()
-        limit = self.params.max_slope
-        for m, n in zip(*np.nonzero(self.uav == CLASS_FREE)):
-            s = self.slope[m, n]
-            if s != s:
-                self.ugv[m, n] = CLAIM_NONE
-            elif s > limit * (1 + _SLOPE_GUARD):
-                self.ugv[m, n] = CLASS_OCCUPIED
-            elif s >= limit * (1 - _SLOPE_GUARD):
-                self.ugv[m, n] = CLAIM_NONE
-        truth = SceneTruth(self.spec.kind, self.res, self.vmap.origin,
-                           self.vmap.extent, self.floor, self.ceiling,
-                           self.slope, self.uav, self.ugv,
-                           spec=asdict(self.spec))
-        return self.vmap, truth
+def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
+    """Frame the slices with the margin and wall rings, extrude them along
+    y, place any clutter pillars, and derive the ring and ground-robot claims."""
+    res = spec.resolution
+    ix, K = s.column.shape
+    iy = _cells(spec.size_y, res)
+    M, N = ix + 2 * _BORDER, iy + 2 * _BORDER
+    vmap = VoxelMap(res, (0.0, 0.0, 0.0), (M, N, K))
+    voxels = vmap._voxels
+    inner = (slice(_BORDER, M - _BORDER), slice(_BORDER, N - _BORDER))
+    voxels[1:M - 1, 1:N - 1] = _OCC  # full height; the interior then leaves the wall ring
+    voxels[inner] = s.column[:, None]
+
+    def extrude(per_slice, fill):
+        grid = np.full((M, N), fill, dtype=per_slice.dtype)
+        grid[inner] = per_slice[:, None]
+        return grid
+
+    def face_z(k):  # world z of voxel face k, the exact expression the pipeline uses
+        return np.where(k >= 0, vmap.origin[2] + k * res, np.nan)
+
+    floor = extrude(face_z(s.floor_k), np.nan)
+    ceiling = extrude(face_z(s.ceil_k), np.nan)
+    slope = extrude(s.slope, np.nan)
+    uav = extrude(s.uav, CLAIM_NONE)
+    if spec.clutter:
+        rng = np.random.default_rng(spec.seed)
+        pillar = _columns(1 + _cells(0.5, res), K)
+        pad = _PARAMS.slope_radius_cells(res) + 1
+        for _ in range(spec.clutter):
+            m = _BORDER + int(rng.integers(0, ix))
+            n = _BORDER + int(rng.integers(0, iy))
+            voxels[m, n] = pillar
+            box = (slice(max(0, m - pad), m + pad + 1), slice(max(0, n - pad), n + pad + 1))
+            floor[box] = ceiling[box] = slope[box] = np.nan
+            uav[box] = CLAIM_NONE
+    # Margin ring: nothing was ever written near it, so it stays unknown.
+    uav[[0, M - 1], :] = CLASS_UNKNOWN
+    uav[:, [0, N - 1]] = CLASS_UNKNOWN
+    # Wall ring: full-height walls read as occupied wherever they touch a
+    # cell claimed free; elsewhere their class depends on unclaimed cells.
+    free = np.pad(uav == CLASS_FREE, 1)
+    near_free = np.zeros((M, N), dtype=bool)
+    for dm in range(3):
+        for dn in range(3):
+            near_free |= free[dm:dm + M, dn:dn + N]
+    ring = np.zeros((M, N), dtype=bool)
+    ring[1:M - 1, 1:N - 1] = True
+    ring[inner] = False
+    uav[ring & near_free] = CLASS_OCCUPIED
+    # Ground-robot claims follow the aerial ones, with steep free cells
+    # flipping to occupied and unclaimed or near-threshold slopes unclaimed.
+    ugv = uav.copy()
+    free = uav == CLASS_FREE
+    steep = _PARAMS.max_slope * (1 + _SLOPE_GUARD)
+    gentle = _PARAMS.max_slope * (1 - _SLOPE_GUARD)
+    ugv[free & (slope > steep)] = CLASS_OCCUPIED
+    ugv[free & ~(slope < gentle) & ~(slope > steep)] = CLAIM_NONE
+    truth = SceneTruth(spec.kind, res, vmap.origin, vmap.extent, floor, ceiling,
+                       slope, uav, ugv, spec=asdict(spec))
+    return vmap, truth
 
 
 def _cells(meters: float, res: float) -> int:
     return max(1, round(meters / res))
 
 
-def _require_navigable(height_m: float, b: _Builder, what: str) -> None:
-    if height_m < b.params.min_clearance:
+def _require_navigable(height_m: float, what: str) -> None:
+    if height_m < _PARAMS.min_clearance:
         raise ValueError(
             f"{what} is {height_m:.2f} m tall, below the safety margin "
-            f"{b.params.min_clearance} m; the scene's free-space claims "
+            f"{_PARAMS.min_clearance} m; the scene's free-space claims "
             f"would not hold"
         )
 
 
-# -- scene builders -----------------------------------------------------------
+# -- scene builders: each returns its interior slices -------------------------
 
 
-def _flat_room(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
-    ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
+def _flat_room(spec: SceneSpec) -> _Slices:
     K = _cells(spec.height, spec.resolution)
-    b = _Builder(spec, ix, iy, K)
-    _require_navigable((K - 2) * spec.resolution, b, "room")
-    profile = np.ones(ix, dtype=int)
-    b.fill_profile(profile)
-    b.claim_profile_heights(profile)
-    b.claim_flat_slope_everywhere()
-    if spec.clutter:
-        rng = np.random.default_rng(spec.seed)
-        pillar_top = 1 + _cells(0.5, spec.resolution)
-        for _ in range(spec.clutter):
-            mrel = int(rng.integers(0, ix))
-            nrel = int(rng.integers(0, iy))
-            col = b.column_template(pillar_top)
-            b.set_interior_column(mrel, nrel, col)
-            pad = b.sa + 1
-            b.unclaim_box(mrel + _BORDER - pad, mrel + _BORDER + pad + 1,
-                          nrel + _BORDER - pad, nrel + _BORDER + pad + 1)
-    return b.finish()
+    _require_navigable((K - 2) * spec.resolution, "room")
+    s = _profile(np.ones(_cells(spec.size_x, spec.resolution), dtype=int), K)
+    # A flat floor fits a zero-slope plane exactly from any sample subset,
+    # so the claim extends through truncated windows at the edges.
+    s.slope[:] = 0.0
+    return s
 
 
-def _ramp(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _ramp(spec: SceneSpec) -> _Slices:
     # Rises `rise2` voxels every two cells; restricting the grade to
     # multiples of 0.5 keeps the fitted slope exactly on the nominal value.
     rise2 = round(2 * spec.slope)
     if rise2 < 1 or abs(rise2 / 2 - spec.slope) > 1e-12:
         raise ValueError(f"ramp slope must be a positive multiple of 0.5, got {spec.slope}")
-    ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
-    profile = np.array([1 + (rise2 * m) // 2 for m in range(ix)], dtype=int)
-    K = int(profile.max()) + _cells(spec.height, spec.resolution) + 1
-    b = _Builder(spec, ix, iy, K)
-    b.fill_profile(profile)
-    b.claim_profile_heights(profile)
-    b.claim_profile_slopes(profile)
-    return b.finish()
+    profile = 1 + rise2 * np.arange(_cells(spec.size_x, spec.resolution)) // 2
+    s = _profile(profile, int(profile.max()) + _cells(spec.height, spec.resolution) + 1)
+    s.slope = _profile_slopes(s.floor_k, spec.resolution)
+    return s
 
 
-def _step(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _step(spec: SceneSpec) -> _Slices:
     ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
     rise = _cells(spec.step_height, spec.resolution)
-    split = ix // 2
-    profile = np.array([1 if m < split else 1 + rise for m in range(ix)], dtype=int)
-    K = 1 + rise + _cells(spec.height, spec.resolution) + 1
-    b = _Builder(spec, ix, iy, K)
-    b.fill_profile(profile)
-    b.claim_profile_heights(profile)
-    b.claim_profile_slopes(profile)
-    return b.finish()
+    profile = np.where(np.arange(ix) < ix // 2, 1, 1 + rise)
+    s = _profile(profile, 1 + rise + _cells(spec.height, spec.resolution) + 1)
+    s.slope = _profile_slopes(s.floor_k, spec.resolution)
+    return s
 
 
-def _overhang(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _overhang(spec: SceneSpec) -> _Slices:
     if not 0 < spec.beam_low < spec.beam_high:
         raise ValueError("overhang needs 0 < beam_low < beam_high")
     ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
     K = _cells(spec.height, spec.resolution)
     lo = _cells(spec.beam_low, spec.resolution)
     hi = _cells(spec.beam_high, spec.resolution)
     if hi >= K - 1:
         raise ValueError("beam must sit below the ceiling slab")
-    b = _Builder(spec, ix, iy, K)
-    _require_navigable((lo - 1) * spec.resolution, b, "space under the beam")
-    if (K - 1 - hi) * spec.resolution >= b.params.min_clearance:
+    _require_navigable((lo - 1) * spec.resolution, "space under the beam")
+    if (K - 1 - hi) * spec.resolution >= _PARAMS.min_clearance:
         raise ValueError("space above the beam must stay below the safety "
                          "margin for the ceiling claim to hold")
-    profile = np.ones(ix, dtype=int)
-    b.fill_profile(profile)
-    b.claim_profile_heights(profile)
-    b.claim_flat_slope_everywhere()
-    bx0 = ix // 3
-    bx1 = ix - ix // 3
-    beam = b.column_template(1)
-    beam[lo:hi] = int(VoxelState.OCCUPIED)
-    for mrel in range(bx0, bx1):
-        for nrel in range(iy):
-            b.set_interior_column(mrel, nrel, beam)
-        # Free space above the beam is thinner than the safety margin, so the
-        # navigable ceiling under the beam is the beam's underside.
-        b.ceiling[b.interior_slice(mrel)] = b.z(lo)
-    return b.finish()
+    s = _profile(np.ones(ix, dtype=int), K)
+    s.slope[:] = 0.0
+    # Free space above the beam is thinner than the safety margin, so the
+    # navigable ceiling under the beam is the beam's underside.
+    beam = slice(ix // 3, ix - ix // 3)
+    s.column[beam, lo:hi] = _OCC
+    s.ceil_k[beam] = lo
+    return s
 
 
-def _low_wall(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _low_wall(spec: SceneSpec) -> _Slices:
     ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
     K = _cells(spec.height, spec.resolution)
     wh = _cells(spec.wall_height, spec.resolution)
     t = int(spec.wall_thickness)
     if t < 1:
         raise ValueError("wall_thickness must be >= 1 cell")
+    if t > ix:
+        raise ValueError(f"wall_thickness {t} cells exceeds the room's {ix}")
     wx0 = (ix - t) // 2
-    wx1 = wx0 + t
-    b = _Builder(spec, ix, iy, K)
+    profile = np.ones(ix, dtype=int)
     if spec.observed_above:
-        _require_navigable((K - 1 - (wh + 1)) * spec.resolution, b,
-                           "space above the wall")
-        profile = np.ones(ix, dtype=int)
-        profile[wx0:wx1] = wh + 1
-        b.fill_profile(profile)
-        b.claim_profile_heights(profile)
-        b.claim_profile_slopes(profile)
-    else:
-        # The space above the wall was never scanned: the wall columns hold
-        # only the occupied slab, so they have no navigable free range and
-        # read as unknown in both maps (their occupied overlap with the
-        # neighboring rooms is far below the reporting threshold).
-        profile = np.ones(ix, dtype=int)
-        holes = set(range(wx0, wx1))
-        b.fill_profile(profile, holes=holes)
-        wall = np.zeros(K, dtype=np.uint8)
-        wall[:wh + 1] = int(VoxelState.OCCUPIED)
-        for mrel in holes:
-            for nrel in range(iy):
-                b.set_interior_column(mrel, nrel, wall)
-        b.claim_profile_heights(profile, holes=holes)
-        overlap_ratio = wh / (K - 2)
-        if overlap_ratio >= b.params.min_occupancy * (1 - _SLOPE_GUARD):
-            raise ValueError("unobserved wall too tall to stay invisible")
-        for mrel in holes:
-            b.uav[b.interior_slice(mrel)] = CLASS_UNKNOWN
-        # The remaining flat floor fits a zero plane exactly even with the
-        # wall columns missing from the window.
-        for mrel in range(ix):
-            if mrel not in holes:
-                b.slope[b.interior_slice(mrel)] = 0.0
-    return b.finish()
+        _require_navigable((K - 1 - (wh + 1)) * spec.resolution, "space above the wall")
+        profile[wx0:wx0 + t] = wh + 1
+        s = _profile(profile, K)
+        s.slope = _profile_slopes(s.floor_k, spec.resolution)
+        return s
+    # The space above the wall was never scanned: the wall columns hold only
+    # the occupied slab, so they have no navigable free range and read as
+    # unknown in both maps (their occupied overlap with the neighboring rooms
+    # is far below the reporting threshold).
+    if wh / (K - 2) >= _PARAMS.min_occupancy * (1 - _SLOPE_GUARD):
+        raise ValueError("unobserved wall too tall to stay invisible")
+    s = _profile(profile, K)
+    # The remaining flat floor fits a zero plane exactly even with the wall
+    # columns missing from the window.
+    s.slope[:] = 0.0
+    wall = np.zeros(K, dtype=np.uint8)
+    wall[:wh + 1] = _OCC
+    _strip(s, wx0, wx0 + t, wall, CLASS_UNKNOWN)
+    return s
 
 
-def _crawl_space(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _crawl_strip(s: _Slices, lo: int, hi: int, gap_k: int) -> None:
+    """Crawl columns: the gap is below the safety margin, so none are free.
+    Edge slices see the free rooms and report the solid block above the
+    gap; inner slices have no free neighbor at all."""
+    K = s.column.shape[1]
+    _strip(s, lo, hi, _columns(1, K, top=gap_k + 1), CLASS_UNKNOWN, ends=CLASS_OCCUPIED)
+
+
+def _crawl_space(spec: SceneSpec) -> _Slices:
     ix = _cells(spec.size_x, spec.resolution)
-    iy = _cells(spec.size_y, spec.resolution)
     K = _cells(spec.height, spec.resolution)
     gk = _cells(spec.gap, spec.resolution)
     if gk + 2 >= K:
         raise ValueError("crawl gap must sit below the room ceiling")
-    if gk * spec.resolution >= ConversionParams().min_clearance:
+    if gk * spec.resolution >= _PARAMS.min_clearance:
         raise ValueError("crawl gap must be below the safety margin "
                          "for its cells to stay non-free")
-    cx0 = ix // 3
-    cx1 = ix - ix // 3
-    b = _Builder(spec, ix, iy, K)
-    profile = np.ones(ix, dtype=int)
-    holes = set(range(cx0, cx1))
-    b.fill_profile(profile, holes=holes)
-    crawl = np.zeros(K, dtype=np.uint8)
-    crawl[0] = int(VoxelState.OCCUPIED)
-    crawl[1:gk + 1] = int(VoxelState.FREE)
-    crawl[gk + 1:] = int(VoxelState.OCCUPIED)
-    for mrel in holes:
-        for nrel in range(iy):
-            b.set_interior_column(mrel, nrel, crawl)
-    b.claim_profile_heights(profile, holes=holes)
-    for mrel in range(ix):
-        if mrel not in holes:
-            b.slope[b.interior_slice(mrel)] = 0.0
-    # Crawl columns: the gap is below the safety margin, so none are free.
-    # Edge slices see the free rooms and report the solid block above the
-    # gap; inner slices have no free neighbor at all.
-    for mrel in holes:
-        edge = mrel in (cx0, cx1 - 1)
-        b.uav[b.interior_slice(mrel)] = CLASS_OCCUPIED if edge else CLASS_UNKNOWN
-    return b.finish()
+    s = _profile(np.ones(ix, dtype=int), K)
+    s.slope[:] = 0.0
+    _crawl_strip(s, ix // 3, ix - ix // 3, gk)
+    return s
 
 
-def _composite(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
+def _composite(spec: SceneSpec) -> _Slices:
     """Canonical mixed scene: flat, ramp, plateau, step down, low wall, crawl.
 
-    Segment layout is fixed in cells; size_x is ignored. Claims around the
-    crawl strip survive because both neighboring segments are flat at the
-    same height, so truncated fit windows still see a perfect plane.
+    Segment layout is fixed in cells; size_x is ignored. Fit windows cut by
+    the crawl strip keep a zero-slope claim only where every other slice in
+    the window sits at the base level, so they still see a perfect plane.
     """
     res = spec.resolution
-    segments = [10, 16, 10, 10, 14, 8, 12]
-    flat0, rampw, plateau, flat1, wallw, crawlw, flat2 = segments
-    ix = sum(segments)
-    iy = _cells(spec.size_y, res)
-    wh = _cells(1.2, res)
-    profile = np.ones(ix, dtype=int)
-    x = flat0
-    for m in range(rampw):
-        profile[x + m] = 1 + (m + 1) // 2  # 0.5 grade
-    x += rampw
-    high = int(profile[x - 1])
-    profile[x:x + plateau] = high
-    x += plateau  # step down back to the base level
-    profile[x:x + flat1] = 1
-    x += flat1
-    wall0 = x + (wallw - 4) // 2
-    profile[x:x + wallw] = 1
-    profile[wall0:wall0 + 4] = wh + 1
-    x += wallw
-    crawl0, crawl1 = x, x + crawlw
-    profile[crawl1:] = 1
-    holes = set(range(crawl0, crawl1))
-
-    K = int(profile.max()) + _cells(spec.height, res) + 1
-    b = _Builder(spec, ix, iy, K)
-    b.fill_profile(profile, holes=holes)
-    gk = _cells(0.5, res)
-    crawl = np.zeros(K, dtype=np.uint8)
-    crawl[0] = int(VoxelState.OCCUPIED)
-    crawl[1:gk + 1] = int(VoxelState.FREE)
-    crawl[gk + 1:] = int(VoxelState.OCCUPIED)
-    for mrel in holes:
-        for nrel in range(iy):
-            b.set_interior_column(mrel, nrel, crawl)
-    b.claim_profile_heights(profile, holes=holes)
-    b.claim_profile_slopes(profile, holes=holes)
-    for mrel in holes:
-        edge = mrel in (crawl0, crawl1 - 1)
-        b.uav[b.interior_slice(mrel)] = CLASS_OCCUPIED if edge else CLASS_UNKNOWN
-    # Flat cells whose windows are truncated by the crawl strip still see a
-    # perfect plane; both sides of the strip sit at the base level.
-    for mrel in range(crawl0 - b.sa, crawl1 + b.sa):
-        if 0 <= mrel < ix and mrel not in holes:
-            b.slope[b.interior_slice(mrel)] = 0.0
-    return b.finish()
+    flat0, rampw, plateau, flat1, wallw, crawlw, flat2 = 10, 16, 10, 10, 14, 8, 12
+    ramp = 1 + np.arange(1, rampw + 1) // 2  # 0.5 grade
+    wall = np.ones(wallw, dtype=int)
+    wall[(wallw - 4) // 2:(wallw + 4) // 2] = _cells(1.2, res) + 1
+    profile = np.concatenate([np.ones(flat0, dtype=int), ramp,
+                              np.full(plateau, ramp[-1]),  # then step down to the base
+                              np.ones(flat1, dtype=int), wall,
+                              np.ones(crawlw + flat2, dtype=int)])
+    s = _profile(profile, int(profile.max()) + _cells(spec.height, res) + 1)
+    crawl0 = len(profile) - flat2 - crawlw
+    _crawl_strip(s, crawl0, crawl0 + crawlw, _cells(0.5, res))
+    s.slope = _profile_slopes(s.floor_k, res)
+    sa = _PARAMS.slope_radius_cells(res)
+    for m in np.flatnonzero(s.floor_k >= 0):
+        window = s.floor_k[max(0, m - sa):m + sa + 1]
+        if (window < 0).any() and (window[window >= 0] == 1).all():
+            s.slope[m] = 0.0
+    return s

@@ -180,7 +180,7 @@ def test_synth_sidecar_optional(tmp_path):
 
 
 def test_bench_replays_a_trace(tmp_path):
-    vxg = synth(tmp_path, "corridor", "--size-x", "4.0", "--size-y", "1.0")
+    vxg = synth(tmp_path, "flat-room", "--size-x", "4.0", "--size-y", "1.0")
     trace = tmp_path / "trace.txt"
     lines = ["# reveal three voxels, in two batches",
              "10 5 3 free", "10 5 4 free", "", "11 5 3 occupied"]
@@ -212,11 +212,12 @@ def test_bench_requires_exactly_one_source(tmp_path, capsys):
 
 
 def test_bench_corridor_slices_have_constant_recompute_counts(tmp_path):
-    # reveal a constant-width corridor slice by slice; mid-run dirty counts
-    # must be identical because the cross-section never changes
+    # reveal a narrow flat room, a constant-width corridor, slice by slice;
+    # mid-run dirty counts must be identical because the cross-section never
+    # changes
     from voxflat import VoxelMap, save_voxel_map
     from voxflat.scenes import SceneSpec, generate
-    full, _ = generate(SceneSpec(kind="corridor", size_x=3.0, size_y=1.0))
+    full, _ = generate(SceneSpec(kind="flat-room", size_x=3.0, size_y=1.0))
     M, N, K = full.extent
     empty = tmp_path / "empty.vxg"
     save_voxel_map(VoxelMap(full.resolution, full.origin, full.extent), empty)
