@@ -142,13 +142,16 @@ def _params(args) -> ConversionParams:
 
 
 def _cmd_convert(args) -> int:
+    t0 = time.perf_counter()
     vmap = load_voxel_map(args.input)
+    load_time = time.perf_counter() - t0
     params = _params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     state = incremental.init(vmap, params)
     elapsed = time.perf_counter() - t0
+    t0 = time.perf_counter()
     outputs = {
         "uav_map": "uav_map.g2d",
         "ugv_map": "ugv_map.g2d",
@@ -164,6 +167,7 @@ def _cmd_convert(args) -> int:
         io_formats.write_occupancy_pgm(state.ugv, out_dir / "ugv_map.pgm")
         outputs["uav_pgm"] = "uav_map.pgm"
         outputs["ugv_pgm"] = "ugv_map.pgm"
+    write_time = time.perf_counter() - t0
     M, N, K = vmap.extent
     manifest = {
         "input": str(args.input),
@@ -178,12 +182,15 @@ def _cmd_convert(args) -> int:
         },
         "outputs": outputs,
         "wall_time_s": round(elapsed, 6),
+        "load_time_s": round(load_time, 6),
+        "write_time_s": round(write_time, 6),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii")
     for name in sorted(outputs.values()):
         print(f"wrote {out_dir / name}")
-    print(f"converted {M}x{N}x{K} voxels in {elapsed:.3f}s")
+    print(f"converted {M}x{N}x{K} voxels in {elapsed:.3f}s "
+          f"(load {load_time:.3f}s, write {write_time:.3f}s)")
     return 0
 
 

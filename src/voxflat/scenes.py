@@ -75,6 +75,9 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
         if min(self.size_x, self.size_y, self.height) <= 0:
@@ -380,6 +383,14 @@ def _require_navigable(height_m: float, what: str) -> None:
         )
 
 
+def _headroom(spec: SceneSpec) -> int:
+    """Free voxels above the highest floor of a profile scene, which must
+    reach the safety margin for the free-space claims to hold."""
+    cells = _cells(spec.height, spec.resolution)
+    _require_navigable(cells * spec.resolution, "headroom")
+    return cells
+
+
 # -- scene builders: each returns its interior slices -------------------------
 
 
@@ -400,7 +411,7 @@ def _ramp(spec: SceneSpec) -> _Slices:
     if rise2 < 1 or abs(rise2 / 2 - spec.slope) > 1e-12:
         raise ValueError(f"ramp slope must be a positive multiple of 0.5, got {spec.slope}")
     profile = 1 + rise2 * np.arange(_cells(spec.size_x, spec.resolution)) // 2
-    s = _profile(profile, int(profile.max()) + _cells(spec.height, spec.resolution) + 1)
+    s = _profile(profile, int(profile.max()) + _headroom(spec) + 1)
     s.slope = _profile_slopes(s.floor_k, spec.resolution)
     return s
 
@@ -409,7 +420,7 @@ def _step(spec: SceneSpec) -> _Slices:
     ix = _cells(spec.size_x, spec.resolution)
     rise = _cells(spec.step_height, spec.resolution)
     profile = np.where(np.arange(ix) < ix // 2, 1, 1 + rise)
-    s = _profile(profile, 1 + rise + _cells(spec.height, spec.resolution) + 1)
+    s = _profile(profile, 1 + rise + _headroom(spec) + 1)
     s.slope = _profile_slopes(s.floor_k, spec.resolution)
     return s
 
@@ -487,6 +498,7 @@ def _crawl_space(spec: SceneSpec) -> _Slices:
     if gk * spec.resolution >= _PARAMS.min_clearance:
         raise ValueError("crawl gap must be below the safety margin "
                          "for its cells to stay non-free")
+    _require_navigable((K - 2) * spec.resolution, "room")
     s = _profile(np.ones(ix, dtype=int), K)
     s.slope[:] = 0.0
     _crawl_strip(s, ix // 3, ix - ix // 3, gk)
@@ -509,7 +521,7 @@ def _composite(spec: SceneSpec) -> _Slices:
                               np.full(plateau, ramp[-1]),  # then step down to the base
                               np.ones(flat1, dtype=int), wall,
                               np.ones(crawlw + flat2, dtype=int)])
-    s = _profile(profile, int(profile.max()) + _cells(spec.height, res) + 1)
+    s = _profile(profile, int(profile.max()) + _headroom(spec) + 1)
     crawl0 = len(profile) - flat2 - crawlw
     _crawl_strip(s, crawl0, crawl0 + crawlw, _cells(0.5, res))
     s.slope = _profile_slopes(s.floor_k, res)

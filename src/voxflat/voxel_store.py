@@ -6,11 +6,15 @@ costs M*N*K bytes however little of it has been observed (8 MB at
 map per column, and a column is a contiguous row of that array, so there is
 no octree here. A batch of voxel writes is validated as one array and stored
 by one flat scatter; the columns it touched come back as sorted index arrays.
+VXG files are read and written one block of records at a time, so their
+peak memory is the dense map plus one block, however large the file.
 """
 from __future__ import annotations
 
+import io
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -31,6 +35,7 @@ Cell = tuple[int, int]
 CellUpdate = tuple[int, int, int, VoxelState]
 
 _RECORD_BYTES = 16  # four little-endian uint32 per record
+_BLOCK_RECORDS = 1 << 16  # VXG records read or written at once: 1 MiB
 
 
 class VxgError(ValueError):
@@ -251,15 +256,12 @@ def _runs_of(col: np.ndarray) -> tuple[tuple[int, int, VoxelState], ...]:
 def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
     """Write the canonical VXG encoding: deterministic bytes for equal maps.
 
-    np.nonzero walks the array in C order, which is the canonical (i, j, k)
-    record order. The index is dropped before the write and the records are
-    written without a bytes copy, to keep the peak memory of large maps low.
+    The map is written in slabs of whole i rows, in C order, which is the
+    canonical (i, j, k) record order; a slab holds at most one block of
+    voxels (or one row, if a row is larger), so the records in memory at
+    once stay near one block however large the map is.
     """
-    index = np.nonzero(vmap._voxels)
-    records = np.empty((index[0].size, 4), dtype="<u4")
-    for c, values in enumerate(index + (vmap._voxels[index],)):
-        records[:, c] = values
-    del index
+    voxels = vmap._voxels
     ox, oy, oz = vmap.origin
     M, N, K = vmap.extent
     header = (
@@ -267,89 +269,155 @@ def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
         f"res {fmt_float(vmap.resolution)}\n"
         f"origin {fmt_float(ox)} {fmt_float(oy)} {fmt_float(oz)}\n"
         f"extent {M} {N} {K}\n"
-        f"count {records.shape[0]}\n"
+        f"count {np.count_nonzero(voxels)}\n"
     )
+    rows = max(1, _BLOCK_RECORDS // (N * K))
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(records.data)
+        for i0 in range(0, M, rows):
+            slab = voxels[i0:i0 + rows].reshape(-1)
+            linear = np.flatnonzero(slab)
+            records = np.empty((linear.size, 4), dtype="<u4")
+            records[:, 3] = slab[linear]
+            linear, records[:, 2] = np.divmod(linear, K)
+            records[:, 0], records[:, 1] = np.divmod(linear, N)
+            records[:, 0] += i0
+            f.write(records.data)
 
 
 def load_voxel_map(path: str | Path) -> VoxelMap:
-    """Parse a VXG file; raises a distinct VxgError subclass per defect."""
-    data = Path(path).read_bytes()
-    lines = []
-    offset = 0
-    for _ in range(5):
-        nl = data.find(b"\n", offset)
-        if nl < 0:
-            raise VxgHeaderError("incomplete header: expected 5 header lines")
-        lines.append(data[offset:nl].decode("ascii", errors="replace"))
-        offset = nl + 1
+    """Parse a VXG file; raises a distinct VxgError subclass per defect.
 
-    magic = lines[0].split()
-    if len(magic) != 2 or magic[0] != "VXG":
-        raise VxgHeaderError(f"bad magic line {lines[0]!r}")
-    try:
-        version = int(magic[1])
-    except ValueError:
-        raise VxgHeaderError(f"unreadable version in {lines[0]!r}") from None
-    if version != 1:
-        raise VxgVersionError(f"unsupported VXG version {version}")
+    The payload is read one block of records at a time into one reused
+    buffer, checked, and scattered into the map, so the peak memory is the
+    dense map plus one block. A defective block sends the reader back over
+    the payload to name the first defect, with invalid states taking
+    precedence over out-of-range voxels anywhere in the file.
+    """
+    with open(path, "rb") as f:
+        lines = []
+        for _ in range(5):
+            line = f.readline()
+            if not line.endswith(b"\n"):
+                raise VxgHeaderError("incomplete header: expected 5 header lines")
+            lines.append(line[:-1].decode("ascii", errors="replace"))
 
-    resolution = _header_numbers(lines[1], "res", 1, float)[0]
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
-    origin = _header_numbers(lines[2], "origin", 3, float)
-    if not all(map(math.isfinite, origin)):
-        raise VxgHeaderError(f"non-finite origin {origin}")
-    extent = _header_numbers(lines[3], "extent", 3, int)
-    if any(e < 1 for e in extent):
-        raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
-    count = _header_numbers(lines[4], "count", 1, int)[0]
-    if count < 0:
-        raise VxgHeaderError(f"negative record count {count}")
+        magic = lines[0].split()
+        if len(magic) != 2 or magic[0] != "VXG":
+            raise VxgHeaderError(f"bad magic line {lines[0]!r}")
+        try:
+            version = int(magic[1])
+        except ValueError:
+            raise VxgHeaderError(f"unreadable version in {lines[0]!r}") from None
+        if version != 1:
+            raise VxgVersionError(f"unsupported VXG version {version}")
 
-    payload = data[offset:]
-    expected = count * _RECORD_BYTES
-    if len(payload) != expected:
-        raise VxgTruncatedError(
-            f"expected {expected} record bytes, found {len(payload)}"
-        )
-    records = np.frombuffer(payload, dtype="<u4").reshape(count, 4)
+        resolution = _header_numbers(lines[1], "res", 1, float)[0]
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
+        origin = _header_numbers(lines[2], "origin", 3, float)
+        if not all(map(math.isfinite, origin)):
+            raise VxgHeaderError(f"non-finite origin {origin}")
+        extent = _header_numbers(lines[3], "extent", 3, int)
+        if any(e < 1 for e in extent):
+            raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
+        count = _header_numbers(lines[4], "count", 1, int)[0]
+        if count < 0:
+            raise VxgHeaderError(f"negative record count {count}")
 
-    M, N, K = extent
-    bad_state = ~np.isin(records[:, 3], (1, 2))
-    if bad_state.any():
-        r = int(np.argmax(bad_state))
-        raise VxgRecordError(f"record {r}: invalid state {int(records[r, 3])}")
-    out_of_range = (records[:, 0] >= M) | (records[:, 1] >= N) | (records[:, 2] >= K)
-    if out_of_range.any():
-        r = int(np.argmax(out_of_range))
-        raise VxgRecordError(
-            f"record {r}: voxel ({int(records[r, 0])}, {int(records[r, 1])}, "
-            f"{int(records[r, 2])}) outside extent {M}x{N}x{K}"
-        )
+        if f.seekable():
+            offset = f.tell()
+        else:  # a pipe: its length is known only once read
+            f, offset = io.BytesIO(f.read()), 0
+        found = f.seek(0, os.SEEK_END) - offset
+        f.seek(offset)
+        expected = count * _RECORD_BYTES
+        if found != expected:
+            raise VxgTruncatedError(f"expected {expected} record bytes, found {found}")
 
-    try:
-        vmap = VoxelMap(resolution, origin, extent)
-    except (MemoryError, ValueError):
-        raise VxgHeaderError(
-            f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
-        ) from None
-    flat = vmap._voxels.reshape(-1)
-    linear = np.ravel_multi_index(tuple(records[:, :3].T), extent)
-    flat[linear] = records[:, 3]
-    # Every record writes a non-Unknown state, so fewer non-Unknown voxels
-    # than records means two records named the same voxel.
-    if np.count_nonzero(flat) != count:
-        order = np.argsort(linear, kind="stable")
-        repeats = order[1:][linear[order[1:]] == linear[order[:-1]]]
-        r = int(repeats.min())
-        raise VxgRecordError(
-            f"record {r}: duplicate voxel ({int(records[r, 0])}, "
-            f"{int(records[r, 1])}, {int(records[r, 2])})"
-        )
+        M, N, K = extent
+        try:
+            vmap = VoxelMap(resolution, origin, extent)
+        except (MemoryError, ValueError):
+            raise (_record_error(f, offset, count, extent) or VxgHeaderError(
+                f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
+            )) from None
+        flat = vmap._voxels.reshape(-1)
+        linear = np.empty(min(count, _BLOCK_RECORDS), np.int64)
+        for _, block in _record_blocks(f, count):
+            i, j, k, state = block.T
+            # One max per column is several times faster than comparing the
+            # whole (n, 4) block with the limits.
+            if (i.max() >= M or j.max() >= N or k.max() >= K or state.max() > 2
+                    or state.min() == 0):
+                raise _record_error(f, offset, count, extent)
+            flat[_linear_index(block, N, K, linear)] = state
+        # Every record writes a non-Unknown state, so fewer non-Unknown voxels
+        # than records means two records named the same voxel.
+        if np.count_nonzero(flat) != count:
+            raise _record_error(f, offset, count, extent, seen=flat)
     return vmap
+
+
+def _record_blocks(f, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first record number, (n, 4) uint32 records) per block of the payload
+    from the file position on; every block reuses one buffer."""
+    buffer = np.empty((min(count, _BLOCK_RECORDS), 4), dtype="<u4")
+    for start in range(0, count, _BLOCK_RECORDS):
+        block = buffer[:min(_BLOCK_RECORDS, count - start)]
+        if f.readinto(block) != block.nbytes:
+            raise VxgTruncatedError(f"record payload ended inside record {start}")
+        yield start, block
+
+
+def _linear_index(block: np.ndarray, N: int, K: int, out: np.ndarray) -> np.ndarray:
+    """Flat index (i*N + j)*K + k of each in-range record, formed in out."""
+    linear = out[:len(block)]
+    linear[:] = block[:, 0]
+    linear *= N
+    linear += block[:, 1]
+    linear *= K
+    linear += block[:, 2]
+    return linear
+
+
+def _record_error(f, offset: int, count: int, extent: tuple[int, int, int],
+                  seen: np.ndarray | None = None) -> VxgRecordError | None:
+    """The error for the first defective record, found by re-reading the
+    payload from offset: the first invalid state anywhere, else the first
+    voxel outside the extent, else (given `seen`, a flat map to clear and
+    reuse as the set of voxels named so far) the first record naming a voxel
+    an earlier record named. None if every record is sound."""
+    M, N, K = extent
+    f.seek(offset)
+    outside = None
+    for start, block in _record_blocks(f, count):
+        bad = (block[:, 3] == 0) | (block[:, 3] > 2)
+        if bad.any():
+            r = int(np.argmax(bad))
+            return VxgRecordError(f"record {start + r}: invalid state {int(block[r, 3])}")
+        out_of_range = (block[:, 0] >= M) | (block[:, 1] >= N) | (block[:, 2] >= K)
+        if outside is None and out_of_range.any():
+            r = int(np.argmax(out_of_range))
+            i, j, k = block[r, :3].tolist()
+            outside = VxgRecordError(
+                f"record {start + r}: voxel ({i}, {j}, {k}) outside extent {M}x{N}x{K}")
+    if outside is not None or seen is None:
+        return outside
+    seen[:] = 0
+    f.seek(offset)
+    linear = np.empty(min(count, _BLOCK_RECORDS), np.int64)
+    for start, block in _record_blocks(f, count):
+        index = _linear_index(block, N, K, linear)
+        order = np.argsort(index, kind="stable")
+        repeat = seen[index] != 0
+        repeat[order[1:]] |= index[order[1:]] == index[order[:-1]]
+        if repeat.any():
+            r = int(np.argmax(repeat))
+            i, j, k = block[r, :3].tolist()
+            return VxgRecordError(f"record {start + r}: duplicate voxel ({i}, {j}, {k})")
+        seen[index] = 1
+    return None
 
 
 def _header_numbers(line: str, tag: str, n: int, convert) -> tuple:

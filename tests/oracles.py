@@ -5,21 +5,26 @@ the column, occupancy and plane-fit rules are stated on float world-meter
 ranges and samples, one column or cell at a time, where the library's kernels
 work on integer voxel indices over whole windows; rasterization inverts range
 extraction by painting voxels, the plane search is exhaustive, the grid
-planner cost check is a plain Dijkstra, and path lifting and clearance are
-per-waypoint loops.
+planner cost check is a plain Dijkstra, path lifting and clearance are
+per-waypoint loops, and the VXG codec reads and writes the whole file at once.
 """
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Sequence
+from unittest import mock
 
 import numpy as np
 
-from voxflat import ColumnView, HeightMap, VoxelState
+from voxflat import (ColumnView, HeightMap, VoxelMap, VoxelState, VxgError,
+                     VxgHeaderError, VxgRecordError, VxgTruncatedError, VxgVersionError)
+from voxflat import voxel_store
 from voxflat.occupancy_maps import NEIGHBORS_8
-from voxflat.voxel_store import Cell, cell_center
+from voxflat.voxel_store import Cell, _header_numbers, cell_center, fmt_float
 
 
 # -- float-meter column ranges: the height rule, one column at a time -------
@@ -373,3 +378,122 @@ def enforce_clearance_reference(path, height: HeightMap, radius: float):
                 f"is too narrow for clearance radius {radius}")
         out.append((x, y, lo if z < lo else hi if z > hi else z))
     return out
+
+
+# -- VXG codec: whole-file reference ------------------------------------------
+
+def save_voxel_map_reference(vmap: VoxelMap, path) -> None:
+    """The canonical VXG encoding in one piece: np.nonzero walks the array
+    in C order, the canonical (i, j, k) record order, and every record is
+    built before the one write."""
+    index = np.nonzero(vmap._voxels)
+    records = np.empty((index[0].size, 4), dtype="<u4")
+    for c, values in enumerate(index + (vmap._voxels[index],)):
+        records[:, c] = values
+    ox, oy, oz = vmap.origin
+    M, N, K = vmap.extent
+    header = (
+        f"VXG 1\n"
+        f"res {fmt_float(vmap.resolution)}\n"
+        f"origin {fmt_float(ox)} {fmt_float(oy)} {fmt_float(oz)}\n"
+        f"extent {M} {N} {K}\n"
+        f"count {records.shape[0]}\n"
+    )
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(records.data)
+
+
+def load_voxel_map_reference(path) -> VoxelMap:
+    """VXG parse of the whole file at once, with each check a whole-payload
+    array pass: header, payload length, invalid states, out-of-range voxels,
+    allocation, then duplicates (named by their later record)."""
+    data = Path(path).read_bytes()
+    lines = []
+    offset = 0
+    for _ in range(5):
+        nl = data.find(b"\n", offset)
+        if nl < 0:
+            raise VxgHeaderError("incomplete header: expected 5 header lines")
+        lines.append(data[offset:nl].decode("ascii", errors="replace"))
+        offset = nl + 1
+
+    magic = lines[0].split()
+    if len(magic) != 2 or magic[0] != "VXG":
+        raise VxgHeaderError(f"bad magic line {lines[0]!r}")
+    try:
+        version = int(magic[1])
+    except ValueError:
+        raise VxgHeaderError(f"unreadable version in {lines[0]!r}") from None
+    if version != 1:
+        raise VxgVersionError(f"unsupported VXG version {version}")
+
+    resolution = _header_numbers(lines[1], "res", 1, float)[0]
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
+    origin = _header_numbers(lines[2], "origin", 3, float)
+    if not all(map(math.isfinite, origin)):
+        raise VxgHeaderError(f"non-finite origin {origin}")
+    extent = _header_numbers(lines[3], "extent", 3, int)
+    if any(e < 1 for e in extent):
+        raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
+    count = _header_numbers(lines[4], "count", 1, int)[0]
+    if count < 0:
+        raise VxgHeaderError(f"negative record count {count}")
+
+    payload = data[offset:]
+    expected = count * 16
+    if len(payload) != expected:
+        raise VxgTruncatedError(
+            f"expected {expected} record bytes, found {len(payload)}"
+        )
+    records = np.frombuffer(payload, dtype="<u4").reshape(count, 4)
+
+    M, N, K = extent
+    bad_state = ~np.isin(records[:, 3], (1, 2))
+    if bad_state.any():
+        r = int(np.argmax(bad_state))
+        raise VxgRecordError(f"record {r}: invalid state {int(records[r, 3])}")
+    out_of_range = (records[:, 0] >= M) | (records[:, 1] >= N) | (records[:, 2] >= K)
+    if out_of_range.any():
+        r = int(np.argmax(out_of_range))
+        raise VxgRecordError(
+            f"record {r}: voxel ({int(records[r, 0])}, {int(records[r, 1])}, "
+            f"{int(records[r, 2])}) outside extent {M}x{N}x{K}"
+        )
+
+    try:
+        vmap = VoxelMap(resolution, origin, extent)
+    except (MemoryError, ValueError):
+        raise VxgHeaderError(
+            f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
+        ) from None
+    flat = vmap._voxels.reshape(-1)
+    linear = np.ravel_multi_index(tuple(records[:, :3].T), extent)
+    flat[linear] = records[:, 3]
+    if np.count_nonzero(flat) != count:
+        order = np.argsort(linear, kind="stable")
+        repeats = order[1:][linear[order[1:]] == linear[order[:-1]]]
+        r = int(repeats.min())
+        raise VxgRecordError(
+            f"record {r}: duplicate voxel ({int(records[r, 0])}, "
+            f"{int(records[r, 1])}, {int(records[r, 2])})"
+        )
+    return vmap
+
+
+def vxg_blocks_of(block: int | None):
+    """Set the VXG codec's records per block for a with-block (None: keep
+    the default), so small maps cross block boundaries."""
+    if block is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(voxel_store, "_BLOCK_RECORDS", block)
+
+
+def load_outcome(load, path):
+    """What a VXG reader makes of a file: the map, or its error's class and
+    message, so two readers' outcomes compare with ==."""
+    try:
+        return load(path)
+    except VxgError as e:
+        return type(e), str(e)

@@ -35,6 +35,10 @@ def test_synth_convert_produces_all_grids(tmp_path, capsys):
     assert manifest["parameters"]["r_max_z"] == 1.0
     assert manifest["parameters"]["s_a_cells"] == 2
     assert manifest["wall_time_s"] > 0
+    assert manifest["load_time_s"] > 0
+    assert manifest["write_time_s"] > 0
+    closing = capsys.readouterr().out.splitlines()[-1]
+    assert closing.startswith("converted ") and "(load " in closing
 
 
 def test_convert_is_deterministic_and_diff_agrees(tmp_path, capsys):
@@ -75,6 +79,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("fly") == 1
     assert run("convert", "--in") == 1
     assert run("synth", "--scene", "volcano", "--out", tmp_path / "x.vxg") == 1
+
+
+def test_synth_rejects_a_non_finite_size(tmp_path, capsys):
+    assert run("synth", "--scene", "flat-room", "--size-x", "inf",
+               "--out", tmp_path / "x.vxg") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: size_x must be finite")
+    assert "Traceback" not in err
 
 
 def test_lift_uav_on_flat_scene(tmp_path, capsys):

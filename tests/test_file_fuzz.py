@@ -2,7 +2,9 @@
 
 Valid files are mutated by Hypothesis (byte flips, overwrites, insertions,
 deletions and truncation); a reader must then either return a value or
-raise its typed error. Any other exception escaping is a reader bug.
+raise its typed error. Any other exception escaping is a reader bug. The VXG
+reader must also agree with the whole-file reference reader: the same map,
+or the same error class and message.
 Extents stay tiny, and an insertion adds at most three bytes, so a mutated
 extent cannot ask for much memory.
 """
@@ -11,9 +13,10 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ConversionParams, GridFormatError, VoxelMap, VoxelState,
-                     VxgError, init, load_voxel_map, read_grid, read_height,
-                     read_occupancy, read_slope, save_voxel_map, write_height,
+from oracles import load_outcome, load_voxel_map_reference, vxg_blocks_of
+from voxflat import (ConversionParams, GridFormatError, VoxelMap, VoxelState, init,
+                     load_voxel_map, read_grid, read_height, read_occupancy,
+                     read_slope, save_voxel_map, write_height,
                      write_occupancy, write_slope)
 
 # Half the positions fall in the first 96 bytes, where the headers are.
@@ -58,15 +61,16 @@ def small_map() -> VoxelMap:
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutations=st.lists(mutation, min_size=1, max_size=3))
-def test_mutated_vxg_files_raise_only_vxg_errors(tmp_path_factory, mutations):
+@given(mutations=st.lists(mutation, min_size=1, max_size=3),
+       block=st.sampled_from([5, None]))
+def test_mutated_vxg_files_raise_only_vxg_errors(tmp_path_factory, mutations, block):
+    # Blocks of 5 records put block boundaries inside the 72-record payload.
     path = tmp_path_factory.mktemp("vxg") / "map.vxg"
     save_voxel_map(small_map(), path)
     path.write_bytes(mutate(path.read_bytes(), mutations))
-    try:
-        load_voxel_map(path)
-    except VxgError:
-        pass
+    with vxg_blocks_of(block):
+        got = load_outcome(load_voxel_map, path)
+    assert got == load_outcome(load_voxel_map_reference, path)
 
 
 @settings(max_examples=300, deadline=None)

@@ -157,6 +157,25 @@ def test_scene_validation_errors():
         generate(SceneSpec(kind="flat-room", height=0.5))
 
 
+@pytest.mark.parametrize("spec", [
+    SceneSpec(kind="ramp", height=0.5), SceneSpec(kind="step", height=0.5),
+    SceneSpec(kind="composite", height=0.5), SceneSpec(kind="crawl-space", height=1.0),
+], ids=spec_id)
+def test_headroom_below_the_safety_margin_is_refused(spec):
+    # init() would find no navigable span there, contradicting the truth
+    with pytest.raises(ValueError, match="below the safety margin"):
+        generate(spec)
+
+
+@pytest.mark.parametrize("field", ["size_x", "size_y", "height", "resolution", "slope",
+                                   "step_height", "wall_height", "gap", "beam_low",
+                                   "beam_high"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_spec_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SceneSpec(kind="flat-room", **{field: value})
+
+
 def test_coarser_resolution_scenes_still_verify():
     convert_and_verify(SceneSpec(kind="step", resolution=0.2))
     convert_and_verify(SceneSpec(kind="flat-room", resolution=0.2))

@@ -1,12 +1,17 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (load_outcome, load_voxel_map_reference, save_voxel_map_reference,
+                     vxg_blocks_of)
 from voxflat import (VoxelMap, VoxelState, VxgHeaderError, VxgRecordError,
                      VxgTruncatedError, VxgVersionError, load_voxel_map,
-                     save_voxel_map)
+                     save_voxel_map, voxel_store)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -62,6 +67,21 @@ def test_round_trip_random_maps(tmp_path):
         again = tmp_path / f"m{trial}_again.vxg"
         save_voxel_map(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_reads_a_pipe(tmp_path):
+    vm = random_map(np.random.default_rng(3))
+    save_voxel_map(vm, tmp_path / "map.vxg")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                              args=((tmp_path / "map.vxg").read_bytes(),))
+    writer.start()
+    try:
+        assert load_voxel_map(fifo) == vm
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_header_errors_are_distinct(tmp_path):
@@ -400,3 +420,135 @@ def test_apply_cells_matches_a_per_voxel_loop(case):
     assert np.array_equal(vm.states, ref)
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(
         {(int(i), int(j)) for i, j, _, _ in batch})
+
+
+# -- blocked VXG codec against the whole-file reference -----------------------
+
+# Small blocks put block boundaries inside tiny maps; None keeps the default.
+block_sizes = st.sampled_from([1, 2, 3, 5, 16, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(extent=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9)),
+       density=st.sampled_from([0.0, 0.3, 1.0]), block=block_sizes,
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_codec_matches_the_reference(tmp_path_factory, extent, density,
+                                             block, seed):
+    rng = np.random.default_rng(seed)
+    vm = VoxelMap(0.1, (0.5, -1.0, 0.0), extent)
+    present = rng.random(extent) < density
+    vm._voxels[present] = rng.integers(1, 3, extent, dtype=np.uint8)[present]
+    folder = tmp_path_factory.mktemp("vxg")
+    with vxg_blocks_of(block):
+        save_voxel_map(vm, folder / "map.vxg")
+        save_voxel_map_reference(vm, folder / "ref.vxg")
+        assert (folder / "map.vxg").read_bytes() == (folder / "ref.vxg").read_bytes()
+        assert load_voxel_map(folder / "map.vxg") == vm
+        assert load_voxel_map_reference(folder / "map.vxg") == vm
+
+
+def test_codec_matches_the_reference_beyond_one_default_block(tmp_path):
+    rng = np.random.default_rng(5)
+    extent = (40, 40, 48)  # 76,800 records, more than one block of 65,536
+    vm = VoxelMap(0.05, (0.0, 0.0, -1.0), extent)
+    vm._voxels[...] = rng.integers(1, 3, extent, dtype=np.uint8)
+    assert vm.cell_count() > voxel_store._BLOCK_RECORDS
+    save_voxel_map(vm, tmp_path / "map.vxg")
+    save_voxel_map_reference(vm, tmp_path / "ref.vxg")
+    assert (tmp_path / "map.vxg").read_bytes() == (tmp_path / "ref.vxg").read_bytes()
+    assert load_voxel_map(tmp_path / "map.vxg") == vm
+
+
+@st.composite
+def defective_records(draw):
+    """An extent and a record list: distinct valid voxels with out-of-range
+    voxels, invalid states and repeats of earlier voxels mixed in."""
+    M, N, K = extent = draw(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                      st.integers(1, 4)))
+    voxels = draw(st.permutations([(i, j, k) for i in range(M) for j in range(N)
+                                   for k in range(K)]))
+    records = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["valid"] * 6 + ["outside", "state", "repeat"]), max_size=24)):
+        state = draw(st.integers(1, 2))
+        if kind == "valid" and voxels:
+            records.append((*voxels.pop(), state))
+        elif kind == "outside":
+            axis = draw(st.integers(0, 2))
+            voxel = [0, 0, 0]
+            voxel[axis] = extent[axis] + draw(st.integers(0, 3)) * 1000
+            records.append((*voxel, state))
+        elif kind == "state":
+            records.append((0, 0, 0, draw(st.sampled_from([0, 3, 255, 2**32 - 1]))))
+        elif kind == "repeat" and records:
+            records.append((*draw(st.sampled_from(records))[:3], state))
+    return extent, records
+
+
+def write_records(path, extent, records):
+    header = (f"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent {extent[0]} {extent[1]} "
+              f"{extent[2]}\ncount {len(records)}\n").encode("ascii")
+    path.write_bytes(header + np.array(records, dtype="<u4").reshape(-1, 4).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=defective_records(), block=block_sizes)
+def test_blocked_load_names_the_reference_defect(tmp_path_factory, case, block):
+    extent, records = case
+    path = tmp_path_factory.mktemp("vxg") / "rec.vxg"
+    write_records(path, extent, records)
+    with vxg_blocks_of(block):
+        assert load_outcome(load_voxel_map, path) == load_outcome(
+            load_voxel_map_reference, path)
+
+
+@pytest.mark.parametrize("records, message", [
+    # an out-of-range voxel in block 1, an invalid state in block 2: the state wins
+    ([(0, 0, 0, 1), (0, 0, 1, 2), (9, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0)],
+     "record 4: invalid state 0"),
+    # a voxel repeated across the boundary of blocks 0 and 1
+    ([(0, 0, 0, 1), (1, 1, 1, 2), (1, 1, 1, 1), (0, 1, 0, 2)],
+     r"record 2: duplicate voxel \(1, 1, 1\)"),
+    # a voxel repeated inside block 1, after a repeat-free block 0
+    ([(0, 0, 0, 1), (1, 1, 1, 2), (0, 1, 0, 1), (0, 1, 0, 2)],
+     r"record 3: duplicate voxel \(0, 1, 0\)"),
+])
+def test_defects_in_later_blocks_match_the_reference(tmp_path, records, message):
+    path = tmp_path / "rec.vxg"
+    write_records(path, (2, 2, 2), records)
+    with pytest.raises(VxgRecordError, match=message):
+        load_voxel_map_reference(path)
+    with vxg_blocks_of(2), pytest.raises(VxgRecordError, match=message):
+        load_voxel_map(path)
+
+
+def test_out_of_range_records_win_over_an_unallocatable_extent(tmp_path):
+    path = tmp_path / "rec.vxg"
+    write_records(path, (10**6, 10**6, 1000), [(0, 0, 0, 1), (0, 0, 0, 3)])
+    with pytest.raises(VxgRecordError, match="record 1: invalid state 3"):
+        load_voxel_map(path)
+    write_records(path, (10**6, 10**6, 1000), [(0, 0, 0, 1), (0, 0, 1000, 1)])
+    with pytest.raises(VxgRecordError, match="record 1: voxel"):
+        load_voxel_map(path)
+
+
+def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
+    # 2,097,152 records: a 33.5 MB payload over a 2 MB dense map. Reading or
+    # writing the whole payload at once peaks at several times the payload.
+    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), (256, 256, 32))
+    vm.fill_box(0, 256, 0, 256, 0, 16, O)
+    vm.fill_box(0, 256, 0, 256, 16, 32, F)
+    path = tmp_path / "full.vxg"
+    tracemalloc.start()
+    try:
+        save_voxel_map(vm, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_voxel_map(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 33_500_000
+    assert loaded == vm
+    assert save_peak < 8_000_000
+    assert load_peak < 8_000_000
