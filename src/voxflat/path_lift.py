@@ -1,14 +1,17 @@
 """2D grid planning, 2D-to-3D path lifting, and spherical clearance for UAVs.
 
-The planner is deliberately minimal demo plumbing (shortest 8-connected
-path); the substance here is lifting: each waypoint's height is a windowed
-maximum of nearby floor heights plus an offset, and aerial paths get an
-additional sphere check against every height cell within the safety radius.
+The planner is an 8-connected A* over the occupancy grid. It keys cells by
+flat index and reads freeness through a view of the grid's buffer, so a plan
+costs work in proportion to the cells it expands, not to the map. Lifting
+gives each waypoint a windowed maximum of nearby floor heights plus an
+offset, and aerial paths get an additional sphere check against every height
+cell within the safety radius.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -74,53 +77,66 @@ class LiftParams:
 def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     """Shortest 8-connected path through free cells, or None if disconnected.
 
-    Straight steps cost 1 and diagonal steps sqrt(2); ties break on (m, n)
-    order so results are deterministic. Non-free start or goal is an error.
+    Straight steps cost 1 and diagonal steps sqrt(2). The A* search keys
+    cells by their flat index m*N + n, whose order is (m, n) order, so equal
+    f values still break ties on (m, n) and results are deterministic.
+    Endpoints are (m, n) integer pairs (bool acts as its integer); another
+    field raises TypeError and another length ValueError. A start or goal
+    that is off the map or not free (value exactly 0) is a ValueError.
     """
     values = grid.values
     M, N = values.shape
-    for name, (m, n) in (("start", start), ("goal", goal)):
-        if not (0 <= m < M and 0 <= n < N) or values[m, n] != 0.0:
+    # Freeness is read through a flat view of the grid's own float64 buffer;
+    # for a C-contiguous float64 grid this copies nothing.
+    cells = memoryview(np.ascontiguousarray(values, np.float64).ravel())
+    ends = []
+    for name, cell in (("start", start), ("goal", goal)):
+        (m, n), = int_records([cell], 2, name).tolist()
+        if not (0 <= m < M and 0 <= n < N) or cells[m * N + n] != 0.0:
+            m, n = map(operator.index, cell)  # int_records clamps huge values
             raise ValueError(f"{name} cell ({m}, {n}) is not a free cell")
-    start = (int(start[0]), int(start[1]))
-    goal = (int(goal[0]), int(goal[1]))
-    if start == goal:
-        return [start]
-
-    def heuristic(cell: Cell) -> float:
-        dm = abs(cell[0] - goal[0])
-        dn = abs(cell[1] - goal[1])
-        return abs(dm - dn) + _SQRT2 * min(dm, dn)
-
-    best_g: dict[Cell, float] = {start: 0.0}
-    parent: dict[Cell, Cell] = {}
-    heap: list[tuple[float, int, int]] = [(heuristic(start), *start)]
-    done: set[Cell] = set()
+        ends.append((m, n))
+    (sm, sn), (gm, gn) = ends
+    if (sm, sn) == (gm, gn):
+        return [(sm, sn)]
+    source = sm * N + sn
+    target = gm * N + gn
+    steps = [(dm, dn, dm * N + dn, cost) for dm, dn, cost in _STEPS]
+    a, b = abs(sm - gm), abs(sn - gn)
+    heap = [(abs(a - b) + _SQRT2 * min(a, b), source)]
+    best_g = {source: 0.0}
+    parent: dict[int, int] = {}
+    done: set[int] = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        f, m, n = heapq.heappop(heap)
-        cell = (m, n)
-        if cell in done:
+        c = pop(heap)[1]
+        if c in done:
             continue
-        if cell == goal:
-            path = [cell]
-            while cell != start:
-                cell = parent[cell]
-                path.append(cell)
-            path.reverse()
-            return path
-        done.add(cell)
-        g = best_g[cell]
-        for dm, dn, cost in _STEPS:
-            mm = m + dm
-            nn = n + dn
-            if not (0 <= mm < M and 0 <= nn < N) or values[mm, nn] != 0.0:
+        if c == target:
+            path = [c]
+            while c != source:
+                c = parent[c]
+                path.append(c)
+            return [divmod(c, N) for c in reversed(path)]
+        done.add(c)
+        g = best_g[c]
+        m, n = divmod(c, N)
+        border = m == 0 or n == 0 or m == M - 1 or n == N - 1
+        for dm, dn, dc, cost in steps:
+            if border and not (0 <= m + dm < M and 0 <= n + dn < N):
                 continue
-            nxt = (mm, nn)
+            nc = c + dc
+            if cells[nc]:  # any nonzero value, NaN included, is not free
+                continue
             ng = g + cost
-            if nxt not in best_g or ng < best_g[nxt]:
-                best_g[nxt] = ng
-                parent[nxt] = cell
-                heapq.heappush(heap, (ng + heuristic(nxt), mm, nn))
+            # A closed cell reopens on a strictly lower g, which float rounding
+            # can give; that decides which of two equal-cost parents wins.
+            if ng < best_g.get(nc, math.inf):
+                best_g[nc] = ng
+                parent[nc] = c
+                a = abs(m + dm - gm)
+                b = abs(n + dn - gn)
+                push(heap, (ng + (abs(a - b) + _SQRT2 * min(a, b)), nc))
     return None
 
 

@@ -279,9 +279,15 @@ def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
             linear = np.flatnonzero(slab)
             records = np.empty((linear.size, 4), dtype="<u4")
             records[:, 3] = slab[linear]
-            linear, records[:, 2] = np.divmod(linear, K)
-            records[:, 0], records[:, 1] = np.divmod(linear, N)
-            records[:, 0] += i0
+            if slab.size <= 1 << 32:
+                # Indices fit uint32, whose division is far cheaper than int64's
+                # (and a floor division plus a product cheaper than divmod).
+                linear = linear.astype(np.uint32)
+            column = linear // K
+            records[:, 2] = linear - column * K
+            row = column // N
+            records[:, 1] = column - row * N
+            records[:, 0] = row + i0
             f.write(records.data)
 
 

@@ -5,8 +5,9 @@ the column, occupancy and plane-fit rules are stated on float world-meter
 ranges and samples, one column or cell at a time, where the library's kernels
 work on integer voxel indices over whole windows; rasterization inverts range
 extraction by painting voxels, the plane search is exhaustive, the grid
-planner cost check is a plain Dijkstra, path lifting and clearance are
-per-waypoint loops, and the VXG codec reads and writes the whole file at once.
+planner cost check is a plain Dijkstra and its path check the same A* over
+(m, n) tuple keys, path lifting and clearance are per-waypoint loops, and
+the VXG codec reads and writes the whole file at once.
 """
 from __future__ import annotations
 
@@ -219,6 +220,62 @@ def best_grid_residual(samples, coeff_span: float = 2.0, c_span: float = 2.0,
              + grid[:, 1:2] * pts[:, 1][None, :]
              + grid[:, 2:3] - pts[:, 2][None, :])
     return float((resid * resid).sum(axis=1).min())
+
+
+_SQRT2 = math.sqrt(2.0)
+_STEPS = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
+          (0, 1, 1.0), (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
+
+
+def plan_2d_reference(grid, start, goal):
+    """plan_2d's search over (m, n) tuple keys, reading each neighbour's value
+    from the 2D array and the heuristic through a function call. The library
+    must return exactly this path, or None, for valid endpoints."""
+    values = grid.values
+    M, N = values.shape
+    for name, (m, n) in (("start", start), ("goal", goal)):
+        if not (0 <= m < M and 0 <= n < N) or values[m, n] != 0.0:
+            raise ValueError(f"{name} cell ({m}, {n}) is not a free cell")
+    start = (int(start[0]), int(start[1]))
+    goal = (int(goal[0]), int(goal[1]))
+    if start == goal:
+        return [start]
+
+    def heuristic(cell) -> float:
+        dm = abs(cell[0] - goal[0])
+        dn = abs(cell[1] - goal[1])
+        return abs(dm - dn) + _SQRT2 * min(dm, dn)
+
+    best_g = {start: 0.0}
+    parent = {}
+    heap = [(heuristic(start), *start)]
+    done = set()
+    while heap:
+        f, m, n = heapq.heappop(heap)
+        cell = (m, n)
+        if cell in done:
+            continue
+        if cell == goal:
+            path = [cell]
+            while cell != start:
+                cell = parent[cell]
+                path.append(cell)
+            path.reverse()
+            return path
+        done.add(cell)
+        g = best_g[cell]
+        for dm, dn, cost in _STEPS:
+            mm = m + dm
+            nn = n + dn
+            if not (0 <= mm < M and 0 <= nn < N) or values[mm, nn] != 0.0:
+                continue
+            nxt = (mm, nn)
+            ng = g + cost
+            if nxt not in best_g or ng < best_g[nxt]:
+                best_g[nxt] = ng
+                parent[nxt] = cell
+                heapq.heappush(heap, (ng + heuristic(nxt), mm, nn))
+    return None
 
 
 def dijkstra_cost(values: np.ndarray, start, goal) -> float | None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from voxflat import (LiftParams, OccupancyGrid, enforce_clearance, init,
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (bfs_hops, dijkstra_cost, enforce_clearance_reference,
-                     lift_path_reference, make_height_map)
+                     lift_path_reference, make_height_map, plan_2d_reference)
 
 
 def grid_from_rows(rows):
@@ -69,6 +70,141 @@ def test_planner_matches_dijkstra_cost_and_is_deterministic():
             for (m0, n0), (m1, n1) in zip(first, first[1:]):
                 assert max(abs(m1 - m0), abs(n1 - n0)) == 1
                 assert values[m1, n1] == 0.0
+
+
+def test_bool_endpoint_field_acts_as_its_integer():
+    grid = grid_from_rows([[0.0] * 3 for _ in range(3)])
+    assert plan_2d(grid, (True, 0), (2, False)) == plan_2d(grid, (1, 0), (2, 0))
+    with pytest.raises(ValueError, match=r"goal cell \(1, 1\) is not a free cell"):
+        plan_2d(grid_from_rows([[0.0, 0.0], [0.0, 1.0]]), (0, 0), (True, True))
+
+
+@pytest.mark.parametrize("endpoint, error", [
+    ((1.5, 2), TypeError),
+    (("1", 2), TypeError),
+    ((None, 1), TypeError),
+    ((1, 2, 3), ValueError),
+    ((1,), ValueError),
+])
+@pytest.mark.parametrize("name", ["start", "goal"])
+def test_malformed_endpoints_raise_typed_errors_naming_them(endpoint, error, name):
+    grid = grid_from_rows([[0.0] * 4 for _ in range(4)])
+    ends = {"start": (0, 0), "goal": (3, 3), name: endpoint}
+    with pytest.raises(error, match=f"^{name} "):
+        plan_2d(grid, ends["start"], ends["goal"])
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, 4), (4, 0), (2**70, 0), (1, 1)])
+def test_off_map_and_blocked_endpoints_are_not_free(cell):
+    grid = grid_from_rows([[0.0] * 4, [0.0, np.nan, 0.0, 0.0]] + [[0.0] * 4] * 2)
+    with pytest.raises(ValueError, match=rf"^goal cell \({cell[0]}, {cell[1]}\) "
+                                         "is not a free cell$"):
+        plan_2d(grid, (0, 0), cell)
+
+
+_CELL_VALUES = (0.0, 0.0, 0.0, 1.0, -1.0, math.nan)
+
+
+@st.composite
+def planner_cases(draw):
+    """A small grid and two endpoints. Grids are 1 x n, n x 1 or up to
+    14 x 14, either all free or with values drawn from {0, 1, -1, NaN};
+    endpoints are often on the border rows and columns, sometimes equal,
+    and mostly (not always) free."""
+    side = st.integers(1, 14)
+    M, N = draw(st.tuples(st.just(1), side) | st.tuples(side, st.just(1))
+                | st.tuples(side, side))
+    if draw(st.booleans()):
+        values = np.zeros((M, N))
+    else:
+        values = np.array(draw(st.lists(st.sampled_from(_CELL_VALUES),
+                                        min_size=M * N, max_size=M * N))).reshape(M, N)
+    border = (st.tuples(st.sampled_from([0, M - 1]), st.integers(0, N - 1))
+              | st.tuples(st.integers(0, M - 1), st.sampled_from([0, N - 1])))
+    cell = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1)) | border
+    start = draw(cell)
+    goal = start if draw(st.integers(0, 9)) == 0 else draw(cell)
+    if draw(st.integers(0, 9)):
+        values[start] = values[goal] = 0.0
+    return OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), values), start, goal
+
+
+def plan_outcome(plan, grid, start, goal):
+    try:
+        return plan(grid, start, goal)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planner_cases())
+def test_planner_matches_the_tuple_keyed_reference(case):
+    grid, start, goal = case
+    assert plan_outcome(plan_2d, grid, start, goal) == plan_outcome(
+        plan_2d_reference, grid, start, goal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_planner_breaks_ties_like_the_reference_on_free_grids(M, N, data):
+    # On an all-free grid every off-diagonal goal has many equal-cost paths,
+    # so the returned one is decided by how equal f values are ordered.
+    grid = OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), np.zeros((M, N)))
+    start = data.draw(st.tuples(st.integers(0, M - 1), st.integers(0, N - 1)))
+    goal = data.draw(st.tuples(st.integers(0, M - 1), st.integers(0, N - 1)))
+    assert plan_2d(grid, start, goal) == plan_2d_reference(grid, start, goal)
+
+
+def test_planner_reopens_a_closed_cell_on_a_rounding_better_cost():
+    # Routes that sum the same unit and diagonal steps in another order differ
+    # in the last bit of their cost. Here a closed cell is reached again at a
+    # cost one rounding lower; reopening it, as the reference does, is what
+    # decides the returned path.
+    rows = [[0.0] * 10 for _ in range(5)]
+    rows[0][7] = rows[4][1] = 1.0
+    grid = grid_from_rows(rows)
+    want = [(4, 0), (3, 1), (3, 2), (2, 3), (2, 4), (2, 5), (1, 6), (1, 7), (0, 8), (0, 9)]
+    assert plan_2d_reference(grid, (4, 0), (0, 9)) == want
+    assert plan_2d(grid, (4, 0), (0, 9)) == want
+
+
+@pytest.mark.parametrize("spec", [SceneSpec(kind="flat-room", clutter=6),
+                                  SceneSpec(kind="composite")])
+def test_planner_matches_the_reference_on_scene_grids(spec):
+    state = init(generate(spec)[0])
+    rng = np.random.default_rng(19)
+    for grid in (state.uav, state.ugv):
+        free = np.argwhere(grid.values == 0.0).tolist()
+        ends = [tuple(free[i]) for i in rng.integers(0, len(free), 16)]
+        for start, goal in zip(ends, ends[1:]):
+            assert plan_2d(grid, start, goal) == plan_2d_reference(grid, start, goal)
+
+
+def test_planner_does_not_copy_the_grid():
+    # A 2 MB float64 grid and a 20-cell route: a whole-grid copy or mask per
+    # call would show in the traced peak.
+    grid = OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), np.zeros((512, 512)))
+    tracemalloc.start()
+    try:
+        path = plan_2d(grid, (300, 100), (300, 119))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path == [(300, n) for n in range(100, 120)]
+    assert peak < 256 * 1024
+
+
+def test_planner_reads_float32_and_strided_grids():
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        wide = np.where(rng.random((16, 30)) < 0.3, 1.0, 0.0)
+        wide[0, 0] = wide[15, 28] = wide[15, 29] = 0.0
+        for values in (wide[:, ::2], wide.astype(np.float32), np.asfortranarray(wide)):
+            grid = OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), values)
+            dense = OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0),
+                                  np.array(values, np.float64))
+            goal = (15, values.shape[1] - 1)
+            assert plan_2d(grid, (0, 0), goal) == plan_2d_reference(dense, (0, 0), goal)
 
 
 def test_lift_flat_floor():
