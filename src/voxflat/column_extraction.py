@@ -74,14 +74,48 @@ class HeightMap:
         self.floor[index] = np.where(floor_k < 0, np.nan, oz + floor_k * res)
         self.ceiling[index] = np.where(ceil_k < 0, np.nan, oz + ceil_k * res)
 
-    def face_index(self, z: np.ndarray) -> np.ndarray:
-        """Nearest voxel-face index of heights z as int64; NaN reads -1.
+    def window(self, rows: slice, cols: slice) -> tuple[int, int, int, int]:
+        """Bounds (m0, m1, n0, n1) of the cells [rows, cols], clipped to the map."""
+        m0, m1, _ = rows.indices(self.extent[0])
+        n0, n1, _ = cols.indices(self.extent[1])
+        return m0, max(m0, m1), n0, max(n0, n1)
 
-        Heights built by `set_faces` come back exactly; others (a hand-built
-        map) snap to the nearest face.
-        """
-        k = np.rint((z - self.origin[2]) / self.resolution)
-        return np.where(np.isnan(k), -1, k).astype(np.int64)
+    def present_box(self, m0: int, m1: int, n0: int,
+                    n1: int) -> tuple[int, int, int, int] | None:
+        """Bounds (r0, r1, c0, c1) of the present cells in a window, or None."""
+        present = ~np.isnan(self.floor[m0:m1, n0:n1])
+        rows = np.flatnonzero(present.any(axis=1))
+        if not rows.size:
+            return None
+        cols = np.flatnonzero(present.any(axis=0))
+        return (m0 + int(rows[0]), m0 + int(rows[-1]) + 1,
+                n0 + int(cols[0]), n0 + int(cols[-1]) + 1)
+
+    def block(self, m0: int, m1: int, n0: int, n1: int,
+              halo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Floor and ceiling faces, int64 (2, h, w), and the (h, w) presence
+        mask of [m0, m1) x [n0, n1) grown by halo cells on every side. Heights
+        snap to the nearest face; absent cells and cells past the edge read -1,
+        but presence comes from NaN: hand-built faces may lie below origin_z."""
+        M, N = self.extent
+        i0, j0 = m0 - halo, n0 - halo  # the grown block's first row and column
+        a0, a1, b0, b1 = max(0, i0), min(M, m1 + halo), max(0, j0), min(N, n1 + halo)
+        z = np.full((2, m1 + halo - i0, n1 + halo - j0), np.nan)
+        z[0, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.floor[a0:a1, b0:b1]
+        z[1, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.ceiling[a0:a1, b0:b1]
+        present = ~np.isnan(z[0])
+        np.rint((z - self.origin[2]) / self.resolution, out=z)
+        z[np.isnan(z)] = -1
+        return z.astype(np.int64), present
+
+    def gather(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Floors and ceilings in meters at integer cell arrays of one shape;
+        a cell off the map or without a floor reads NaN in both."""
+        M, N = self.extent
+        inside = (m >= 0) & (m < M) & (n >= 0) & (n < N)
+        m, n = np.where(inside, m, 0), np.where(inside, n, 0)
+        floor = np.where(inside, self.floor[m, n], np.nan)
+        return floor, np.where(np.isnan(floor), np.nan, self.ceiling[m, n])
 
 
 def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:

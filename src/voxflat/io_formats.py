@@ -8,7 +8,6 @@ formats are meant to be raw and composable with external compressors.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
 from .slope_map import SlopeMap
-from .voxel_store import fmt_float
+from .voxel_store import check_geometry, fmt_float, header_fields
 
 _MAGIC = "G2D"
 _VERSION = 1
@@ -62,76 +61,78 @@ def _header_bytes(hdr: GridFileHeader) -> bytes:
 
 
 def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
+    def bad(message: str) -> GridFormatError:
+        return GridFormatError(f"{path}: {message}")
+
     offset = 0
     lines = []
     for _ in range(5):
         nl = data.find(b"\n", offset)
         if nl < 0:
-            raise GridFormatError(f"{path}: incomplete grid header")
+            raise bad("incomplete grid header")
         lines.append(data[offset:nl].decode("ascii", errors="replace"))
         offset = nl + 1
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != _MAGIC:
-        raise GridFormatError(f"{path}: bad magic line {lines[0]!r}")
+        raise bad(f"bad magic line {lines[0]!r}")
     if magic[1] != str(_VERSION):
-        raise GridFormatError(f"{path}: unsupported grid format version {magic[1]}")
-    kind = _field(lines[1], "kind", 1, path)[0]
+        raise bad(f"unsupported grid format version {magic[1]}")
+    kind, = header_fields(lines[1], "kind", 1, str, bad)
     if kind not in GRID_KINDS:
-        raise GridFormatError(f"{path}: unknown grid kind {kind!r}")
-    M, N = _field(lines[2], "extent", 2, path, int)
-    if M < 1 or N < 1:
-        raise GridFormatError(f"{path}: extent components must be >= 1")
-    res = _field(lines[3], "res", 1, path, float)[0]
-    if not (math.isfinite(res) and res > 0):
-        raise GridFormatError(f"{path}: resolution must be finite and positive, got {res}")
-    origin = _field(lines[4], "origin", 3, path, float)
-    if not all(map(math.isfinite, origin)):
-        raise GridFormatError(f"{path}: non-finite origin {origin}")
+        raise bad(f"unknown grid kind {kind!r}")
+    extent = header_fields(lines[2], "extent", 2, int, bad)
+    check_geometry(bad, extent=extent)
+    res, = header_fields(lines[3], "res", 1, float, bad)
+    check_geometry(bad, resolution=res)
+    origin = header_fields(lines[4], "origin", 3, float, bad)
+    check_geometry(bad, origin=origin)
     robot = None
     window = None
     if kind in ("occupancy", "slope"):
         nl = data.find(b"\n", offset)
         if nl < 0:
-            raise GridFormatError(f"{path}: incomplete grid header")
+            raise bad("incomplete grid header")
         extra = data[offset:nl].decode("ascii", errors="replace")
         offset = nl + 1
         if kind == "occupancy":
-            robot = _field(extra, "robot", 1, path)[0]
+            robot, = header_fields(extra, "robot", 1, str, bad)
             if robot not in ("uav", "ugv"):
-                raise GridFormatError(f"{path}: unknown robot tag {robot!r}")
+                raise bad(f"unknown robot tag {robot!r}")
         else:
-            window = _field(extra, "window", 1, path, int)[0]
+            window, = header_fields(extra, "window", 1, int, bad)
             if window < 1:
-                raise GridFormatError(f"{path}: slope window must be >= 1, got {window}")
-    hdr = GridFileHeader(kind, (M, N), res, origin, robot, window)
+                raise bad(f"slope window must be >= 1, got {window}")
+    hdr = GridFileHeader(kind, extent, res, origin, robot, window)
     if len(data) - offset != hdr.payload_bytes():
-        raise GridFormatError(
-            f"{path}: expected {hdr.payload_bytes()} payload bytes, "
-            f"found {len(data) - offset}"
-        )
+        raise bad(f"expected {hdr.payload_bytes()} payload bytes, found {len(data) - offset}")
     return hdr, offset
-
-
-def _field(line: str, tag: str, n: int, path, convert=str) -> tuple:
-    parts = line.split()
-    if len(parts) != n + 1 or parts[0] != tag:
-        raise GridFormatError(f"{path}: malformed {tag!r} line: {line!r}")
-    try:
-        return tuple(convert(p) for p in parts[1:])
-    except ValueError:
-        raise GridFormatError(f"{path}: unreadable value in {tag!r} line: {line!r}") from None
 
 
 # -- occupancy ------------------------------------------------------------
 
 
+def _occupancy_values(grid: OccupancyGrid) -> np.ndarray:
+    """The grid's values, each checked to be -1 (unknown) or in [0, 1]."""
+    values = grid.values
+    bad = ~((values == -1.0) | ((values >= 0.0) & (values <= 1.0)))
+    if bad.any():
+        m, n = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"occupancy cell ({m}, {n}) holds {values[m, n]}, "
+                         "neither -1 (unknown) nor in [0, 1]")
+    return values
+
+
 def write_occupancy(grid: OccupancyGrid, path: str | Path) -> None:
-    """One byte per cell: 255 = unknown, else round(p * 254) in [0, 254]."""
+    """One byte per cell: 255 = unknown, else round(p * 254) in [0, 254].
+
+    A value neither -1 nor in [0, 1] raises ValueError naming its cell.
+    """
+    values = _occupancy_values(grid)
     hdr = GridFileHeader("occupancy", grid.extent, grid.resolution,
                          grid.origin, robot=grid.kind)
     quantized = np.full(grid.extent, 255, dtype=np.uint8)
-    known = grid.values >= 0.0
-    quantized[known] = np.rint(grid.values[known] * 254.0).astype(np.uint8)
+    known = values >= 0.0
+    quantized[known] = np.rint(values[known] * 254.0).astype(np.uint8)
     Path(path).write_bytes(_header_bytes(hdr) + quantized.tobytes())
 
 
@@ -213,9 +214,10 @@ def write_occupancy_pgm(grid: OccupancyGrid, path: str | Path) -> None:
 
     Rows run from the highest y index down so +y points up in the image.
     Known cells map to 255 - round(p * 255); a known cell that would collide
-    with the reserved 127 is nudged to 126.
+    with the reserved 127 is nudged to 126. Values are checked as
+    `write_occupancy` checks them.
     """
-    values = grid.values
+    values = _occupancy_values(grid)
     M, N = values.shape
     gray = 255 - np.rint(values * 255.0).astype(np.int64)
     gray[gray == 127] = 126

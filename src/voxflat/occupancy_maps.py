@@ -61,11 +61,7 @@ def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,
     boundary cells only, so any window equals the same cells of
     `build_uav_map` bit for bit.
     """
-    M, N = height.extent
-    m0, m1, _ = rows.indices(M)
-    n0, n1, _ = cols.indices(N)
-    m1 = max(m0, m1)
-    n1 = max(n0, n1)
+    m0, m1, n0, n1 = height.window(rows, cols)
     values = np.empty((m1 - m0, n1 - n0))
     for b0 in range(m0, m1, _BAND_ROWS):
         b1 = min(b0 + _BAND_ROWS, m1)
@@ -78,22 +74,13 @@ def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
                n1: int, min_occupancy: float) -> np.ndarray:
     """Aerial values of the block [m0, m1) x [n0, n1).
 
-    The block's floors and ceilings, grown by one cell and NaN past the map
-    edge, give every boundary cell's eight neighbour spans at once as face
-    indices. A span's length is taken as given; the part of it outside
-    [0, K) counts no occupied voxels (voxels there are Unknown).
+    The block's floor and ceiling faces, grown by one cell by
+    `HeightMap.block`, give every boundary cell's eight neighbour spans at
+    once. A span's length is taken as given; the part of it outside [0, K)
+    counts no occupied voxels (voxels there are Unknown).
     """
-    M, N = height.extent
     K = vmap.extent[2]
-    h, w = m1 - m0, n1 - n0
-    src = (slice(max(0, m0 - 1), min(M, m1 + 1)), slice(max(0, n0 - 1), min(N, n1 + 1)))
-    rows = slice(src[0].start - m0 + 1, src[0].stop - m0 + 1)
-    cols = slice(src[1].start - n0 + 1, src[1].stop - n0 + 1)
-    z = np.full((2, h + 2, w + 2), np.nan)
-    z[0, rows, cols] = height.floor[src]
-    z[1, rows, cols] = height.ceiling[src]
-    present = z[0] == z[0]
-
+    k, present = height.block(m0, m1, n0, n1, 1)
     here = present[1:-1, 1:-1]
     near = present[:-2] | present[1:-1] | present[2:]
     near = near[:, :-2] | near[:, 1:-1] | near[:, 2:]
@@ -106,7 +93,6 @@ def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
     occupied.cumsum(axis=1, out=prefix[:, 1:])
     # An absent neighbour reads the empty span [0, 0), ratio 0; every
     # boundary cell has a present neighbour, whose ratio is at least 0.
-    k = height.face_index(z)
     span = np.maximum(k[1] - k[0], 1)
     k = np.minimum(np.maximum(k, 0), K)
     # (8, boundary cells) arrays: the neighbours in padded block coordinates.

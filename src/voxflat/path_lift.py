@@ -149,11 +149,9 @@ def lift_path(path: Sequence[Cell], height: HeightMap,
     """
     if not path:
         return []
-    M, N = height.extent
     m, n = int_records(path, 2, "waypoint").T
-    on_map = (m >= 0) & (m < M) & (n >= 0) & (n < N)
-    floors = height.floor[np.where(on_map, m, 0), np.where(on_map, n, 0)]
-    missing = ~on_map | np.isnan(floors)
+    floors = height.gather(m, n)[0]
+    missing = np.isnan(floors)
     if missing.any():
         idx = int(np.argmax(missing))
         bad_m, bad_n = path[idx]
@@ -175,8 +173,8 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     offset lifting applied. An empty interval (navigable span locally thinner
     than the sphere) is an error naming the waypoint, never a compromise; so
     is a waypoint off the map or with no height cell within the radius,
-    where nothing is known to be clear. An error names the first waypoint
-    that has one.
+    where nothing is known to be clear, and a waypoint with a non-finite
+    coordinate. An error names the first waypoint that has one.
     """
     if radius <= 0:
         raise ValueError(f"clearance radius must be positive, got {radius}")
@@ -189,9 +187,18 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
                        for dm in range(-reach, reach + 1)
                        for dn in range(-reach, reach + 1)
                        if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]).T
-    points = np.array(path, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
+    try:
+        points = np.array(path, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric waypoints
+        points = None
+    if points is None or points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("waypoints must be (x, y, z) triples")
+    finite = np.isfinite(points)
+    if not finite.all():
+        idx, axis = np.argwhere(~finite)[0].tolist()
+        bx, by, bz = path[idx]
+        raise ValueError(f"waypoint {idx} at ({bx}, {by}, {bz}) has a non-finite "
+                         f"{'xyz'[axis]} coordinate")
     x, y, z = points.T
     m = np.floor((x - height.origin[0]) / res)
     n = np.floor((y - height.origin[1]) / res)
@@ -204,13 +211,8 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     min_ceiling = np.empty(m.size)
     step = max(1, _GATHER_CELLS // dm.size)
     for s in range(0, m.size, step):
-        mm = m[s:s + step, None] + dm
-        nn = n[s:s + step, None] + dn
-        inside = (mm >= 0) & (mm < M) & (nn >= 0) & (nn < N)
-        mm = np.where(inside, mm, 0)
-        nn = np.where(inside, nn, 0)
-        floor = np.where(inside, height.floor[mm, nn], np.nan)
-        ceiling = np.where(np.isnan(floor), np.nan, height.ceiling[mm, nn])
+        floor, ceiling = height.gather(m[s:s + step, None] + dm,
+                                       n[s:s + step, None] + dn)
         max_floor[s:s + step] = np.fmax.reduce(floor, axis=1, initial=-np.inf)
         min_ceiling[s:s + step] = np.fmin.reduce(ceiling, axis=1, initial=np.inf)
     no_height = max_floor == -np.inf

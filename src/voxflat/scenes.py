@@ -15,7 +15,7 @@ Every interior is y-invariant slice by slice, so a scene is stated as its x
 slices: slice m holds one voxel column, used for every y, and that column's
 claims (floor and ceiling as voxel face indices, slope, aerial class).
 One assembler frames the slices, extrudes them along y, turns faces into
-heights with the pipeline's own `origin_z + k*res`, and derives the wall
+heights with the pipeline's own `HeightMap.set_faces`, and derives the wall
 ring and ground-robot claims. Flat-room clutter pillars are the only
 columns that break the slice model; the assembler places them and clears
 the claims their fit windows reach.
@@ -325,11 +325,9 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
         grid[inner] = per_slice[:, None]
         return grid
 
-    def face_z(k):  # world z of voxel face k, the exact expression the pipeline uses
-        return np.where(k >= 0, vmap.origin[2] + k * res, np.nan)
-
-    floor = extrude(face_z(s.floor_k), np.nan)
-    ceiling = extrude(face_z(s.ceil_k), np.nan)
+    heights = HeightMap(res, vmap.origin, np.full((M, N), np.nan), np.full((M, N), np.nan))
+    heights.set_faces(inner, s.floor_k[:, None], s.ceil_k[:, None])
+    floor, ceiling = heights.floor, heights.ceiling
     slope = extrude(s.slope, np.nan)
     uav = extrude(s.uav, CLAIM_NONE)
     if spec.clutter:

@@ -5,9 +5,8 @@ of the present cells in the (2r+1)² Chebyshev window around it, sampled at
 cell centers. The fit runs on voxel-face indices: a floor is
 `origin_z + k*res` with integer k, and cell centers sit on integer (m, n), so
 the gradient in meters per meter equals the gradient of k over (m, n) and the
-resolution cancels. A floor that is not on a voxel face (a hand-built
-`HeightMap`) is snapped to the nearest face by `HeightMap.face_index`, the
-snap the aerial-map kernel uses too.
+resolution cancels. `HeightMap.block` snaps a floor that is not on a voxel
+face (a hand-built `HeightMap`) to the nearest face, for both kernels.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
 Σnk) are int64 box sums taken from summed-area tables (Crow, SIGGRAPH 1984),
@@ -63,23 +62,17 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     """
     if radius < 1:
         raise ValueError(f"neighborhood radius must be >= 1, got {radius}")
-    M, N = height.extent
-    m0, m1, _ = rows.indices(M)
-    n0, n1, _ = cols.indices(N)
-    m1 = max(m0, m1)
-    n1 = max(n0, n1)
+    m0, m1, n0, n1 = height.window(rows, cols)
     values = np.full((m1 - m0, n1 - n0), np.nan)
     degenerate = np.zeros(values.shape, dtype=bool)
-    present = ~np.isnan(height.floor[m0:m1, n0:n1])
-    pm = np.flatnonzero(present.any(axis=1))
-    pn = np.flatnonzero(present.any(axis=0))
-    if not len(pm):
-        return values, degenerate
     # Only the bounding box of present cells has output; absent cells outside
     # it read NaN already.
-    c0, c1 = n0 + int(pn[0]), n0 + int(pn[-1]) + 1
-    for b0 in range(m0 + int(pm[0]), m0 + int(pm[-1]) + 1, _BAND_ROWS):
-        b1 = min(b0 + _BAND_ROWS, m0 + int(pm[-1]) + 1)
+    box = height.present_box(m0, m1, n0, n1)
+    if box is None:
+        return values, degenerate
+    r0, r1, c0, c1 = box
+    for b0 in range(r0, r1, _BAND_ROWS):
+        b1 = min(b0 + _BAND_ROWS, r1)
         out_v, out_d = _kernel(height, b0, b1, c0, c1, radius)
         values[b0 - m0:b1 - m0, c0 - n0:c1 - n0] = out_v
         degenerate[b0 - m0:b1 - m0, c0 - n0:c1 - n0] = out_d
@@ -90,25 +83,18 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
             r: int) -> tuple[np.ndarray, np.ndarray]:
     """Slope and degeneracy of the output block [m0, m1) x [n0, n1).
 
-    The block's floors, grown by r on every side and zero-padded past the
-    map edge, become face indices k and feed nine summed-area tables; each
-    (2r+1)² box sum is four table reads. Absent cells contribute 0 to every
-    moment. Coordinates are local to the padded block: the centered moments
-    are translation invariant and exact, so the origin changes no bit. Table
-    entries may wrap in int64, but box sums and moments are exact modulo
-    2**64, so every one whose true value fits in int64 is exact.
+    The block's floor faces, grown by r on every side by `HeightMap.block`,
+    feed nine summed-area tables; each (2r+1)² box sum is four table reads.
+    Absent cells contribute 0 to every moment. Coordinates are local to the
+    grown block: the centered moments are translation invariant and exact,
+    so the origin changes no bit. Table entries may wrap in int64, but box
+    sums and moments are exact modulo 2**64, so every one whose true value
+    fits in int64 is exact.
     """
-    M, N = height.extent
-    h, w = m1 - m0, n1 - n0
-    H, W = h + 2 * r, w + 2 * r
-    src = height.floor[max(0, m0 - r):min(M, m1 + r), max(0, n0 - r):min(N, n1 + r)]
-    top, left = max(0, r - m0), max(0, r - n0)  # zero rows/columns of padding
-    inside = (slice(top, top + src.shape[0]), slice(left, left + src.shape[1]))
-    ok = ~np.isnan(src)
-    p = np.zeros((H, W), dtype=np.int64)
-    p[inside] = ok
-    kk = np.zeros((H, W), dtype=np.int64)
-    kk[inside] = np.where(ok, height.face_index(src), 0)
+    faces, present = height.block(m0, m1, n0, n1, r)
+    H, W = present.shape
+    p = present.astype(np.int64)
+    kk = faces[0] * p
     mm = np.arange(H, dtype=np.int64)[:, None] * p
     nn = np.arange(W, dtype=np.int64)[None, :] * p
     # Summed-area tables of the nine moments, with a leading row and column
@@ -137,7 +123,7 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     degenerate = (c < 3) | (det == 0) | (lam_max * lam_max > _MAX_CONDITION * det)
     safe = np.where(degenerate, 1, det)
     slope = np.hypot(num_a / safe, num_b / safe)
-    present = p[r:r + h, r:r + w].astype(bool)
+    present = present[r:H - r, r:W - r]
     values = np.where(present, np.where(degenerate, 0.0, slope), np.nan)
     return values, present & degenerate
 

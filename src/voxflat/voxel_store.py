@@ -115,15 +115,14 @@ class VoxelMap:
     """
 
     def __init__(self, resolution: float, origin: Sequence[float], extent: Sequence[int]):
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
         ext = tuple(int(e) for e in extent)
-        if len(ext) != 3 or any(e < 1 for e in ext):
-            raise ValueError(f"extent must be three counts >= 1, got {extent!r}")
-        self.resolution = float(resolution)
+        if len(ext) != 3:
+            raise ValueError(f"extent must be three counts, got {extent!r}")
         self.origin = tuple(float(c) for c in origin)
         if len(self.origin) != 3:
             raise ValueError(f"origin must have three coordinates, got {origin!r}")
+        check_geometry(ValueError, resolution, self.origin, ext)
+        self.resolution = float(resolution)
         self.extent = ext
         self._voxels = np.zeros(ext, dtype=np.uint8)
 
@@ -318,16 +317,14 @@ def load_voxel_map(path: str | Path) -> VoxelMap:
         if version != 1:
             raise VxgVersionError(f"unsupported VXG version {version}")
 
-        resolution = _header_numbers(lines[1], "res", 1, float)[0]
-        if not (math.isfinite(resolution) and resolution > 0):
-            raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
-        origin = _header_numbers(lines[2], "origin", 3, float)
-        if not all(map(math.isfinite, origin)):
-            raise VxgHeaderError(f"non-finite origin {origin}")
-        extent = _header_numbers(lines[3], "extent", 3, int)
-        if any(e < 1 for e in extent):
-            raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
-        count = _header_numbers(lines[4], "count", 1, int)[0]
+        # Each field is checked as it is parsed, so the first defect is named.
+        resolution, = header_fields(lines[1], "res", 1, float, VxgHeaderError)
+        check_geometry(VxgHeaderError, resolution=resolution)
+        origin = header_fields(lines[2], "origin", 3, float, VxgHeaderError)
+        check_geometry(VxgHeaderError, origin=origin)
+        extent = header_fields(lines[3], "extent", 3, int, VxgHeaderError)
+        check_geometry(VxgHeaderError, extent=extent)
+        count, = header_fields(lines[4], "count", 1, int, VxgHeaderError)
         if count < 0:
             raise VxgHeaderError(f"negative record count {count}")
 
@@ -426,11 +423,31 @@ def _record_error(f, offset: int, count: int, extent: tuple[int, int, int],
     return None
 
 
-def _header_numbers(line: str, tag: str, n: int, convert) -> tuple:
+def header_fields(line: str, tag: str, n: int, convert, error) -> tuple:
+    """The n values after `tag` on one header line, each passed to convert.
+
+    A line of another tag or length, or a value convert rejects, raises
+    error(message); VXG and G2D headers share this parser.
+    """
     parts = line.split()
     if len(parts) != n + 1 or parts[0] != tag:
-        raise VxgHeaderError(f"malformed {tag!r} line: {line!r}")
+        raise error(f"malformed {tag!r} line: {line!r}")
     try:
         return tuple(convert(p) for p in parts[1:])
     except ValueError:
-        raise VxgHeaderError(f"unreadable number in {tag!r} line: {line!r}") from None
+        raise error(f"unreadable value in {tag!r} line: {line!r}") from None
+
+
+def check_geometry(error, resolution=None, origin=None, extent=None) -> None:
+    """Raise error(message) for a resolution that is not finite and positive,
+    a non-finite origin coordinate or an extent count below 1, in that order.
+
+    A field left None is not checked, so a file reader can check each field
+    as it parses it; `VoxelMap` and the VXG and G2D readers share the rules.
+    """
+    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
+        raise error(f"resolution must be finite and positive, got {resolution}")
+    if origin is not None and not all(map(math.isfinite, origin)):
+        raise error(f"non-finite origin {origin}")
+    if extent is not None and any(e < 1 for e in extent):
+        raise error(f"extent components must be >= 1, got {extent}")

@@ -25,7 +25,7 @@ from voxflat import (ColumnView, HeightMap, VoxelMap, VoxelState, VxgError,
                      VxgHeaderError, VxgRecordError, VxgTruncatedError, VxgVersionError)
 from voxflat import voxel_store
 from voxflat.occupancy_maps import NEIGHBORS_8
-from voxflat.voxel_store import Cell, _header_numbers, cell_center, fmt_float
+from voxflat.voxel_store import Cell, cell_center, fmt_float, header_fields
 
 
 # -- float-meter column ranges: the height rule, one column at a time -------
@@ -485,16 +485,16 @@ def load_voxel_map_reference(path) -> VoxelMap:
     if version != 1:
         raise VxgVersionError(f"unsupported VXG version {version}")
 
-    resolution = _header_numbers(lines[1], "res", 1, float)[0]
+    resolution = header_fields(lines[1], "res", 1, float, VxgHeaderError)[0]
     if not (math.isfinite(resolution) and resolution > 0):
         raise VxgHeaderError(f"resolution must be finite and positive, got {resolution}")
-    origin = _header_numbers(lines[2], "origin", 3, float)
+    origin = header_fields(lines[2], "origin", 3, float, VxgHeaderError)
     if not all(map(math.isfinite, origin)):
         raise VxgHeaderError(f"non-finite origin {origin}")
-    extent = _header_numbers(lines[3], "extent", 3, int)
+    extent = header_fields(lines[3], "extent", 3, int, VxgHeaderError)
     if any(e < 1 for e in extent):
         raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
-    count = _header_numbers(lines[4], "count", 1, int)[0]
+    count = header_fields(lines[4], "count", 1, int, VxgHeaderError)[0]
     if count < 0:
         raise VxgHeaderError(f"negative record count {count}")
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ConversionParams, VoxelMap, VoxelState, build_height_map,
-                     convert_column, init)
+from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
+                     build_height_map, convert_column, init)
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -127,8 +127,7 @@ def test_height_map_invariants_on_random_maps():
         assert min_run == 4
         state = init(vmap, params)
         height = state.height
-        floor_k = height.face_index(height.floor)
-        ceil_k = height.face_index(height.ceiling)
+        (floor_k, ceil_k), _ = height.block(0, 7, 0, 6, 0)
         for m in range(7):
             for n in range(6):
                 free = [(k0, k0 + length) for k0, length, s in state.ranges.get((m, n), ())
@@ -187,3 +186,31 @@ def test_convert_column_validates_min_run():
     # a run threshold taller than the column keeps nothing
     floor_k, ceil_k = convert_column(np.full((2, 5), int(F), dtype=np.uint8), 6)
     assert floor_k.tolist() == ceil_k.tolist() == [-1, -1]
+
+
+def test_height_block_pads_with_absent_faces_and_keeps_presence_from_nan():
+    # origin_z 1.0 at 0.5 m: floor 0.5 is face -1 and present, 1.74 snaps to
+    # face 1, and the NaN cell is absent; cells past the edge read -1.
+    nan = np.nan
+    height = HeightMap(0.5, (0.0, 0.0, 1.0), np.array([[0.5, 1.74], [nan, 2.0]]),
+                       np.array([[3.0, nan], [3.0, 4.0]]))
+    faces, present = height.block(0, 2, 1, 2, 1)
+    assert faces.dtype == np.int64 and faces.shape == (2, 4, 3)
+    assert faces[0].tolist() == [[-1, -1, -1], [-1, 1, -1], [-1, 2, -1], [-1, -1, -1]]
+    assert faces[1].tolist() == [[-1, -1, -1], [4, -1, -1], [4, 6, -1], [-1, -1, -1]]
+    assert present.tolist() == [[False] * 3, [True, True, False], [False, True, False],
+                                [False] * 3]
+    assert height.present_box(1, 2, 0, 2) == (1, 2, 1, 2)
+    assert height.present_box(1, 2, 0, 1) is None
+    assert height.window(slice(-1, None), slice(5, 0)) == (1, 2, 2, 2)
+
+
+def test_height_gather_reads_nan_off_the_map_and_where_no_floor():
+    nan = np.nan
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0.0, nan]]),
+                       np.array([[2.0, 3.0]]))
+    m = np.array([[0, 0], [-1, 1]])
+    n = np.array([[0, 1], [0, 0]])
+    floor, ceiling = height.gather(m, n)
+    assert np.array_equal(floor, [[0.0, nan], [nan, nan]], equal_nan=True)
+    assert np.array_equal(ceiling, [[2.0, nan], [nan, nan]], equal_nan=True)

@@ -270,3 +270,28 @@ def test_height_file_payload_arithmetic(tmp_path):
     header_len = path.read_bytes().find(b"origin")
     header_len = path.read_bytes().index(b"\n", header_len) + 1
     assert path.stat().st_size - header_len == 8 * 5 * 7
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    (b"G2D 1", b"G2D 2", "unsupported grid format version 2"),
+    (b"extent 2 1", b"extent 0 1", "extent components must be >= 1"),
+    (b"extent 2 1", b"extent 2 -1", "extent components must be >= 1"),
+])
+def test_grid_header_rejects_unsupported_versions_and_empty_extents(tmp_path, line,
+                                                                   replacement, message):
+    path = tmp_path / "g.g2d"
+    write_occupancy(occupancy_grid([[0.0], [1.0]]), path)
+    path.write_bytes(path.read_bytes().replace(line, replacement, 1))
+    with pytest.raises(GridFormatError, match=message):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("writer", [write_occupancy, write_occupancy_pgm])
+@pytest.mark.parametrize("value", [1.5, np.nan, np.inf, -0.5, -2.0, -np.inf])
+def test_occupancy_writers_reject_values_outside_the_occupancy_domain(tmp_path, writer,
+                                                                      value):
+    grid = occupancy_grid([[0.0, -1.0, 1.0], [0.25, value, 0.5]])
+    path = tmp_path / "g.out"
+    with pytest.raises(ValueError, match=rf"occupancy cell \(1, 1\) holds {value}"):
+        writer(grid, path)
+    assert not path.exists()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ConversionParams, VoxelMap, VoxelState, build_height_map,
-                     build_ugv_map, build_uav_map, build_slope_map, init,
-                     uav_cell_value)
+from voxflat import (ConversionParams, OccupancyGrid, VoxelMap, VoxelState,
+                     build_height_map, build_ugv_map, build_uav_map,
+                     build_slope_map, init, uav_cell_value)
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (HeightRange, column_from_array, extract_ranges,
@@ -267,3 +267,18 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
                 assert abs(value - ratio) <= 1e-12
             else:
                 assert value == -1.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda h: OccupancyGrid("ground", 0.1, (0.0, 0.0, 0.0), np.zeros((1, 1))),
+     "kind must be 'uav' or 'ugv'"),
+    (lambda h: build_uav_map(VoxelMap(0.1, (0.0, 0.0, 0.0), (2, 1, 4)), h, 0.5),
+     r"voxel extent \(2, 1, 4\) does not match height extent \(1, 1\)"),
+    (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
+                             build_slope_map(h, 1), 0.0), "max_slope must be positive"),
+    (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
+                             build_slope_map(h, 1), -1.0), "max_slope must be positive"),
+])
+def test_grid_builders_reject_bad_arguments(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(make_height_map([[0.0]]))

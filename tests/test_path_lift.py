@@ -456,3 +456,35 @@ def test_path_files_allow_comments_and_reject_garbage(tmp_path):
     f.write_text("1 2 3\n")
     with pytest.raises(ValueError, match=":1:"):
         read_path_2d(f)
+
+
+@pytest.mark.parametrize("waypoint, axis", [
+    ((0.15, 0.15, math.nan), "z"), ((0.15, 0.15, math.inf), "z"),
+    ((0.15, 0.15, -math.inf), "z"), ((math.nan, 0.15, 1.0), "x"),
+    ((0.15, math.nan, 1.0), "y"), ((math.inf, math.nan, 1.0), "x"),
+])
+def test_clearance_rejects_non_finite_coordinates(waypoint, axis):
+    height = make_height_map([[0.0] * 4 for _ in range(4)], [[3.0] * 4 for _ in range(4)])
+    path = [(0.15, 0.15, 1.0), waypoint]
+    with pytest.raises(ValueError, match=rf"^waypoint 1 at .* non-finite {axis} coordinate$"):
+        enforce_clearance(path, height, 0.5)
+
+
+@pytest.mark.parametrize("path", [[(0.15, 0.15)], [(0.15, 0.15, 1.0), (0.15, 0.15)],
+                                  [(0.15, 0.15, "up")]])
+def test_clearance_rejects_waypoints_that_are_not_triples(path):
+    with pytest.raises(ValueError, match=r"waypoints must be \(x, y, z\) triples"):
+        enforce_clearance(path, make_height_map([[0.0] * 4 for _ in range(4)]), 0.5)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_path_2d, "0 0\n1 x\n", ":2: unreadable grid indices"),
+    (read_path_2d, "1.5 2\n", ":1: unreadable grid indices"),
+    (read_path_3d, "0 0 1\n0.1 0.2 z\n", ":2: unreadable coordinates"),
+    (read_path_3d, "0 0\n", ":1: expected 'x y z'"),
+])
+def test_path_files_reject_unreadable_lines(tmp_path, read, text, message):
+    path = tmp_path / "path.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read(path)

@@ -552,3 +552,36 @@ def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
     assert loaded == vm
     assert save_peak < 8_000_000
     assert load_peak < 8_000_000
+
+
+@pytest.mark.parametrize("resolution, origin, extent, message", [
+    (float("nan"), (0, 0, 0), (1, 1, 1), "resolution must be finite and positive, got nan"),
+    (float("inf"), (0, 0, 0), (1, 1, 1), "resolution must be finite and positive, got inf"),
+    (0.0, (0, 0, 0), (1, 1, 1), "resolution must be finite and positive, got 0.0"),
+    (-0.1, (0, 0, 0), (1, 1, 1), "resolution must be finite and positive, got -0.1"),
+    (0.1, (0, float("nan"), 0), (1, 1, 1), r"non-finite origin \(0.0, nan, 0.0\)"),
+    (0.1, (float("-inf"), 0, 0), (1, 1, 1), r"non-finite origin \(-inf, 0.0, 0.0\)"),
+    (0.1, (0, 0, 0), (1, 0, 1), r"extent components must be >= 1, got \(1, 0, 1\)"),
+    (0.1, (0, 0, 0), (1, 1), "extent must be three counts"),
+    (0.1, (0, 0), (1, 1, 1), "origin must have three coordinates"),
+])
+def test_voxel_map_rejects_bad_geometry(resolution, origin, extent, message):
+    with pytest.raises(ValueError, match=message):
+        VoxelMap(resolution, origin, extent)
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    (b"extent 2 2 2", b"extent 2 0 2", r"extent components must be >= 1, got \(2, 0, 2\)"),
+    (b"extent 2 2 2", b"extent -1 2 2", "extent components must be >= 1"),
+    (b"count 0", b"count -3", "negative record count -3"),
+    (b"res 0.1", b"res 1/10", "unreadable value in 'res' line"),
+    (b"count 0", b"count", "malformed 'count' line"),
+])
+def test_vxg_header_rejects_empty_extents_and_negative_counts(tmp_path, line,
+                                                              replacement, message):
+    path = tmp_path / "map.vxg"
+    save_voxel_map(VoxelMap(0.1, (0, 0, 0), (2, 2, 2)), path)
+    path.write_bytes(path.read_bytes().replace(line, replacement, 1))
+    with pytest.raises(VxgHeaderError, match=message):
+        load_voxel_map(path)
+    assert load_outcome(load_voxel_map, path) == load_outcome(load_voxel_map_reference, path)
