@@ -11,8 +11,10 @@ planned on those grids lift back into 3D using the height data.
 
 `init()` runs each kernel over the whole extent; `update()` runs the same
 kernels over the boxes of dirty columns grown by each stage's halo, so the
-streamed state stays bit-identical to a fresh conversion. The kernels work
-in integer voxel indices; heights are stored in meters as `origin_z + k*res`.
+streamed state stays bit-identical to a fresh conversion. Heights are
+stored as integer voxel-face indices, which the kernels and path lifting
+read as they are; meters (`origin_z + k*res`) appear only at the edges: the
+height map's output views, the G2D files, and `HeightMap.from_meters`.
 """
 from .column_extraction import HeightMap, build_height_map, convert_column
 from .incremental import ConversionState, DirtyReport, init, update

@@ -201,7 +201,7 @@ def _cmd_lift(args) -> int:
             f"{args.grid} is a {grid.kind} map but --mode is {args.mode}"
         )
     height = io_formats.read_height(args.height)
-    if np.isnan(height.ceiling).all() and args.mode == "uav":
+    if (height.ceil_k < 0).all() and args.mode == "uav":
         raise ValueError("uav lifting needs a floor+ceiling height file")
 
     if args.path_in:

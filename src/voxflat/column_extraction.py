@@ -3,15 +3,17 @@
 A free run of L voxels is navigable when L >= `ConversionParams.min_run(res)`,
 the robot's vertical clearance in whole voxels. A column's floor is the
 bottom face of its lowest kept run and its ceiling the top face of its
-highest, as voxel-face indices (floor_k, ceil_k); the map stores them in
-meters as `origin_z + k*res`. `convert_column` finds both indices for any
-(..., K) stack of columns with whole-array operations, so `build_height_map`
-(every column, in row bands) and `update()` (the written columns) run the
-same code.
+highest, as voxel-face indices (floor_k, ceil_k). The map stores those
+indices; meters (`origin_z + k*res`) appear only in its output views and in
+`HeightMap.from_meters`, the one entry for outside heights. `convert_column`
+finds both indices for any (..., K) stack of columns with whole-array
+operations, so `build_height_map` (every column, in row bands) and `update()`
+(the written columns) run the same code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,26 +55,82 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class HeightMap:
-    """Per-cell optional floor/ceiling heights, NaN marking absent cells."""
+    """Per-cell floor and ceiling voxel-face indices, int32; -1 marks an
+    absent cell, so a cell is present exactly when floor_k >= 0."""
 
     resolution: float
     origin: tuple[float, float, float]
-    floor: np.ndarray
-    ceiling: np.ndarray
+    floor_k: np.ndarray
+    ceil_k: np.ndarray
+
+    @classmethod
+    def empty(cls, resolution: float, origin, extent: tuple[int, int]) -> "HeightMap":
+        """A map of the given extent with every cell absent."""
+        return cls(resolution, origin, *np.full((2, *extent), -1, dtype=np.int32))
+
+    @classmethod
+    def from_meters(cls, resolution: float, origin: tuple[float, float, float],
+                    floor: np.ndarray, ceiling: np.ndarray,
+                    error=ValueError) -> "HeightMap":
+        """Heights in meters, NaN where absent, snapped to the nearest face.
+
+        Raises error(message), naming the first bad cell, for a non-finite
+        height other than NaN, a face below origin_z or beyond int32, a cell
+        with only one of floor and ceiling (unless the whole ceiling plane is
+        NaN: a floor-only map), or a ceiling face at or below its floor face.
+        """
+        planes = np.array((floor, ceiling), dtype=np.float64)
+        if planes.ndim != 3:
+            raise error(f"floor and ceiling must be 2D planes of one shape, "
+                        f"got {np.shape(floor)} and {np.shape(ceiling)}")
+        absent = np.isnan(planes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.rint((planes - origin[2]) / resolution)
+
+        def reject(bad: np.ndarray, what: str) -> None:
+            if bad.any():
+                m, n = np.argwhere(bad)[0].tolist()
+                f, c = planes[:, m, n].tolist()
+                raise error(f"height cell ({m}, {n}) with floor {f} and ceiling "
+                            f"{c}: {what}")
+
+        reject(np.isinf(planes).any(axis=0), "a height is not finite")
+        reject((~absent & ((k < 0) | (k > np.iinfo(np.int32).max))).any(axis=0),
+               "a face lies below origin_z or beyond int32")
+        if not absent[1].all():  # a floor-only map has no ceiling to pair
+            reject(absent[0] != absent[1], "only one of floor and ceiling is present")
+            reject(~absent[0] & (k[1] <= k[0]), "the ceiling is at or below the floor")
+        k = np.where(absent, -1, k).astype(np.int32)
+        return cls(resolution, tuple(origin), k[0], k[1])
 
     @property
     def extent(self) -> tuple[int, int]:
-        return self.floor.shape
+        return self.floor_k.shape
 
     @property
     def present_mask(self) -> np.ndarray:
-        return ~np.isnan(self.floor)
+        return self.floor_k >= 0
+
+    def meters(self, k: np.ndarray) -> np.ndarray:
+        """Heights `origin_z + k*res` of face indices; NaN where k < 0."""
+        return np.where(k < 0, np.nan, self.origin[2] + k * self.resolution)
+
+    # Meter views for output and inspection, built on first read and dropped
+    # by set_faces. Writing to them changes no stored face.
+    @cached_property
+    def floor(self) -> np.ndarray:
+        return self.meters(self.floor_k)
+
+    @cached_property
+    def ceiling(self) -> np.ndarray:
+        return self.meters(self.ceil_k)
 
     def set_faces(self, index, floor_k: np.ndarray, ceil_k: np.ndarray) -> None:
-        """Store face indices at `index` as `origin_z + k*res`; -1 stores NaN."""
-        oz, res = self.origin[2], self.resolution
-        self.floor[index] = np.where(floor_k < 0, np.nan, oz + floor_k * res)
-        self.ceiling[index] = np.where(ceil_k < 0, np.nan, oz + ceil_k * res)
+        """Store face indices at `index`; -1 marks an absent cell."""
+        self.floor_k[index] = floor_k
+        self.ceil_k[index] = ceil_k
+        for view in ("floor", "ceiling"):
+            self.__dict__.pop(view, None)
 
     def window(self, rows: slice, cols: slice) -> tuple[int, int, int, int]:
         """Bounds (m0, m1, n0, n1) of the cells [rows, cols], clipped to the map."""
@@ -83,7 +141,7 @@ class HeightMap:
     def present_box(self, m0: int, m1: int, n0: int,
                     n1: int) -> tuple[int, int, int, int] | None:
         """Bounds (r0, r1, c0, c1) of the present cells in a window, or None."""
-        present = ~np.isnan(self.floor[m0:m1, n0:n1])
+        present = self.floor_k[m0:m1, n0:n1] >= 0
         rows = np.flatnonzero(present.any(axis=1))
         if not rows.size:
             return None
@@ -91,31 +149,25 @@ class HeightMap:
         return (m0 + int(rows[0]), m0 + int(rows[-1]) + 1,
                 n0 + int(cols[0]), n0 + int(cols[-1]) + 1)
 
-    def block(self, m0: int, m1: int, n0: int, n1: int,
-              halo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Floor and ceiling faces, int64 (2, h, w), and the (h, w) presence
-        mask of [m0, m1) x [n0, n1) grown by halo cells on every side. Heights
-        snap to the nearest face; absent cells and cells past the edge read -1,
-        but presence comes from NaN: hand-built faces may lie below origin_z."""
+    def block(self, m0: int, m1: int, n0: int, n1: int, halo: int) -> np.ndarray:
+        """Floor and ceiling faces, int32 (2, h, w), of [m0, m1) x [n0, n1)
+        grown by halo cells on every side; cells past the edge read -1."""
         M, N = self.extent
         i0, j0 = m0 - halo, n0 - halo  # the grown block's first row and column
         a0, a1, b0, b1 = max(0, i0), min(M, m1 + halo), max(0, j0), min(N, n1 + halo)
-        z = np.full((2, m1 + halo - i0, n1 + halo - j0), np.nan)
-        z[0, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.floor[a0:a1, b0:b1]
-        z[1, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.ceiling[a0:a1, b0:b1]
-        present = ~np.isnan(z[0])
-        np.rint((z - self.origin[2]) / self.resolution, out=z)
-        z[np.isnan(z)] = -1
-        return z.astype(np.int64), present
+        k = np.full((2, m1 + halo - i0, n1 + halo - j0), -1, dtype=np.int32)
+        k[0, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.floor_k[a0:a1, b0:b1]
+        k[1, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.ceil_k[a0:a1, b0:b1]
+        return k
 
-    def gather(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Floors and ceilings in meters at integer cell arrays of one shape;
-        a cell off the map or without a floor reads NaN in both."""
+    def faces_at(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Floor and ceiling faces at integer cell arrays of one shape; a cell
+        off the map or without a floor reads -1 in both."""
         M, N = self.extent
         inside = (m >= 0) & (m < M) & (n >= 0) & (n < N)
         m, n = np.where(inside, m, 0), np.where(inside, n, 0)
-        floor = np.where(inside, self.floor[m, n], np.nan)
-        return floor, np.where(np.isnan(floor), np.nan, self.ceiling[m, n])
+        fk = np.where(inside, self.floor_k[m, n], -1)
+        return fk, np.where(fk < 0, -1, self.ceil_k[m, n])
 
 
 def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
@@ -125,8 +177,7 @@ def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
     outside it have no free run, and their cells stay absent.
     """
     M, N, K = vmap.extent
-    height = HeightMap(vmap.resolution, vmap.origin, np.full((M, N), np.nan),
-                       np.full((M, N), np.nan))
+    height = HeightMap.empty(vmap.resolution, vmap.origin, (M, N))
     states = vmap.states
     observed = states.any(axis=2)
     om = np.flatnonzero(observed.any(axis=1))

@@ -155,11 +155,14 @@ def write_height(height: HeightMap, include_ceiling: bool, path: str | Path) -> 
 
 
 def read_height(path: str | Path) -> HeightMap:
-    """Read either height kind; floor-only files get an all-NaN ceiling."""
+    """Read either height kind, snapping heights to the nearest voxel face;
+    floor-only files read every ceiling as absent. The cells that
+    `HeightMap.from_meters` rejects raise GridFormatError naming the cell."""
     hdr, planes = _read_kind(path, ("height-floor", "height-floor-ceiling"))
     floor = planes[0]
     ceiling = planes[1] if len(planes) == 2 else np.full(hdr.extent, np.nan)
-    return HeightMap(hdr.resolution, hdr.origin, floor, ceiling)
+    return HeightMap.from_meters(hdr.resolution, hdr.origin, floor, ceiling,
+                                 lambda message: GridFormatError(f"{path}: {message}"))
 
 
 # -- slope ----------------------------------------------------------------

@@ -80,7 +80,8 @@ def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
     counts no occupied voxels (voxels there are Unknown).
     """
     K = vmap.extent[2]
-    k, present = height.block(m0, m1, n0, n1, 1)
+    k = height.block(m0, m1, n0, n1, 1)
+    present = k[0] >= 0
     here = present[1:-1, 1:-1]
     near = present[:-2] | present[1:-1] | present[2:]
     near = near[:, :-2] | near[:, 1:-1] | near[:, 2:]

@@ -150,15 +150,17 @@ def lift_path(path: Sequence[Cell], height: HeightMap,
     if not path:
         return []
     m, n = int_records(path, 2, "waypoint").T
-    floors = height.gather(m, n)[0]
-    missing = np.isnan(floors)
+    floor_k = height.faces_at(m, n)[0]
+    missing = floor_k < 0
     if missing.any():
         idx = int(np.argmax(missing))
         bad_m, bad_n = path[idx]
         raise ValueError(f"waypoint {idx} at cell ({bad_m}, {bad_n}) has no height data")
     w = params.lookahead
-    padded = np.concatenate((np.full(w, -np.inf), floors, np.full(w, -np.inf)))
-    z = sliding_window_view(padded, 2 * w + 1).max(axis=1) + params.height_offset
+    # oz + k*res is monotone in k, so the highest face gives the highest floor.
+    pad = np.full(w, -1, dtype=floor_k.dtype)
+    top = sliding_window_view(np.concatenate((pad, floor_k, pad)), 2 * w + 1).max(axis=1)
+    z = height.meters(top) + params.height_offset
     x, y = cell_center(height.origin, height.resolution, m, n)
     return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
@@ -205,17 +207,21 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     off_map = ~((m >= 0) & (m < M) & (n >= 0) & (n < N))
     m = np.where(off_map, 0, m).astype(np.int64)
     n = np.where(off_map, 0, n).astype(np.int64)
-    # Floors and ceilings of every waypoint x disc offset, NaN off the map;
-    # fmax and fmin skip NaN, so absent cells drop out of both extremes.
-    max_floor = np.empty(m.size)
-    min_ceiling = np.empty(m.size)
+    # Faces of every waypoint x disc offset, -1 off the map and where absent:
+    # the highest floor face is -1 only with no height cell. Read as uint32, a
+    # missing ceiling's -1 is the largest value, so it is never the lowest.
+    # oz + k*res is monotone in k, so only the extremes become meters.
+    top = np.empty(m.size, dtype=np.int32)
+    low = np.empty(m.size, dtype=np.uint32)
     step = max(1, _GATHER_CELLS // dm.size)
     for s in range(0, m.size, step):
-        floor, ceiling = height.gather(m[s:s + step, None] + dm,
-                                       n[s:s + step, None] + dn)
-        max_floor[s:s + step] = np.fmax.reduce(floor, axis=1, initial=-np.inf)
-        min_ceiling[s:s + step] = np.fmin.reduce(ceiling, axis=1, initial=np.inf)
-    no_height = max_floor == -np.inf
+        floor_k, ceil_k = height.faces_at(m[s:s + step, None] + dm,
+                                          n[s:s + step, None] + dn)
+        top[s:s + step] = floor_k.max(axis=1)
+        low[s:s + step] = ceil_k.astype(np.uint32).min(axis=1)
+    no_height = top < 0
+    max_floor = height.meters(top)
+    min_ceiling = np.where(low > np.iinfo(np.int32).max, np.inf, height.meters(low))
     lo = max_floor + radius
     hi = min_ceiling - radius
     too_narrow = lo > hi

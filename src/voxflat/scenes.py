@@ -15,7 +15,7 @@ Every interior is y-invariant slice by slice, so a scene is stated as its x
 slices: slice m holds one voxel column, used for every y, and that column's
 claims (floor and ceiling as voxel face indices, slope, aerial class).
 One assembler frames the slices, extrudes them along y, turns faces into
-heights with the pipeline's own `HeightMap.set_faces`, and derives the wall
+heights with the pipeline's own `HeightMap` meter views, and derives the wall
 ring and ground-robot claims. Flat-room clutter pillars are the only
 columns that break the slice model; the assembler places them and clears
 the claims their fit windows reach.
@@ -325,9 +325,8 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
         grid[inner] = per_slice[:, None]
         return grid
 
-    heights = HeightMap(res, vmap.origin, np.full((M, N), np.nan), np.full((M, N), np.nan))
+    heights = HeightMap.empty(res, vmap.origin, (M, N))
     heights.set_faces(inner, s.floor_k[:, None], s.ceil_k[:, None])
-    floor, ceiling = heights.floor, heights.ceiling
     slope = extrude(s.slope, np.nan)
     uav = extrude(s.uav, CLAIM_NONE)
     if spec.clutter:
@@ -339,7 +338,8 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
             n = _BORDER + int(rng.integers(0, iy))
             voxels[m, n] = pillar
             box = (slice(max(0, m - pad), m + pad + 1), slice(max(0, n - pad), n + pad + 1))
-            floor[box] = ceiling[box] = slope[box] = np.nan
+            heights.set_faces(box, -1, -1)
+            slope[box] = np.nan
             uav[box] = CLAIM_NONE
     # Margin ring: nothing was ever written near it, so it stays unknown.
     uav[[0, M - 1], :] = CLASS_UNKNOWN
@@ -363,8 +363,8 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
     gentle = _PARAMS.max_slope * (1 - _SLOPE_GUARD)
     ugv[free & (slope > steep)] = CLASS_OCCUPIED
     ugv[free & ~(slope < gentle) & ~(slope > steep)] = CLAIM_NONE
-    truth = SceneTruth(spec.kind, res, vmap.origin, vmap.extent, floor, ceiling,
-                       slope, uav, ugv, spec=asdict(spec))
+    truth = SceneTruth(spec.kind, res, vmap.origin, vmap.extent, heights.floor,
+                       heights.ceiling, slope, uav, ugv, spec=asdict(spec))
     return vmap, truth
 
 

@@ -2,11 +2,10 @@
 
 Each cell's slope is the gradient magnitude of the plane fitted to the floors
 of the present cells in the (2r+1)² Chebyshev window around it, sampled at
-cell centers. The fit runs on voxel-face indices: a floor is
+cell centers. The fit runs on the stored voxel-face indices: a floor is
 `origin_z + k*res` with integer k, and cell centers sit on integer (m, n), so
 the gradient in meters per meter equals the gradient of k over (m, n) and the
-resolution cancels. `HeightMap.block` snaps a floor that is not on a voxel
-face (a hand-built `HeightMap`) to the nearest face, for both kernels.
+resolution cancels.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
 Σnk) are int64 box sums taken from summed-area tables (Crow, SIGGRAPH 1984),
@@ -91,7 +90,8 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     sums and moments are exact modulo 2**64, so every one whose true value
     fits in int64 is exact.
     """
-    faces, present = height.block(m0, m1, n0, n1, r)
+    faces = height.block(m0, m1, n0, n1, r)
+    present = faces[0] >= 0
     H, W = present.shape
     p = present.astype(np.int64)
     kk = faces[0] * p

@@ -115,7 +115,10 @@ class VoxelMap:
     """
 
     def __init__(self, resolution: float, origin: Sequence[float], extent: Sequence[int]):
-        ext = tuple(int(e) for e in extent)
+        try:
+            ext = tuple(map(operator.index, extent))
+        except TypeError:
+            ext = ()
         if len(ext) != 3:
             raise ValueError(f"extent must be three counts, got {extent!r}")
         self.origin = tuple(float(c) for c in origin)

@@ -330,7 +330,8 @@ def bfs_hops(values: np.ndarray, start, goal) -> int | None:
 
 def make_height_map(floor_rows, ceiling_rows=None, resolution: float = 0.1,
                     origin=(0.0, 0.0, 0.0)) -> HeightMap:
-    """HeightMap from nested lists; None marks absent cells."""
+    """HeightMap from nested lists of meters, snapped to the nearest voxel
+    face by `HeightMap.from_meters`; None marks absent cells."""
     floor = np.array([[np.nan if v is None else float(v) for v in row]
                       for row in floor_rows])
     if ceiling_rows is None:
@@ -338,7 +339,7 @@ def make_height_map(floor_rows, ceiling_rows=None, resolution: float = 0.1,
     else:
         ceiling = np.array([[np.nan if v is None else float(v) for v in row]
                             for row in ceiling_rows])
-    return HeightMap(resolution, tuple(origin), floor, ceiling)
+    return HeightMap.from_meters(resolution, tuple(origin), floor, ceiling)
 
 
 def random_column(rng: np.random.Generator, K: int) -> np.ndarray:
@@ -365,6 +366,10 @@ def column_from_array(arr: np.ndarray):
 def states_equal(a, b) -> list[str]:
     """Compare two conversion states grid by grid; returns mismatch labels."""
     problems = []
+    if not np.array_equal(a.height.floor_k, b.height.floor_k):
+        problems.append("floor faces")
+    if not np.array_equal(a.height.ceil_k, b.height.ceil_k):
+        problems.append("ceiling faces")
     if not np.array_equal(a.height.floor, b.height.floor, equal_nan=True):
         problems.append("floor")
     if not np.array_equal(a.height.ceiling, b.height.ceiling, equal_nan=True):

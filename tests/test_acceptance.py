@@ -172,12 +172,14 @@ def test_criterion_6_path_lift():
             if previous is not None:
                 assert all(b >= a + -1e-12 for a, b in zip(previous, z))
             previous = z
-    # sphere checks on every uav-lifted path over rough ground
+    # sphere checks on every uav-lifted path over rough ground; the map
+    # snaps the drawn heights to voxel faces, and the sphere must clear the
+    # heights it stores
     radius = 0.5
     for _ in range(100):
         floors = rng.uniform(0.0, 1.0, (12, 12))
-        ceilings = floors + 3.0
-        height = make_height_map(floors.tolist(), ceilings.tolist())
+        height = make_height_map(floors.tolist(), (floors + 3.0).tolist())
+        floors, ceilings = height.floor, height.ceiling
         path = [(m, int(rng.integers(0, 12))) for m in range(12)]
         lifted = lift_path(path, height, LiftParams("uav", 2, 1.0, radius))
         cleared = enforce_clearance(lifted, height, radius)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from voxflat import (LiftParams, lift_path, read_height, read_occupancy, read_path_3d,
-                     write_path_2d)
+from voxflat import (LiftParams, enforce_clearance, init, lift_path, load_voxel_map,
+                     plan_2d, read_height, read_occupancy, read_path_3d, write_path_2d)
 from voxflat.cli import main
 from voxflat.scenes import SceneTruth
 
@@ -107,6 +107,30 @@ def test_lift_uav_on_flat_scene(tmp_path, capsys):
     expected = float(height.floor[5, 5]) + 1.0
     assert all(z == pytest.approx(expected, abs=1e-6) for _, _, z in path)
     assert floor == pytest.approx(0.1)
+
+
+def test_uav_lift_from_files_equals_the_library_in_memory(tmp_path):
+    # height.g2d holds float32 meters; the reader snaps them back to the
+    # stored faces, so the lifted z are the in-memory ones bit for bit, not
+    # their float32 roundings.
+    vxg = synth(tmp_path, "ramp")
+    out = convert(tmp_path, vxg)
+    state = init(load_voxel_map(vxg))
+    assert np.array_equal(read_height(out / "height.g2d").floor_k, state.height.floor_k)
+    n = state.uav.extent[1] // 2
+    free = np.flatnonzero(state.uav.values[:, n] == 0.0)
+    path2d = plan_2d(state.uav, (int(free[0]), n), (int(free[-1]), n))
+    write_path_2d(path2d, tmp_path / "path2d.txt")
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height", out / "height.g2d",
+               "--mode", "uav", "--path-in", tmp_path / "path2d.txt",
+               "--out", tmp_path / "path3d.txt") == 0
+    params = LiftParams.uav_defaults(state.height.resolution)
+    want = enforce_clearance(lift_path(path2d, state.height, params), state.height,
+                             params.safety_radius)
+    got = read_path_3d(tmp_path / "path3d.txt")
+    assert len(got) == len(path2d) > 10
+    assert got == want
+    assert len({z for _, _, z in got}) > 5  # the ramp gives many distinct heights
 
 
 def test_lift_ugv_tracks_the_floor(tmp_path):
@@ -311,9 +335,10 @@ def test_convert_outputs_match_the_sidecar(tmp_path):
     from voxflat import read_slope
     slope = read_slope(out / "slope.g2d")
     claimed = ~np.isnan(truth.floor)
-    # grid files hold float32, so exactness means float32 of the truth
-    assert np.array_equal(height.floor[claimed],
-                          truth.floor.astype(np.float32).astype(np.float64)[claimed])
+    # the reader snaps the float32 file heights back to voxel faces, so the
+    # heights equal the truth exactly
+    assert np.array_equal(height.floor[claimed], truth.floor[claimed])
+    assert np.array_equal(height.ceiling[claimed], truth.ceiling[claimed])
     sclaim = ~np.isnan(truth.slope)
     assert np.allclose(slope.values[sclaim], truth.slope[sclaim], atol=1e-6)
     for grid, claims in ((uav, truth.uav), (ugv, truth.ugv)):

@@ -127,7 +127,7 @@ def test_height_map_invariants_on_random_maps():
         assert min_run == 4
         state = init(vmap, params)
         height = state.height
-        (floor_k, ceil_k), _ = height.block(0, 7, 0, 6, 0)
+        floor_k, ceil_k = height.floor_k, height.ceil_k
         for m in range(7):
             for n in range(6):
                 free = [(k0, k0 + length) for k0, length, s in state.ranges.get((m, n), ())
@@ -188,29 +188,74 @@ def test_convert_column_validates_min_run():
     assert floor_k.tolist() == ceil_k.tolist() == [-1, -1]
 
 
-def test_height_block_pads_with_absent_faces_and_keeps_presence_from_nan():
-    # origin_z 1.0 at 0.5 m: floor 0.5 is face -1 and present, 1.74 snaps to
-    # face 1, and the NaN cell is absent; cells past the edge read -1.
-    nan = np.nan
-    height = HeightMap(0.5, (0.0, 0.0, 1.0), np.array([[0.5, 1.74], [nan, 2.0]]),
-                       np.array([[3.0, nan], [3.0, 4.0]]))
-    faces, present = height.block(0, 2, 1, 2, 1)
-    assert faces.dtype == np.int64 and faces.shape == (2, 4, 3)
-    assert faces[0].tolist() == [[-1, -1, -1], [-1, 1, -1], [-1, 2, -1], [-1, -1, -1]]
-    assert faces[1].tolist() == [[-1, -1, -1], [4, -1, -1], [4, 6, -1], [-1, -1, -1]]
-    assert present.tolist() == [[False] * 3, [True, True, False], [False, True, False],
-                                [False] * 3]
+def test_height_block_pads_with_absent_faces():
+    # The stored faces as they are: the absent cell and cells past the edge
+    # read -1, and presence is floor_k >= 0.
+    height = HeightMap(0.5, (0.0, 0.0, 1.0), np.array([[0, 1], [-1, 2]], np.int32),
+                       np.array([[4, 5], [-1, 6]], np.int32))
+    faces = height.block(0, 2, 1, 2, 1)
+    assert faces.dtype == np.int32 and faces.shape == (2, 4, 3)
+    assert faces[0].tolist() == [[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [-1, -1, -1]]
+    assert faces[1].tolist() == [[-1, -1, -1], [4, 5, -1], [-1, 6, -1], [-1, -1, -1]]
+    assert height.present_mask.tolist() == [[True, True], [False, True]]
     assert height.present_box(1, 2, 0, 2) == (1, 2, 1, 2)
     assert height.present_box(1, 2, 0, 1) is None
     assert height.window(slice(-1, None), slice(5, 0)) == (1, 2, 2, 2)
 
 
-def test_height_gather_reads_nan_off_the_map_and_where_no_floor():
-    nan = np.nan
-    height = HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0.0, nan]]),
-                       np.array([[2.0, 3.0]]))
+def test_height_faces_at_reads_minus_one_off_the_map_and_where_no_floor():
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0, -1]], np.int32),
+                       np.array([[20, -1]], np.int32))
     m = np.array([[0, 0], [-1, 1]])
     n = np.array([[0, 1], [0, 0]])
-    floor, ceiling = height.gather(m, n)
-    assert np.array_equal(floor, [[0.0, nan], [nan, nan]], equal_nan=True)
-    assert np.array_equal(ceiling, [[2.0, nan], [nan, nan]], equal_nan=True)
+    floor_k, ceil_k = height.faces_at(m, n)
+    assert floor_k.tolist() == [[0, -1], [-1, -1]]
+    assert ceil_k.tolist() == [[20, -1], [-1, -1]]
+    assert np.array_equal(height.meters(ceil_k), [[2.0, np.nan], [np.nan, np.nan]],
+                          equal_nan=True)
+
+
+def test_from_meters_snaps_heights_to_faces():
+    nan = np.nan
+    # origin_z 1.0 at 0.5 m: 1.74 is face 1.48 and snaps to 1, 3.4 to 5, and
+    # 0.8 (face -0.4) to 0
+    height = HeightMap.from_meters(0.5, (0.0, 0.0, 1.0), [[0.8, 1.74], [nan, 2.0]],
+                                   [[3.0, 3.4], [nan, 4.0]])
+    assert height.floor_k.dtype == height.ceil_k.dtype == np.int32
+    assert height.floor_k.tolist() == [[0, 1], [-1, 2]]
+    assert height.ceil_k.tolist() == [[4, 5], [-1, 6]]
+    assert np.array_equal(height.floor, [[1.0, 1.5], [nan, 2.0]], equal_nan=True)
+    # a floor-only map: every ceiling absent, every floor kept
+    floor_only = HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), [[0.3, nan]],
+                                       [[nan, nan]])
+    assert floor_only.floor_k.tolist() == [[3, -1]]
+    assert floor_only.ceil_k.tolist() == [[-1, -1]]
+
+
+@pytest.mark.parametrize("floor, ceiling, message", [
+    ([[0.0, np.inf]], [[1.0, 2.0]], r"cell \(0, 1\) .*: a height is not finite"),
+    ([[0.0, 0.5]], [[1.0, -np.inf]], r"cell \(0, 1\) .*: a height is not finite"),
+    ([[-0.06, 0.0]], [[1.0, 1.0]], r"cell \(0, 0\) .*below origin_z"),
+    ([[0.0, 0.0]], [[1.0, 3e8]], r"cell \(0, 1\) .*beyond int32"),
+    ([[0.0, 1e308]], [[1.0, 1e308]], r"cell \(0, 1\) .*beyond int32"),
+    ([[0.0, np.nan]], [[1.0, 0.5]], r"cell \(0, 1\) .*only one of floor and ceiling"),
+    ([[0.0, 0.5]], [[1.0, np.nan]], r"cell \(0, 1\) .*only one of floor and ceiling"),
+    ([[0.0, 0.5]], [[1.0, 0.5]], r"cell \(0, 1\) .*at or below the floor"),
+    ([[0.0, 0.5]], [[1.0, 0.54]], r"cell \(0, 1\) .*at or below the floor"),
+])
+def test_from_meters_rejects_heights_no_conversion_makes(floor, ceiling, message):
+    with pytest.raises(ValueError, match=message):
+        HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), floor, ceiling)
+
+
+def test_meter_views_follow_set_faces():
+    height = HeightMap.empty(0.1, (0.0, 0.0, -1.0), (2, 3))
+    assert height.floor_k.dtype == np.int32 and (height.floor_k == -1).all()
+    assert np.isnan(height.floor).all() and np.isnan(height.ceiling).all()
+    height.set_faces((slice(0, 1), slice(1, 3)), np.array([4, 5]), np.array([20, 30]))
+    assert height.floor_k.tolist() == [[-1, 4, 5], [-1, -1, -1]]
+    assert np.array_equal(height.floor[0], [np.nan, -1.0 + 4 * 0.1, -1.0 + 5 * 0.1],
+                          equal_nan=True)
+    assert np.array_equal(height.ceiling[0], [np.nan, -1.0 + 20 * 0.1, -1.0 + 30 * 0.1],
+                          equal_nan=True)
+    assert height.present_mask.tolist() == [[False, True, True], [False] * 3]

@@ -98,13 +98,20 @@ def test_signalling_nan_in_a_height_payload_reads_as_absent(tmp_path):
     # Found by the G2D fuzz: converting a float32 signalling NaN to float64
     # raised numpy's "invalid value encountered in cast" warning.
     state = init(small_map(), ConversionParams(min_clearance=0.5, slope_window_m=0.1))
+    assert state.height.floor_k[1, 1] == -1  # the occupied column is absent
     path = tmp_path / "height.g2d"
     write_height(state.height, True, path)
     data = bytearray(path.read_bytes())
-    data[-4:] = b"\x01\x00\x80\x7f"  # last ceiling cell: a signalling NaN
+    header = len(data) - 2 * 6 * 4
+    for plane in (0, 1):  # cell (1, 1), flat index 3, of both planes
+        at = header + (plane * 6 + 3) * 4
+        data[at:at + 4] = b"\x01\x00\x80\x7f"
     path.write_bytes(bytes(data))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         height = read_height(path)
-    assert np.isnan(height.ceiling[-1, -1])
-    assert np.array_equal(height.floor, state.height.floor.astype("<f4"), equal_nan=True)
+    # Heights snap back to the stored faces, so the map read equals the
+    # converted one exactly.
+    assert np.array_equal(height.floor_k, state.height.floor_k)
+    assert np.array_equal(height.ceil_k, state.height.ceil_k)
+    assert np.array_equal(height.floor, state.height.floor, equal_nan=True)

@@ -78,7 +78,8 @@ def test_cells_outside_the_halo_are_untouched():
     r = ConversionParams().slope_radius_cells(vmap.resolution)
     for edit in ([(m, n, K // 2, O)], [(m, n, k, O) for k in range(K)]):
         state = init(copy.deepcopy(vmap))
-        grids = {"floor": (state.height.floor, 0), "ceiling": (state.height.ceiling, 0),
+        # the stored faces; the meter views are rebuilt after an update
+        grids = {"floor": (state.height.floor_k, 0), "ceiling": (state.height.ceil_k, 0),
                  "uav": (state.uav.values, 1), "slope": (state.slope.values, r),
                  "ugv": (state.ugv.values, r)}
         before = {name: grid.copy() for name, (grid, _) in grids.items()}

@@ -56,17 +56,18 @@ def test_occupancy_preserves_robot_kind(tmp_path):
 
 def test_height_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    # float32-representable heights round-trip exactly
-    floor = rng.random((5, 4)).astype(np.float32).astype(np.float64)
-    ceiling = floor + 2.5
-    floor[0, 0] = np.nan
-    ceiling[0, 0] = np.nan
-    height = HeightMap(0.1, (0.0, 0.0, 0.0), floor,
-                       ceiling.astype(np.float32).astype(np.float64))
+    # voxel faces round-trip exactly through the float32 file, and so do the
+    # meter views made from them
+    floor_k = rng.integers(0, 60, (5, 4)).astype(np.int32)
+    ceil_k = floor_k + rng.integers(1, 40, (5, 4)).astype(np.int32)
+    floor_k[0, 0] = ceil_k[0, 0] = -1
+    height = HeightMap(0.1, (0.0, 0.0, -1.3), floor_k, ceil_k)
     path = tmp_path / "h.g2d"
     write_height(height, True, path)
     back = read_height(path)
-    assert np.array_equal(back.floor, floor, equal_nan=True)
+    assert np.array_equal(back.floor_k, floor_k)
+    assert np.array_equal(back.ceil_k, ceil_k)
+    assert np.array_equal(back.floor, height.floor, equal_nan=True)
     assert np.array_equal(back.ceiling, height.ceiling, equal_nan=True)
     # writing what was read reproduces the file byte for byte
     again = tmp_path / "h2.g2d"
@@ -178,8 +179,10 @@ def test_height_reader_planes_are_the_generic_reader_planes(tmp_path):
     _, planes = read_grid(path)
     back = read_height(path)
     assert len(planes) == 1
-    assert np.array_equal(back.floor, planes[0], equal_nan=True)
-    assert np.isnan(back.ceiling).all()
+    # read_height snaps the generic reader's plane to the nearest face
+    assert np.array_equal(back.floor_k, np.where(np.isnan(planes[0]), -1,
+                                                 np.rint(planes[0] / 0.1)))
+    assert (back.ceil_k == -1).all() and np.isnan(back.ceiling).all()
 
 
 @pytest.mark.parametrize("line, replacement, message", [

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxflat import (ConversionParams, OccupancyGrid, VoxelMap, VoxelState,
-                     build_height_map, build_ugv_map, build_uav_map,
-                     build_slope_map, init, uav_cell_value)
+from voxflat import (ConversionParams, GridFormatError, HeightMap, OccupancyGrid,
+                     VoxelMap, VoxelState, build_height_map, build_ugv_map,
+                     build_uav_map, build_slope_map, init, read_height,
+                     uav_cell_value, write_height)
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (HeightRange, column_from_array, extract_ranges,
@@ -282,3 +283,18 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
 def test_grid_builders_reject_bad_arguments(build, message):
     with pytest.raises(ValueError, match=message):
         build(make_height_map([[0.0]]))
+
+
+def test_an_absent_cell_with_a_ceiling_cannot_reach_the_aerial_kernel(tmp_path):
+    # An absent cell (no floor) with a ceiling once acted as a neighbour span
+    # [-1, k_ceil] in the aerial kernel, so a boundary cell next to it took a
+    # nonzero ratio. Such a map can no longer be built or read.
+    nan = np.nan
+    floor, ceiling = [[0.0, nan, nan]], [[0.3, nan, 0.5]]
+    with pytest.raises(ValueError, match=r"height cell \(0, 2\) .*only one of"):
+        HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), floor, ceiling)
+    path = tmp_path / "height.g2d"
+    write_height(HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0, -1, -1]], np.int32),
+                           np.array([[3, -1, 5]], np.int32)), True, path)
+    with pytest.raises(GridFormatError, match=r"height cell \(0, 2\) .*only one of"):
+        read_height(path)

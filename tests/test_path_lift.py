@@ -262,8 +262,9 @@ def test_lift_matches_the_scalar_window_on_random_2d_paths():
     for _ in range(40):
         floors = np.round(rng.uniform(-1, 2, (9, 7)), 2)
         floors[rng.random((9, 7)) < 0.2] = np.nan
+        # origin_z at -1 keeps every face >= 0
         height = make_height_map(floors.tolist(), resolution=0.05,
-                                 origin=(-0.3, 1.7, 0.0))
+                                 origin=(-0.3, 1.7, -1.0))
         present = np.argwhere(~np.isnan(floors)).tolist()
         path = [tuple(present[i]) for i in rng.integers(0, len(present), 30)]
         for lookahead in (0, 1, 4, 40):
@@ -379,7 +380,7 @@ def clearance_cases(draw):
     sphere."""
     M, N = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     res = draw(st.sampled_from([0.05, 0.1, 0.25]))
-    span = st.none() | st.tuples(st.integers(-5, 5), st.integers(1, 120))
+    span = st.none() | st.tuples(st.integers(0, 10), st.integers(1, 120))
     grid = [[draw(span) for _ in range(N)] for _ in range(M)]
     floor = [[None if c is None else c[0] * res for c in row] for row in grid]
     ceiling = [[None if c is None else (c[0] + c[1]) * res for c in row] for row in grid]
@@ -408,6 +409,16 @@ def test_clearance_matches_the_per_waypoint_loop(case):
         assert str(got.value) == str(error)
         return
     assert enforce_clearance(path, height, radius) == want
+
+
+def test_clearance_on_a_floor_only_map_has_no_ceiling_bound():
+    # A floor-only map (every ceiling absent) bounds waypoints from below only.
+    height = make_height_map([[0.2, 0.5]], [[None, None]])
+    assert (height.ceil_k == -1).all()
+    path = [(0.05, 0.05, 0.0), (0.05, 0.05, 9.0)]
+    got = enforce_clearance(path, height, 0.1)
+    assert got == enforce_clearance_reference(path, height, 0.1)
+    assert got == [(0.05, 0.05, height.floor[0, 1] + 0.1), (0.05, 0.05, 9.0)]
 
 
 def test_clearance_radius_validation():

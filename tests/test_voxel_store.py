@@ -563,6 +563,10 @@ def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
     (0.1, (float("-inf"), 0, 0), (1, 1, 1), r"non-finite origin \(-inf, 0.0, 0.0\)"),
     (0.1, (0, 0, 0), (1, 0, 1), r"extent components must be >= 1, got \(1, 0, 1\)"),
     (0.1, (0, 0, 0), (1, 1), "extent must be three counts"),
+    # counts are integers in the sense of operator.index, never truncated
+    (0.1, (0, 0, 0), (1.7, 2, 3.9), r"extent must be three counts, got \(1.7, 2, 3.9\)"),
+    (0.1, (0, 0, 0), (2.0, 2, 2), "extent must be three counts"),
+    (0.1, (0, 0, 0), ("2", "2", "2"), "extent must be three counts"),
     (0.1, (0, 0), (1, 1, 1), "origin must have three coordinates"),
 ])
 def test_voxel_map_rejects_bad_geometry(resolution, origin, extent, message):
