@@ -1,5 +1,8 @@
 """Command-line pipeline: convert, lift, synth, bench, diff.
 
+Parameter flags and their defaults come from `ConversionParams` (under the
+paper's names r_max_z, o_min, s_a, r_ms), `SceneSpec` and `LiftParams`.
+
 Exit codes: 0 success, 1 usage error, 2 data error. Update traces for the
 bench command are text files with one "i j k state" voxel write per line
 (state by name or VXG code), '#' comments, and blank lines separating
@@ -8,7 +11,9 @@ batches; each batch replays as one incremental update.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,6 +27,14 @@ from .path_lift import (LiftParams, enforce_clearance, lift_path, plan_2d,
                         read_path_2d, write_path_3d)
 from .scenes import SCENE_KINDS, SceneSpec, generate
 from .voxel_store import (VoxelState, VxgError, load_voxel_map, save_voxel_map)
+
+# (paper flag, ConversionParams field, help); the manifest's parameter names
+_CONVERSION_FLAGS = (
+    ("r_max_z", "min_clearance", "min free-range height kept as navigable, m"),
+    ("o_min", "min_occupancy", "min occupancy ratio reported at boundaries"),
+    ("s_a", "slope_window_m", "slope fit neighborhood radius, m (converted to cells)"),
+    ("r_ms", "max_slope", "max slope a ground robot traverses"),
+)
 
 _STATE_TOKENS = {
     "unknown": VoxelState.UNKNOWN, "0": VoxelState.UNKNOWN,
@@ -76,42 +89,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", nargs=2, type=int, metavar=("M", "N"))
     p.add_argument("--goal", nargs=2, type=int, metavar=("M", "N"))
     p.add_argument("--out", required=True, help="output 3D path file")
-    p.add_argument("--r-off", type=float, help="height above floor, m "
-                   "(default 1.0 uav / 0.1 ugv)")
-    p.add_argument("--p-f", type=float, help="lookahead along the path, m "
-                   "(default 2.0 uav / 0.5 ugv)")
-    p.add_argument("--r-r", type=float, default=None,
-                   help="uav clearance sphere radius, m (default 0.5)")
-    p.add_argument("--r-max-z", type=float, default=1.0,
-                   help="vertical safety margin bounding --r-r (default 1.0)")
+    for flag, what in (("--r-off", "height above floor"), ("--p-f", "path lookahead"),
+                       ("--r-r", "uav clearance sphere radius")):
+        p.add_argument(flag, type=float, help=f"{what}, m (default: the mode's LiftParams)")
+    p.add_argument("--r-max-z", type=float, default=ConversionParams.min_clearance,
+                   help="vertical safety margin bounding --r-r, m (default %(default)s)")
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--scene", choices=SCENE_KINDS, required=True)
+    for f in dataclasses.fields(SceneSpec):
+        if f.name == "kind":
+            p.add_argument("--scene", dest="kind", choices=SCENE_KINDS, required=True)
+        elif f.name == "observed_above":
+            p.add_argument("--unobserved-above", dest=f.name, action="store_false",
+                           help="low-wall: leave the space above the wall unmapped")
+        else:
+            flag = "--res" if f.name == "resolution" else "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                           help="default %(default)s")
     p.add_argument("--out", required=True, help="output .vxg file")
     p.add_argument("--sidecar", help="ground-truth JSON (default: out with .json)")
     p.add_argument("--no-sidecar", action="store_true")
-    p.add_argument("--size-x", type=float, default=6.0)
-    p.add_argument("--size-y", type=float, default=4.0)
-    p.add_argument("--height", type=float, default=3.0)
-    p.add_argument("--res", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slope", type=float, default=0.5)
-    p.add_argument("--step-height", type=float, default=1.0)
-    p.add_argument("--wall-height", type=float, default=1.2)
-    p.add_argument("--wall-thickness", type=int, default=4)
-    p.add_argument("--gap", type=float, default=0.5)
-    p.add_argument("--beam-low", type=float, default=1.2)
-    p.add_argument("--beam-high", type=float, default=2.0)
-    p.add_argument("--unobserved-above", action="store_true",
-                   help="low-wall: leave the space above the wall unmapped")
-    p.add_argument("--clutter", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="replay an update trace, print timings CSV")
-    p.add_argument("--in", dest="input", help="starting .vxg map")
-    p.add_argument("--scene", choices=SCENE_KINDS,
-                   help="or start from a default synthetic scene")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--in", dest="input", help="starting .vxg map")
+    start.add_argument("--scene", choices=SCENE_KINDS,
+                       help="or start from a default synthetic scene")
     p.add_argument("--trace", required=True, help="update trace file")
     p.add_argument("--out", required=True, help="output CSV")
     _add_conversion_flags(p)
@@ -120,25 +125,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two grid files cell by cell")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=float, default=0.0,
+                   help="largest |a - b| read as equal (default %(default)s)")
     p.set_defaults(func=_cmd_diff)
     return parser
 
 
 def _add_conversion_flags(p) -> None:
-    p.add_argument("--r-max-z", type=float, default=1.0,
-                   help="min free-range height kept as navigable, m")
-    p.add_argument("--o-min", type=float, default=0.5,
-                   help="min occupancy ratio reported at boundaries")
-    p.add_argument("--s-a", type=float, default=0.2,
-                   help="slope fit neighborhood radius, m (converted to cells)")
-    p.add_argument("--r-ms", type=float, default=2.0,
-                   help="max slope a ground robot traverses")
+    for flag, name, text in _CONVERSION_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), dest=name, metavar=flag.upper(),
+                       type=float, default=getattr(ConversionParams, name),
+                       help=text + " (default %(default)s)")
 
 
 def _params(args) -> ConversionParams:
-    return ConversionParams(min_clearance=args.r_max_z, min_occupancy=args.o_min,
-                            slope_window_m=args.s_a, max_slope=args.r_ms)
+    return ConversionParams(**{name: getattr(args, name) for _, name, _ in _CONVERSION_FLAGS})
 
 
 def _cmd_convert(args) -> int:
@@ -174,11 +175,8 @@ def _cmd_convert(args) -> int:
         "extent": [M, N, K],
         "resolution": vmap.resolution,
         "parameters": {
-            "r_max_z": params.min_clearance,
-            "o_min": params.min_occupancy,
-            "s_a": params.slope_window_m,
+            **{flag: getattr(params, name) for flag, name, _ in _CONVERSION_FLAGS},
             "s_a_cells": params.slope_radius_cells(vmap.resolution),
-            "r_ms": params.max_slope,
         },
         "outputs": outputs,
         "wall_time_s": round(elapsed, 6),
@@ -216,22 +214,7 @@ def _cmd_lift(args) -> int:
     else:
         raise _UsageError("lift: provide --path-in or both --start and --goal")
 
-    base = (LiftParams.uav_defaults(grid.resolution) if args.mode == "uav"
-            else LiftParams.ugv_defaults(grid.resolution))
-    lookahead = (base.lookahead if args.p_f is None
-                 else round(args.p_f / grid.resolution))
-    offset = base.height_offset if args.r_off is None else args.r_off
-    if args.mode == "uav":
-        radius = args.r_r if args.r_r is not None else base.safety_radius
-        if not (0 < radius <= args.r_max_z / 2):
-            raise ValueError(
-                f"clearance radius {radius} outside (0, r_max_z/2] with "
-                f"r_max_z {args.r_max_z}"
-            )
-        params = LiftParams("uav", lookahead, offset, radius)
-    else:
-        params = LiftParams("ugv", lookahead, offset)
-
+    params = _lift_params(args, grid.resolution)
     path3d = lift_path(path2d, height, params)
     if args.mode == "uav":
         lifted = path3d
@@ -242,6 +225,20 @@ def _cmd_lift(args) -> int:
     write_path_3d(path3d, args.out)
     print(f"wrote {args.out} ({len(path3d)} waypoints)")
     return 0
+
+
+def _lift_params(args, resolution: float) -> LiftParams:
+    """The mode's LiftParams defaults, with the flags given in their place."""
+    uav = args.mode == "uav"
+    given = {"lookahead": None if args.p_f is None else round(args.p_f / resolution),
+             "height_offset": args.r_off, "safety_radius": args.r_r if uav else None}
+    params = dataclasses.replace(
+        (LiftParams.uav_defaults if uav else LiftParams.ugv_defaults)(resolution),
+        **{k: v for k, v in given.items() if v is not None})
+    if uav and not params.safety_radius <= args.r_max_z / 2:
+        raise ValueError(f"clearance radius {params.safety_radius} outside "
+                         f"(0, r_max_z/2] with r_max_z {args.r_max_z}")
+    return params
 
 
 def _validate_path(path2d, grid, name) -> None:
@@ -259,14 +256,7 @@ def _validate_path(path2d, grid, name) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = SceneSpec(
-        kind=args.scene, size_x=args.size_x, size_y=args.size_y,
-        height=args.height, resolution=args.res, seed=args.seed,
-        slope=args.slope, step_height=args.step_height,
-        wall_height=args.wall_height, wall_thickness=args.wall_thickness,
-        gap=args.gap, beam_low=args.beam_low, beam_high=args.beam_high,
-        observed_above=not args.unobserved_above, clutter=args.clutter,
-    )
+    spec = SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SceneSpec)})
     vmap, truth = generate(spec)
     save_voxel_map(vmap, args.out)
     print(f"wrote {args.out} ({vmap.cell_count()} voxels)")
@@ -278,8 +268,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if bool(args.input) == bool(args.scene):
-        raise _UsageError("bench: provide exactly one of --in or --scene")
     if args.input:
         vmap = load_voxel_map(args.input)
     else:
@@ -324,6 +312,8 @@ def _read_trace(path, vmap) -> list[list]:
 
 
 def _cmd_diff(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _UsageError(f"diff: --tol must be finite and >= 0, got {args.tol}")
     hdr_a, planes_a = io_formats.read_grid(args.a)
     hdr_b, planes_b = io_formats.read_grid(args.b)
     if hdr_a.kind != hdr_b.kind or hdr_a.extent != hdr_b.extent:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .voxel_store import VoxelMap, VoxelState
+from .voxel_store import VoxelMap, VoxelState, check_geometry
 
 # Voxels per convert_column pass in build_height_map; bounds its int32
 # temporaries to a few MB.
@@ -56,12 +56,39 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
 @dataclass
 class HeightMap:
     """Per-cell floor and ceiling voxel-face indices, int32; -1 marks an
-    absent cell, so a cell is present exactly when floor_k >= 0."""
+    absent cell, so a cell is present exactly when floor_k >= 0.
+
+    The constructor takes integer 2D planes of one shape, stores them as
+    int32, and raises ValueError naming the first cell with a face outside
+    [-1, int32 max], with only one of floor and ceiling (unless no cell has
+    a ceiling: a floor-only map), or with its ceiling at or below its floor.
+    """
 
     resolution: float
     origin: tuple[float, float, float]
     floor_k: np.ndarray
     ceil_k: np.ndarray
+
+    def __post_init__(self):
+        fk, ck = np.asarray(self.floor_k), np.asarray(self.ceil_k)
+        if not (fk.dtype.kind in "iu" and ck.dtype.kind in "iu"
+                and fk.ndim == 2 and fk.shape == ck.shape):
+            raise ValueError(f"floor and ceiling faces must be integer 2D planes of one "
+                             f"shape, got {fk.dtype} {fk.shape} and {ck.dtype} {ck.shape}")
+
+        def reject(bad: np.ndarray, what: str) -> None:
+            if bad.any():
+                m, n = np.argwhere(bad)[0].tolist()
+                raise ValueError(f"height cell ({m}, {n}) with floor face {fk[m, n]} "
+                                 f"and ceiling face {ck[m, n]}: {what}")
+
+        reject((np.minimum(fk, ck) < -1) | (np.maximum(fk, ck) > np.iinfo(np.int32).max),
+               "a face lies outside [-1, int32 max]")
+        absent = fk < 0
+        if (ck >= 0).any():  # a floor-only map has no ceiling to pair
+            reject(absent != (ck < 0), "only one of floor and ceiling is present")
+            reject(~absent & (ck <= fk), "the ceiling is at or below the floor")
+        self.floor_k, self.ceil_k = (k.astype(np.int32, copy=False) for k in (fk, ck))
 
     @classmethod
     def empty(cls, resolution: float, origin, extent: tuple[int, int]) -> "HeightMap":
@@ -74,11 +101,11 @@ class HeightMap:
                     error=ValueError) -> "HeightMap":
         """Heights in meters, NaN where absent, snapped to the nearest face.
 
-        Raises error(message), naming the first bad cell, for a non-finite
-        height other than NaN, a face below origin_z or beyond int32, a cell
-        with only one of floor and ceiling (unless the whole ceiling plane is
-        NaN: a floor-only map), or a ceiling face at or below its floor face.
+        Raises error(message) for geometry `check_geometry` rejects and,
+        naming the first bad cell, for a non-finite height other than NaN, a
+        face below origin_z or beyond int32, or faces the constructor rejects.
         """
+        check_geometry(error, resolution, origin)
         planes = np.array((floor, ceiling), dtype=np.float64)
         if planes.ndim != 3:
             raise error(f"floor and ceiling must be 2D planes of one shape, "
@@ -97,11 +124,11 @@ class HeightMap:
         reject(np.isinf(planes).any(axis=0), "a height is not finite")
         reject((~absent & ((k < 0) | (k > np.iinfo(np.int32).max))).any(axis=0),
                "a face lies below origin_z or beyond int32")
-        if not absent[1].all():  # a floor-only map has no ceiling to pair
-            reject(absent[0] != absent[1], "only one of floor and ceiling is present")
-            reject(~absent[0] & (k[1] <= k[0]), "the ceiling is at or below the floor")
         k = np.where(absent, -1, k).astype(np.int32)
-        return cls(resolution, tuple(origin), k[0], k[1])
+        try:
+            return cls(resolution, tuple(origin), k[0], k[1])
+        except ValueError as e:
+            raise error(str(e)) from None
 
     @property
     def extent(self) -> tuple[int, int]:

@@ -252,15 +252,7 @@ def write_path_2d(path: Sequence[Cell], file: str | Path) -> None:
 
 
 def read_path_2d(file: str | Path) -> list[Cell]:
-    out: list[Cell] = []
-    for lineno, parts in _path_lines(file):
-        if len(parts) != 2:
-            raise ValueError(f"{file}:{lineno}: expected 'm n', got {' '.join(parts)!r}")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"{file}:{lineno}: unreadable grid indices") from None
-    return out
+    return _read_path(file, int, "m n", "grid indices")
 
 
 def write_path_3d(path: Sequence[Waypoint3D], file: str | Path) -> None:
@@ -269,20 +261,21 @@ def write_path_3d(path: Sequence[Waypoint3D], file: str | Path) -> None:
 
 
 def read_path_3d(file: str | Path) -> list[Waypoint3D]:
-    out: list[Waypoint3D] = []
-    for lineno, parts in _path_lines(file):
-        if len(parts) != 3:
-            raise ValueError(f"{file}:{lineno}: expected 'x y z', got {' '.join(parts)!r}")
-        try:
-            out.append((float(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ValueError(f"{file}:{lineno}: unreadable coordinates") from None
-    return out
+    return _read_path(file, float, "x y z", "coordinates")
 
 
-def _path_lines(file: str | Path):
+def _read_path(file: str | Path, number, fields: str, what: str) -> list[tuple]:
+    """One tuple of `number`s per line, one per name in `fields`; blank lines
+    and '#' comments are skipped."""
+    out = []
     for lineno, raw in enumerate(Path(file).read_text(encoding="ascii").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        yield lineno, line.split()
+        if len(parts) != len(fields.split()):
+            raise ValueError(f"{file}:{lineno}: expected '{fields}', got {' '.join(parts)!r}")
+        try:
+            out.append(tuple(map(number, parts)))
+        except ValueError:
+            raise ValueError(f"{file}:{lineno}: unreadable {what}") from None
+    return out

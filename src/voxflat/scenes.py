@@ -33,7 +33,7 @@ from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
 from .params import ConversionParams
 from .slope_map import SlopeMap
-from .voxel_store import VoxelMap, VoxelState
+from .voxel_store import VoxelMap, VoxelState, check_geometry
 
 SCENE_KINDS = ("flat-room", "ramp", "step", "overhang", "low-wall",
                "crawl-space", "composite")
@@ -78,8 +78,7 @@ class SceneSpec:
         for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        check_geometry(ValueError, self.resolution)
         if min(self.size_x, self.size_y, self.height) <= 0:
             raise ValueError("scene dimensions must be positive")
         if self.clutter and self.kind != "flat-room":
@@ -148,15 +147,15 @@ class SceneTruth:
         kind, res, origin, extent = (doc[k] for k in ("kind", "resolution", "origin", "extent"))
         if not isinstance(kind, str):
             raise bad(f"kind must be a string, got {kind!r}")
-        if not (_is_number(res) and 0 < res < math.inf):
-            raise bad(f"resolution must be a positive number, got {res!r}")
+        if not _is_number(res):
+            raise bad(f"resolution must be a number, got {res!r}")
         if not (isinstance(origin, list) and len(origin) == 3
                 and all(_is_number(c) for c in origin)):
             raise bad(f"origin must be three numbers, got {origin!r}")
         if not (isinstance(extent, list) and len(extent) == 3
-                and all(isinstance(e, int) and not isinstance(e, bool) and e >= 1
-                        for e in extent)):
-            raise bad(f"extent must be three counts >= 1, got {extent!r}")
+                and all(isinstance(e, int) and not isinstance(e, bool) for e in extent)):
+            raise bad(f"extent must be three counts, got {extent!r}")
+        check_geometry(bad, res, origin, extent)
         spec = doc.get("spec", {})
         if not isinstance(spec, dict):
             raise bad(f"spec must be an object, got {spec!r}")
@@ -175,8 +174,8 @@ class SceneTruth:
         def height(v):
             if v is None:
                 return np.nan
-            if not _is_number(v):
-                raise TypeError(f"cell {v!r} is not a number or null")
+            if not (_is_number(v) and math.isfinite(v)):
+                raise TypeError(f"cell {v!r} is not a finite number or null")
             return v
 
         def occupancy(v):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from voxflat import (LiftParams, enforce_clearance, init, lift_path, load_voxel_map,
-                     plan_2d, read_height, read_occupancy, read_path_3d, write_path_2d)
+import voxflat.cli as cli
+from voxflat import (ConversionParams, LiftParams, enforce_clearance, init, lift_path,
+                     load_voxel_map, plan_2d, read_height, read_occupancy, read_path_3d,
+                     write_height, write_path_2d)
 from voxflat.cli import main
-from voxflat.scenes import SceneTruth
+from voxflat.scenes import SCENE_KINDS, SceneSpec, SceneTruth
 
 
 def run(*argv):
@@ -69,6 +72,25 @@ def test_diff_tolerance(tmp_path, capsys):
     assert run("diff", a / "height.g2d", a / "height.g2d", "--tol", "0") == 0
 
 
+def test_diff_tolerance_must_be_finite_and_non_negative(tmp_path, capsys):
+    # a NaN tolerance once called two different grids identical, and a
+    # negative one called every cell different
+    a = convert(tmp_path, synth(tmp_path, "flat-room"), "a")
+    b = convert(tmp_path, synth(tmp_path, "step"), "b")
+    assert run("diff", a / "height.g2d", b / "height.g2d", "--tol", "0") == 2
+    assert run("diff", a / "height.g2d", b / "height.g2d", "--tol", "100") == 0
+    capsys.readouterr()
+    for tol in ("nan", "inf", "-1"):
+        assert run("diff", a / "ugv_map.g2d", b / "ugv_map.g2d", "--tol", tol) == 1
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_diff_of_incomparable_grids_is_a_data_error(tmp_path, capsys):
+    out = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6"))
+    assert run("diff", out / "uav_map.g2d", out / "height.g2d") == 2
+    assert "grids are not comparable" in capsys.readouterr().err
+
+
 def test_missing_input_is_a_data_error(tmp_path, capsys):
     assert run("convert", "--in", tmp_path / "nope.vxg",
                "--out-dir", tmp_path / "o") == 2
@@ -79,6 +101,62 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("fly") == 1
     assert run("convert", "--in") == 1
     assert run("synth", "--scene", "volcano", "--out", tmp_path / "x.vxg") == 1
+
+
+class Captured(Exception):
+    pass
+
+
+def handed_to(monkeypatch, owner, name, *argv):
+    """The arguments `voxflat argv` hands to owner.name, which it then does
+    not run."""
+    got = []
+
+    def capture(*args):
+        got.extend(args)
+        raise Captured
+
+    monkeypatch.setattr(owner, name, capture)
+    with pytest.raises(Captured):
+        run(*argv)
+    monkeypatch.undo()
+    return got
+
+
+def test_required_flags_alone_give_the_dataclass_defaults(tmp_path, monkeypatch):
+    vxg = synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6")
+    out = convert(tmp_path, vxg)
+    trace = tmp_path / "trace.txt"
+    trace.write_text("")
+    for argv in (("convert", "--in", vxg, "--out-dir", tmp_path / "o"),
+                 ("bench", "--in", vxg, "--trace", trace, "--out", tmp_path / "b.csv")):
+        _, params = handed_to(monkeypatch, cli.incremental, "init", *argv)
+        assert params == ConversionParams()
+    for kind in SCENE_KINDS:
+        assert handed_to(monkeypatch, cli, "generate", "synth", "--scene", kind,
+                         "--out", tmp_path / "x.vxg") == [SceneSpec(kind=kind)]
+    assert handed_to(monkeypatch, cli, "generate", "bench", "--scene", "ramp", "--trace",
+                     trace, "--out", tmp_path / "b.csv") == [SceneSpec(kind="ramp")]
+    for mode, defaults in (("uav", LiftParams.uav_defaults), ("ugv", LiftParams.ugv_defaults)):
+        *_, params = handed_to(monkeypatch, cli, "lift_path", "lift", "--grid",
+                               out / f"{mode}_map.g2d", "--height", out / "height.g2d",
+                               "--mode", mode, "--start", 5, 5, "--goal", 6, 5,
+                               "--out", tmp_path / "p.txt")
+        assert params == defaults(0.1)
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(SceneSpec)
+                                   if f.name != "kind"], ids=lambda f: f.name)
+def test_every_scene_spec_field_has_a_synth_flag(tmp_path, monkeypatch, field):
+    if field.name == "observed_above":
+        value, flag = False, ["--unobserved-above"]
+    else:
+        value = field.default + (1 if isinstance(field.default, int) else 0.25)
+        name = "res" if field.name == "resolution" else field.name.replace("_", "-")
+        flag = [f"--{name}", value]
+    (spec,) = handed_to(monkeypatch, cli, "generate", "synth", "--scene", "flat-room",
+                        "--out", tmp_path / "x.vxg", *flag)
+    assert spec == dataclasses.replace(SceneSpec(kind="flat-room"), **{field.name: value})
 
 
 def test_synth_rejects_a_non_finite_size(tmp_path, capsys):
@@ -180,6 +258,30 @@ def test_lift_accepts_a_path_file_and_validates_it(tmp_path, capsys):
                out / "height.g2d", "--mode", "uav", "--path-in", p2,
                "--out", tmp_path / "p3.txt") == 2
     assert "not free" in capsys.readouterr().err
+    write_path_2d([(5, 5), (7, 5)], p2)
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height",
+               out / "height.g2d", "--mode", "uav", "--path-in", p2,
+               "--out", tmp_path / "p3.txt") == 2
+    assert "waypoints 0 and 1 are not 8-neighbors" in capsys.readouterr().err
+
+
+def test_lift_between_disconnected_endpoints_is_a_data_error(tmp_path, capsys):
+    # the crawl strip holds no free aerial cell, so it cuts the room in two
+    out = convert(tmp_path, synth(tmp_path, "crawl-space"))
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height",
+               out / "height.g2d", "--mode", "uav", "--start", 5, 20,
+               "--goal", 55, 20, "--out", tmp_path / "p.txt") == 2
+    assert "no path from (5, 20) to (55, 20)" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_uav_lift_needs_the_ceilings(tmp_path, capsys):
+    out = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6"))
+    write_height(read_height(out / "height.g2d"), False, tmp_path / "floor.g2d")
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height",
+               tmp_path / "floor.g2d", "--mode", "uav", "--start", 5, 5,
+               "--goal", 6, 5, "--out", tmp_path / "p.txt") == 2
+    assert "uav lifting needs a floor+ceiling height file" in capsys.readouterr().err
 
 
 def test_lift_mode_mismatch_is_an_error(tmp_path, capsys):
@@ -231,6 +333,15 @@ def test_bench_replays_a_trace(tmp_path):
     assert first[0] == "0" and first[1] == "1"  # one dirty column
 
 
+def test_bench_starts_from_a_default_scene(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("10 5 3 free\n")
+    csv_out = tmp_path / "bench.csv"
+    assert run("bench", "--scene", "flat-room", "--trace", trace, "--out", csv_out) == 0
+    rows = csv_out.read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,1,")
+
+
 def test_bench_empty_trace_gives_header_only_csv(tmp_path):
     vxg = synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6")
     trace = tmp_path / "trace.txt"
@@ -245,6 +356,9 @@ def test_bench_requires_exactly_one_source(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("")
     assert run("bench", "--trace", trace, "--out", tmp_path / "b.csv") == 1
+    assert run("bench", "--in", tmp_path / "x.vxg", "--scene", "ramp", "--trace", trace,
+               "--out", tmp_path / "b.csv") == 1
+    assert "not allowed with argument --in" in capsys.readouterr().err
 
 
 def test_bench_corridor_slices_have_constant_recompute_counts(tmp_path):
@@ -359,3 +473,8 @@ def test_trace_parse_errors(tmp_path, capsys):
     trace.write_text("1 2 3 lava\n")
     assert run("bench", "--in", vxg, "--trace", trace,
                "--out", tmp_path / "b.csv") == 2
+    trace.write_text("1 2 3 free\n1 x 3 free\n")
+    capsys.readouterr()
+    assert run("bench", "--in", vxg, "--trace", trace,
+               "--out", tmp_path / "b.csv") == 2
+    assert "trace.txt:2: unreadable voxel index" in capsys.readouterr().err

@@ -248,6 +248,48 @@ def test_from_meters_rejects_heights_no_conversion_makes(floor, ceiling, message
         HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), floor, ceiling)
 
 
+@pytest.mark.parametrize("resolution, origin, message", [
+    (np.nan, (0.0, 0.0, 0.0), "resolution must be finite and positive"),
+    (0.0, (0.0, 0.0, 0.0), "resolution must be finite and positive"),
+    (0.1, (0.0, 0.0, np.nan), "non-finite origin"),
+    (0.1, (np.inf, 0.0, 0.0), "non-finite origin"),
+])
+def test_from_meters_rejects_bad_geometry(resolution, origin, message):
+    # a NaN resolution or origin_z once snapped every height to -2147483648
+    with pytest.raises(ValueError, match=message):
+        HeightMap.from_meters(resolution, origin, [[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("floor_k, ceil_k, message", [
+    ([[0.0, 1.0]], [[2.0, 3.0]], "integer 2D planes of one shape"),
+    ([0, 1], [2, 3], "integer 2D planes of one shape"),
+    ([[0, 1]], [[2, 3, 4]], "integer 2D planes of one shape"),
+    ([[0, -2]], [[2, 3]], r"cell \(0, 1\) .*outside \[-1, int32 max\]"),
+    ([[0, 1]], [[2, 2**31]], r"cell \(0, 1\) .*outside \[-1, int32 max\]"),
+    ([[0, 1]], [[2, -1]], r"cell \(0, 1\) .*only one of floor and ceiling"),
+    ([[0, -1]], [[2, 3]], r"cell \(0, 1\) .*only one of floor and ceiling"),
+    ([[0, 3]], [[2, 3]], r"cell \(0, 1\) .*at or below the floor"),
+    ([[0, 3]], [[2, 1]], r"cell \(0, 1\) .*at or below the floor"),
+])
+def test_constructor_rejects_faces_no_conversion_makes(floor_k, ceil_k, message):
+    with pytest.raises(ValueError, match=message):
+        HeightMap(0.1, (0.0, 0.0, 0.0), np.array(floor_k), np.array(ceil_k))
+
+
+def test_from_meters_raises_its_error_type_for_what_the_constructor_rejects():
+    class BadHeights(Exception):
+        pass
+
+    with pytest.raises(BadHeights, match=r"cell \(0, 1\) .*at or below the floor"):
+        HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), [[0.0, 0.5]], [[1.0, 0.5]], BadHeights)
+
+
+def test_constructor_stores_int32_faces_and_takes_floor_only_maps():
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[3, -1]]), np.array([[-1, -1]]))
+    assert height.floor_k.dtype == height.ceil_k.dtype == np.int32
+    assert height.floor_k.tolist() == [[3, -1]] and height.ceil_k.tolist() == [[-1, -1]]
+
+
 def test_meter_views_follow_set_faces():
     height = HeightMap.empty(0.1, (0.0, 0.0, -1.0), (2, 3))
     assert height.floor_k.dtype == np.int32 and (height.floor_k == -1).all()

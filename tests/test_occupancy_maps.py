@@ -293,8 +293,16 @@ def test_an_absent_cell_with_a_ceiling_cannot_reach_the_aerial_kernel(tmp_path):
     floor, ceiling = [[0.0, nan, nan]], [[0.3, nan, 0.5]]
     with pytest.raises(ValueError, match=r"height cell \(0, 2\) .*only one of"):
         HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), floor, ceiling)
+    floor_k, ceil_k = np.array([[0, -1, -1]], np.int32), np.array([[3, -1, 5]], np.int32)
+    with pytest.raises(ValueError, match=r"height cell \(0, 2\) .*only one of"):
+        HeightMap(0.1, (0.0, 0.0, 0.0), floor_k, ceil_k)
+    # the file: a valid map's last payload bytes, the ceiling of cell (0, 2),
+    # patched from NaN to 0.5 m
     path = tmp_path / "height.g2d"
-    write_height(HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0, -1, -1]], np.int32),
-                           np.array([[3, -1, 5]], np.int32)), True, path)
+    ceil_k[0, 2] = -1
+    write_height(HeightMap(0.1, (0.0, 0.0, 0.0), floor_k, ceil_k), True, path)
+    data = path.read_bytes()
+    assert np.isnan(np.frombuffer(data[-4:], "<f4")).all()
+    path.write_bytes(data[:-4] + np.array(0.5, "<f4").tobytes())
     with pytest.raises(GridFormatError, match=r"height cell \(0, 2\) .*only one of"):
         read_height(path)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,8 +92,19 @@ def truth_document(tmp_path, edit):
     lambda doc: {**doc, "extent": [doc["extent"][0] + 1, *doc["extent"][1:]]},
     lambda doc: {**doc, "ugv": [[1] + row[1:] for row in doc["ugv"]]},
     lambda doc: {**doc, "extent": [1, 2]},
+    lambda doc: {**doc, "kind": 3},
+    lambda doc: {**doc, "spec": [doc["spec"]]},
+    lambda doc: {**doc, "origin": [0.0, math.nan, 0.0]},
+    lambda doc: {**doc, "origin": [0.0, 0.0, -math.inf]},
+    lambda doc: {**doc, "resolution": 0},
+    lambda doc: {**doc, "extent": [0, *doc["extent"][1:]]},
+    lambda doc: {**doc, "floor": [[math.inf] + row[1:] for row in doc["floor"]]},
+    lambda doc: {**doc, "floor": [[math.nan] + row[1:] for row in doc["floor"]]},
+    lambda doc: {**doc, "slope": [[-math.inf] + row[1:] for row in doc["slope"]]},
 ], ids=["no-kind", "list", "floor-number", "short-slope-grid", "extent-mismatch",
-        "ugv-number-cell", "short-extent"])
+        "ugv-number-cell", "short-extent", "number-kind", "list-spec", "nan-origin",
+        "infinite-origin", "zero-resolution", "zero-extent", "infinite-floor-claim",
+        "nan-floor-claim", "infinite-slope-claim"])
 def test_truth_reader_rejects_malformed_documents(tmp_path, edit):
     path = truth_document(tmp_path, edit)
     with pytest.raises(ValueError, match="truth.json") as caught:
@@ -174,6 +186,57 @@ def test_headroom_below_the_safety_margin_is_refused(spec):
 def test_spec_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         SceneSpec(kind="flat-room", **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("resolution", 0.0, "resolution must be finite and positive"),
+    ("resolution", -0.1, "resolution must be finite and positive"),
+    ("size_x", 0.0, "scene dimensions must be positive"),
+    ("size_y", -1.0, "scene dimensions must be positive"),
+    ("height", 0.0, "scene dimensions must be positive"),
+])
+def test_spec_rejects_sizes_at_or_below_zero(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SceneSpec(kind="flat-room", **{field: value})
+
+
+REFUSED = [
+    (SceneSpec(kind="overhang", beam_low=2.0, beam_high=1.2), "0 < beam_low < beam_high"),
+    (SceneSpec(kind="overhang", beam_high=2.9), "below the ceiling slab"),
+    (SceneSpec(kind="overhang", beam_high=1.5), "space above the beam must stay below"),
+    (SceneSpec(kind="low-wall", wall_thickness=0), "wall_thickness must be >= 1"),
+    (SceneSpec(kind="low-wall", wall_height=1.5, observed_above=False),
+     "unobserved wall too tall"),
+    (SceneSpec(kind="crawl-space", gap=2.9), "crawl gap must sit below the room ceiling"),
+]
+
+
+@pytest.mark.parametrize("spec, message", REFUSED, ids=[spec_id(s) for s, _ in REFUSED])
+def test_builders_refuse_scenes_their_truth_would_not_describe(spec, message):
+    with pytest.raises(ValueError, match=message):
+        generate(spec)
+
+
+@pytest.mark.parametrize("layer", ["floor", "ceiling", "slope", "uav", "ugv"])
+def test_each_planted_mismatch_yields_exactly_its_own_message(layer):
+    _, truth, state = convert_and_verify(SceneSpec(kind="step", size_x=2.0, size_y=1.6))
+    m, n = 6, 6
+    assert truth.uav[m, n] == truth.ugv[m, n] == 0 and not math.isnan(truth.slope[m, n])
+    floor_k, ceil_k = int(state.height.floor_k[m, n]), int(state.height.ceil_k[m, n])
+    if layer == "floor":
+        state.height.set_faces((m, n), floor_k + 1, ceil_k)
+        expected = f"expected {truth.floor[m, n]}, got {state.height.floor[m, n]}"
+    elif layer == "ceiling":
+        state.height.set_faces((m, n), floor_k, ceil_k - 1)
+        expected = f"expected {truth.ceiling[m, n]}, got {state.height.ceiling[m, n]}"
+    elif layer == "slope":
+        state.slope.values[m, n] += 0.25
+        expected = f"expected {truth.slope[m, n]}, got {state.slope.values[m, n]}"
+    else:
+        getattr(state, layer).values[m, n] = 1.0
+        expected = "expected free, got 1.0"
+    problems = verify_against_truth(truth, state.height, state.slope, state.uav, state.ugv)
+    assert problems == [f"{layer} ({m},{n}): {expected}"]
 
 
 def test_coarser_resolution_scenes_still_verify():

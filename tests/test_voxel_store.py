@@ -176,6 +176,15 @@ def test_column_out_of_range():
         vm.column(0, -1)
 
 
+@pytest.mark.parametrize("box", [(0, 5, 0, 4, 0, 5), (-1, 1, 0, 4, 0, 5),
+                                 (2, 1, 0, 4, 0, 5), (0, 4, 0, 4, 3, 6)])
+def test_fill_box_out_of_range(box):
+    vm = VoxelMap(0.1, (0, 0, 0), (4, 4, 5))
+    with pytest.raises(IndexError, match=r"outside extent 4x4x5"):
+        vm.fill_box(*box, VoxelState.FREE)
+    assert vm.cell_count() == 0
+
+
 def test_runs_partition_height_for_random_columns():
     rng = np.random.default_rng(5)
     for _ in range(50):
