@@ -92,8 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag, what in (("--r-off", "height above floor"), ("--p-f", "path lookahead"),
                        ("--r-r", "uav clearance sphere radius")):
         p.add_argument(flag, type=float, help=f"{what}, m (default: the mode's LiftParams)")
-    p.add_argument("--r-max-z", type=float, default=ConversionParams.min_clearance,
-                   help="vertical safety margin bounding --r-r, m (default %(default)s)")
+    p.add_argument("--r-max-z", type=float,
+                   help="vertical safety margin bounding --r-r, m (default: "
+                        "ConversionParams.min_clearance)")
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
@@ -193,6 +194,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    if args.mode == "ugv" and (args.r_r is not None or args.r_max_z is not None):
+        raise _UsageError("lift: --r-r and --r-max-z apply to --mode uav only")
     grid = io_formats.read_occupancy(args.grid)
     if grid.kind != args.mode:
         raise ValueError(
@@ -231,13 +234,14 @@ def _lift_params(args, resolution: float) -> LiftParams:
     """The mode's LiftParams defaults, with the flags given in their place."""
     uav = args.mode == "uav"
     given = {"lookahead": None if args.p_f is None else round(args.p_f / resolution),
-             "height_offset": args.r_off, "safety_radius": args.r_r if uav else None}
+             "height_offset": args.r_off, "safety_radius": args.r_r}
     params = dataclasses.replace(
         (LiftParams.uav_defaults if uav else LiftParams.ugv_defaults)(resolution),
         **{k: v for k, v in given.items() if v is not None})
-    if uav and not params.safety_radius <= args.r_max_z / 2:
+    r_max_z = ConversionParams.min_clearance if args.r_max_z is None else args.r_max_z
+    if uav and not params.safety_radius <= r_max_z / 2:
         raise ValueError(f"clearance radius {params.safety_radius} outside "
-                         f"(0, r_max_z/2] with r_max_z {args.r_max_z}")
+                         f"(0, r_max_z/2] with r_max_z {r_max_z}")
     return params
 
 

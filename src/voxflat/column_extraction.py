@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -134,10 +135,6 @@ class HeightMap:
     def extent(self) -> tuple[int, int]:
         return self.floor_k.shape
 
-    @property
-    def present_mask(self) -> np.ndarray:
-        return self.floor_k >= 0
-
     def meters(self, k: np.ndarray) -> np.ndarray:
         """Heights `origin_z + k*res` of face indices; NaN where k < 0."""
         return np.where(k < 0, np.nan, self.origin[2] + k * self.resolution)
@@ -160,21 +157,13 @@ class HeightMap:
             self.__dict__.pop(view, None)
 
     def window(self, rows: slice, cols: slice) -> tuple[int, int, int, int]:
-        """Bounds (m0, m1, n0, n1) of the cells [rows, cols], clipped to the map."""
-        m0, m1, _ = rows.indices(self.extent[0])
-        n0, n1, _ = cols.indices(self.extent[1])
+        """Bounds (m0, m1, n0, n1) of the cells [rows, cols], clipped to the
+        map; a slice step other than 1 raises ValueError."""
+        m0, m1, dm = rows.indices(self.extent[0])
+        n0, n1, dn = cols.indices(self.extent[1])
+        if dm != 1 or dn != 1:
+            raise ValueError(f"window slices must have step 1, got {rows} and {cols}")
         return m0, max(m0, m1), n0, max(n0, n1)
-
-    def present_box(self, m0: int, m1: int, n0: int,
-                    n1: int) -> tuple[int, int, int, int] | None:
-        """Bounds (r0, r1, c0, c1) of the present cells in a window, or None."""
-        present = self.floor_k[m0:m1, n0:n1] >= 0
-        rows = np.flatnonzero(present.any(axis=1))
-        if not rows.size:
-            return None
-        cols = np.flatnonzero(present.any(axis=0))
-        return (m0 + int(rows[0]), m0 + int(rows[-1]) + 1,
-                n0 + int(cols[0]), n0 + int(cols[-1]) + 1)
 
     def block(self, m0: int, m1: int, n0: int, n1: int, halo: int) -> np.ndarray:
         """Floor and ceiling faces, int32 (2, h, w), of [m0, m1) x [n0, n1)
@@ -189,12 +178,25 @@ class HeightMap:
 
     def faces_at(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Floor and ceiling faces at integer cell arrays of one shape; a cell
-        off the map or without a floor reads -1 in both."""
+        off the map reads -1 in both, as an absent cell does."""
         M, N = self.extent
         inside = (m >= 0) & (m < M) & (n >= 0) & (n < N)
         m, n = np.where(inside, m, 0), np.where(inside, n, 0)
-        fk = np.where(inside, self.floor_k[m, n], -1)
-        return fk, np.where(fk < 0, -1, self.ceil_k[m, n])
+        return (np.where(inside, self.floor_k[m, n], -1),
+                np.where(inside, self.ceil_k[m, n], -1))
+
+
+def bands(mask: np.ndarray, rows: int) -> Iterator[tuple[slice, slice]]:
+    """(row, column) slices of blocks of at most `rows` whole rows that cover
+    the bounding box of the 2D mask's True cells; none if no cell is True."""
+    hit_rows = np.flatnonzero(mask.any(axis=1))
+    if not hit_rows.size:
+        return
+    hit_cols = np.flatnonzero(mask.any(axis=0))
+    cols = slice(int(hit_cols[0]), int(hit_cols[-1]) + 1)
+    end = int(hit_rows[-1]) + 1
+    for b0 in range(int(hit_rows[0]), end, rows):
+        yield slice(b0, min(b0 + rows, end)), cols
 
 
 def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
@@ -206,14 +208,6 @@ def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
     M, N, K = vmap.extent
     height = HeightMap.empty(vmap.resolution, vmap.origin, (M, N))
     states = vmap.states
-    observed = states.any(axis=2)
-    om = np.flatnonzero(observed.any(axis=1))
-    on = np.flatnonzero(observed.any(axis=0))
-    if not len(om):
-        return height
-    cols = slice(int(on[0]), int(on[-1]) + 1)
-    rows = max(1, _BAND_VOXELS // ((cols.stop - cols.start) * K))
-    for m0 in range(int(om[0]), int(om[-1]) + 1, rows):
-        band = (slice(m0, min(m0 + rows, int(om[-1]) + 1)), cols)
+    for band in bands(states.any(axis=2), max(1, _BAND_VOXELS // (N * K))):
         height.set_faces(band, *convert_column(states[band], min_run))
     return height

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -54,7 +55,8 @@ _SLOPE_GUARD = 0.05
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Which scene to build and its dimensional parameters (meters)."""
+    """Which scene to build and its dimensional parameters (meters); seed,
+    wall_thickness and clutter are integer counts >= 0."""
 
     kind: str
     size_x: float = 6.0
@@ -78,6 +80,15 @@ class SceneSpec:
         for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("seed", "wall_thickness", "clutter"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
         check_geometry(ValueError, self.resolution)
         if min(self.size_x, self.size_y, self.height) <= 0:
             raise ValueError("scene dimensions must be positive")
@@ -208,19 +219,17 @@ def generate(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:
 
 
 def verify_against_truth(truth: SceneTruth, height: HeightMap, slope: SlopeMap,
-                         uav: OccupancyGrid, ugv: OccupancyGrid,
-                         slope_tol: float = 1e-9) -> list[str]:
+                         uav: OccupancyGrid, ugv: OccupancyGrid) -> list[str]:
     """Check converted grids against a truth grid; returns mismatch messages.
 
-    Floors and ceilings must match exactly and slopes within slope_tol (a NaN
-    reading fails); occupancy values must fall in the claimed class.
+    Floors, ceilings and slopes must match exactly (a NaN reading fails);
+    occupancy values must fall in the claimed class.
     """
     problems: list[str] = []
     for name, want, got, ok in (
             ("floor", truth.floor, height.floor, height.floor == truth.floor),
             ("ceiling", truth.ceiling, height.ceiling, height.ceiling == truth.ceiling),
-            ("slope", truth.slope, slope.values,
-             np.abs(slope.values - truth.slope) <= slope_tol)):
+            ("slope", truth.slope, slope.values, slope.values == truth.slope)):
         for m, n in np.argwhere(~np.isnan(want) & ~ok):
             problems.append(f"{name} ({m},{n}): expected {want[m, n]}, got {got[m, n]}")
     for name, claim, v in (("uav", truth.uav, uav.values), ("ugv", truth.ugv, ugv.values)):
@@ -371,12 +380,14 @@ def _cells(meters: float, res: float) -> int:
     return max(1, round(meters / res))
 
 
-def _require_navigable(height_m: float, what: str) -> None:
-    if height_m < _PARAMS.min_clearance:
+def _require_navigable(cells: int, res: float, what: str) -> None:
+    """Refuse a free span of `cells` voxels shorter than the pipeline's
+    navigable run, `min_run(res)` voxels."""
+    if cells < _PARAMS.min_run(res):
         raise ValueError(
-            f"{what} is {height_m:.2f} m tall, below the safety margin "
-            f"{_PARAMS.min_clearance} m; the scene's free-space claims "
-            f"would not hold"
+            f"{what} is {cells} voxels tall, below the safety margin of "
+            f"{_PARAMS.min_run(res)} voxels ({_PARAMS.min_clearance} m); the "
+            f"scene's free-space claims would not hold"
         )
 
 
@@ -384,7 +395,7 @@ def _headroom(spec: SceneSpec) -> int:
     """Free voxels above the highest floor of a profile scene, which must
     reach the safety margin for the free-space claims to hold."""
     cells = _cells(spec.height, spec.resolution)
-    _require_navigable(cells * spec.resolution, "headroom")
+    _require_navigable(cells, spec.resolution, "headroom")
     return cells
 
 
@@ -393,7 +404,7 @@ def _headroom(spec: SceneSpec) -> int:
 
 def _flat_room(spec: SceneSpec) -> _Slices:
     K = _cells(spec.height, spec.resolution)
-    _require_navigable((K - 2) * spec.resolution, "room")
+    _require_navigable(K - 2, spec.resolution, "room")
     s = _profile(np.ones(_cells(spec.size_x, spec.resolution), dtype=int), K)
     # A flat floor fits a zero-slope plane exactly from any sample subset,
     # so the claim extends through truncated windows at the edges.
@@ -431,8 +442,8 @@ def _overhang(spec: SceneSpec) -> _Slices:
     hi = _cells(spec.beam_high, spec.resolution)
     if hi >= K - 1:
         raise ValueError("beam must sit below the ceiling slab")
-    _require_navigable((lo - 1) * spec.resolution, "space under the beam")
-    if (K - 1 - hi) * spec.resolution >= _PARAMS.min_clearance:
+    _require_navigable(lo - 1, spec.resolution, "space under the beam")
+    if K - 1 - hi >= _PARAMS.min_run(spec.resolution):
         raise ValueError("space above the beam must stay below the safety "
                          "margin for the ceiling claim to hold")
     s = _profile(np.ones(ix, dtype=int), K)
@@ -449,7 +460,7 @@ def _low_wall(spec: SceneSpec) -> _Slices:
     ix = _cells(spec.size_x, spec.resolution)
     K = _cells(spec.height, spec.resolution)
     wh = _cells(spec.wall_height, spec.resolution)
-    t = int(spec.wall_thickness)
+    t = spec.wall_thickness
     if t < 1:
         raise ValueError("wall_thickness must be >= 1 cell")
     if t > ix:
@@ -457,7 +468,7 @@ def _low_wall(spec: SceneSpec) -> _Slices:
     wx0 = (ix - t) // 2
     profile = np.ones(ix, dtype=int)
     if spec.observed_above:
-        _require_navigable((K - 1 - (wh + 1)) * spec.resolution, "space above the wall")
+        _require_navigable(K - 1 - (wh + 1), spec.resolution, "space above the wall")
         profile[wx0:wx0 + t] = wh + 1
         s = _profile(profile, K)
         s.slope = _profile_slopes(s.floor_k, spec.resolution)
@@ -492,10 +503,10 @@ def _crawl_space(spec: SceneSpec) -> _Slices:
     gk = _cells(spec.gap, spec.resolution)
     if gk + 2 >= K:
         raise ValueError("crawl gap must sit below the room ceiling")
-    if gk * spec.resolution >= _PARAMS.min_clearance:
+    if gk >= _PARAMS.min_run(spec.resolution):
         raise ValueError("crawl gap must be below the safety margin "
                          "for its cells to stay non-free")
-    _require_navigable((K - 2) * spec.resolution, "room")
+    _require_navigable(K - 2, spec.resolution, "room")
     s = _profile(np.ones(ix, dtype=int), K)
     s.slope[:] = 0.0
     _crawl_strip(s, ix // 3, ix - ix // 3, gk)

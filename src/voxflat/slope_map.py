@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap
+from .column_extraction import HeightMap, bands
 
 # A normal system whose condition estimate exceeds this is treated as
 # degenerate (collinear or near-collinear sample layout).
@@ -66,15 +66,9 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     degenerate = np.zeros(values.shape, dtype=bool)
     # Only the bounding box of present cells has output; absent cells outside
     # it read NaN already.
-    box = height.present_box(m0, m1, n0, n1)
-    if box is None:
-        return values, degenerate
-    r0, r1, c0, c1 = box
-    for b0 in range(r0, r1, _BAND_ROWS):
-        b1 = min(b0 + _BAND_ROWS, r1)
-        out_v, out_d = _kernel(height, b0, b1, c0, c1, radius)
-        values[b0 - m0:b1 - m0, c0 - n0:c1 - n0] = out_v
-        degenerate[b0 - m0:b1 - m0, c0 - n0:c1 - n0] = out_d
+    for r, c in bands(height.floor_k[m0:m1, n0:n1] >= 0, _BAND_ROWS):
+        values[r, c], degenerate[r, c] = _kernel(
+            height, m0 + r.start, m0 + r.stop, n0 + c.start, n0 + c.stop, radius)
     return values, degenerate
 
 

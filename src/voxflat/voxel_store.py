@@ -103,14 +103,13 @@ def int_records(records: Sequence[Sequence[int]], width: int, label: str) -> np.
 class ColumnView:
     """Run-length view of one column: (z_start, length, state) covering [0, K)."""
 
-    cell: Cell
     runs: tuple[tuple[int, int, VoxelState], ...]
 
 
 class VoxelMap:
     """Dense M x N x K grid of tri-state voxels.
 
-    Cells never written are Unknown, as are all indices outside the extent.
+    Cells never written are Unknown.
     Voxel layer k spans world z in [origin_z + k*res, origin_z + (k+1)*res).
     """
 
@@ -130,13 +129,6 @@ class VoxelMap:
         self._voxels = np.zeros(ext, dtype=np.uint8)
 
     # -- access ---------------------------------------------------------
-
-    def state_at(self, i: int, j: int, k: int) -> VoxelState:
-        """State of one voxel; indices outside the extent are Unknown."""
-        M, N, K = self.extent
-        if not (0 <= i < M and 0 <= j < N and 0 <= k < K):
-            return VoxelState.UNKNOWN
-        return VoxelState(int(self._voxels[i, j, k]))
 
     @property
     def states(self) -> np.ndarray:
@@ -159,7 +151,7 @@ class VoxelMap:
         M, N, _ = self.extent
         if not (0 <= m < M and 0 <= n < N):
             raise IndexError(f"column ({m}, {n}) outside extent {M}x{N}")
-        return ColumnView((m, n), _runs_of(self._voxels[m, n]))
+        return ColumnView(_runs_of(self._voxels[m, n]))
 
     # -- mutation -------------------------------------------------------
 

@@ -104,7 +104,7 @@ def test_criterion_3_occupancy_oracle():
         occupied = extract_ranges(column_from_array(ex_col), res, 0.0).occupied
         height = make_height_map([[span.floor], [None]],
                                  [[span.ceiling], [None]], resolution=res)
-        value = occupancy_value((1, 0), occupied, height, height.present_mask)
+        value = occupancy_value((1, 0), occupied, height, height.floor_k >= 0)
         kf0 = int(round(span.floor / res))
         kf1 = int(round(span.ceiling / res))
         oracle = min(1.0, int(np.count_nonzero(ex_col[kf0:kf1] == int(O)))
@@ -115,7 +115,7 @@ def test_criterion_3_occupancy_oracle():
     # hand case: occupied [0,1] against span [0,2] is exactly one half
     height = make_height_map([[0.0], [None]], [[2.0], [None]])
     hand = occupancy_value((1, 0), (HeightRange(0.0, 1.0),), height,
-                           height.present_mask)
+                           height.floor_k >= 0)
     assert hand == 0.5
     _report(f"3 occupancy oracle ({checked} columns, hand case 0.5 exact)")
 

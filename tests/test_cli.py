@@ -167,6 +167,13 @@ def test_synth_rejects_a_non_finite_size(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_synth_rejects_a_negative_count(tmp_path, capsys):
+    assert run("synth", "--scene", "flat-room", "--clutter", "-3",
+               "--out", tmp_path / "x.vxg") == 2
+    assert capsys.readouterr().err.startswith("error: clutter must be >= 0")
+    assert not (tmp_path / "x.vxg").exists()
+
+
 def test_lift_uav_on_flat_scene(tmp_path, capsys):
     vxg = synth(tmp_path, "flat-room")
     out = convert(tmp_path, vxg)
@@ -223,6 +230,18 @@ def test_lift_ugv_tracks_the_floor(tmp_path):
         m = int(x / 0.1)
         n = int(y / 0.1)
         assert z >= float(height.floor[m, n]) + 0.1 - 1e-6
+
+
+@pytest.mark.parametrize("flags", [("--r-r", "-7"), ("--r-max-z", "-1"),
+                                   ("--r-r", "-7", "--r-max-z", "-1"), ("--r-r", "0.2")])
+def test_ugv_lift_refuses_the_aerial_sphere_flags(tmp_path, capsys, flags):
+    out = convert(tmp_path, synth(tmp_path, "flat-room"))
+    path_out = tmp_path / "path.txt"
+    assert run("lift", "--grid", out / "ugv_map.g2d", "--height", out / "height.g2d",
+               "--mode", "ugv", "--start", 5, 5, "--goal", 6, 5, "--out", path_out,
+               *flags) == 1
+    assert "apply to --mode uav only" in capsys.readouterr().err
+    assert not path_out.exists()
 
 
 def test_lift_uav_reports_what_clearance_moved(tmp_path, capsys):

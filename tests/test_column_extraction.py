@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
                      build_height_map, convert_column, init)
+from voxflat.column_extraction import bands
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -133,7 +134,7 @@ def test_height_map_invariants_on_random_maps():
                 free = [(k0, k0 + length) for k0, length, s in state.ranges.get((m, n), ())
                         if s == F]
                 assert all(k1 - k0 >= min_run for k0, k1 in free)
-                assert height.present_mask[m, n] == bool(free)
+                assert (height.floor_k[m, n] >= 0) == bool(free)
                 if free:
                     assert all(floor_k[m, n] <= k0 for k0, _ in free)
                     assert all(ceil_k[m, n] >= k1 for _, k1 in free)
@@ -197,10 +198,19 @@ def test_height_block_pads_with_absent_faces():
     assert faces.dtype == np.int32 and faces.shape == (2, 4, 3)
     assert faces[0].tolist() == [[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [-1, -1, -1]]
     assert faces[1].tolist() == [[-1, -1, -1], [4, 5, -1], [-1, 6, -1], [-1, -1, -1]]
-    assert height.present_mask.tolist() == [[True, True], [False, True]]
-    assert height.present_box(1, 2, 0, 2) == (1, 2, 1, 2)
-    assert height.present_box(1, 2, 0, 1) is None
+    assert (height.floor_k >= 0).tolist() == [[True, True], [False, True]]
+    assert list(bands(height.floor_k[1:2, 0:2] >= 0, 64)) == [(slice(0, 1), slice(1, 2))]
+    assert list(bands(height.floor_k[1:2, 0:1] >= 0, 64)) == []
     assert height.window(slice(-1, None), slice(5, 0)) == (1, 2, 2, 2)
+
+
+def test_bands_cover_the_bounding_box_of_the_mask_in_row_blocks():
+    mask = np.zeros((9, 7), dtype=bool)
+    mask[[1, 6], [5, 2]] = True
+    assert list(bands(mask, 2)) == [(slice(1, 3), slice(2, 6)), (slice(3, 5), slice(2, 6)),
+                                    (slice(5, 7), slice(2, 6))]
+    assert list(bands(mask, 64)) == [(slice(1, 7), slice(2, 6))]
+    assert list(bands(np.zeros((3, 3), dtype=bool), 1)) == []
 
 
 def test_height_faces_at_reads_minus_one_off_the_map_and_where_no_floor():
@@ -300,4 +310,4 @@ def test_meter_views_follow_set_faces():
                           equal_nan=True)
     assert np.array_equal(height.ceiling[0], [np.nan, -1.0 + 20 * 0.1, -1.0 + 30 * 0.1],
                           equal_nan=True)
-    assert height.present_mask.tolist() == [[False, True, True], [False] * 3]
+    assert (height.floor_k >= 0).tolist() == [[False, True, True], [False] * 3]

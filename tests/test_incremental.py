@@ -153,7 +153,7 @@ def test_updates_that_toggle_back_still_rebuild_exactly():
     state = init(vmap)
     M, N, K = vmap.extent
     cell = (M // 2, N // 2, K // 2)
-    original = state.voxels.state_at(*cell)
+    original = state.voxels.states[cell]
     update(state, [(cell[0], cell[1], cell[2], F)])
     update(state, [(cell[0], cell[1], cell[2], original)])
     assert states_equal(state, init(state.voxels)) == []

@@ -46,21 +46,21 @@ def _two_cell_height(floor, ceiling):
 
 def test_occupancy_value_half_overlap_is_exact():
     height = _two_cell_height(0.0, 2.0)
-    free = height.present_mask
+    free = height.floor_k >= 0
     value = occupancy_value((1, 0), (HeightRange(0.0, 1.0),), height, free)
     assert value == 0.5
 
 
 def test_occupancy_value_full_wall_clamps_to_one():
     height = _two_cell_height(0.1, 2.9)
-    free = height.present_mask
+    free = height.floor_k >= 0
     value = occupancy_value((1, 0), (HeightRange(0.0, 5.0),), height, free)
     assert value == 1.0
 
 
 def test_occupancy_value_takes_max_over_neighbors():
     height = make_height_map([[0.0, None, 0.0]], [[10.0, None, 1.0]])
-    free = height.present_mask
+    free = height.floor_k >= 0
     # left span [0,10] sees 0.7 + 2.3 = 3.0 (ratio 0.3); right span [0,1]
     # sees only 0.7 (ratio 0.7); the max wins
     value = occupancy_value((0, 1), (HeightRange(0.0, 0.7), HeightRange(2.0, 4.3)),
@@ -71,14 +71,14 @@ def test_occupancy_value_takes_max_over_neighbors():
 def test_occupancy_value_without_free_neighbor_is_none():
     height = make_height_map([[None, None]])
     assert occupancy_value((0, 0), (HeightRange(0, 1),), height,
-                           height.present_mask) is None
+                           height.floor_k >= 0) is None
 
 
 def test_low_wall_hand_ratio():
     # 0.4 m wall against a 3 m tall neighbor span: ratio 0.1333, below 0.5
     height = _two_cell_height(0.0, 3.0)
     value = occupancy_value((1, 0), (HeightRange(0.0, 0.4),), height,
-                            height.present_mask)
+                            height.floor_k >= 0)
     assert value == pytest.approx(0.4 / 3.0, abs=1e-12)
     assert value < 0.5
 
@@ -161,7 +161,7 @@ def test_value_domain_and_superset_invariants():
             assert np.all((vals == -1.0) | ((vals >= 0.0) & (vals <= 1.0)))
         assert np.all(state.ugv.values[state.uav.values > 0] > 0)
         # free cells in the aerial map are exactly the height-map cells
-        assert np.array_equal(state.uav.values == 0.0, state.height.present_mask)
+        assert np.array_equal(state.uav.values == 0.0, state.height.floor_k >= 0)
 
 
 def test_raising_min_occupancy_only_shrinks_the_occupied_set():
@@ -196,7 +196,7 @@ def test_occupancy_agrees_with_voxel_counting_oracle():
         ex = extract_ranges(column_from_array(ex_col), res, 0.0)
         height = make_height_map([[span.floor], [None]], [[span.ceiling], [None]],
                                  resolution=res)
-        value = occupancy_value((1, 0), ex.occupied, height, height.present_mask)
+        value = occupancy_value((1, 0), ex.occupied, height, height.floor_k >= 0)
         kf0 = int(round(span.floor / res))
         kf1 = int(round(span.ceiling / res))
         count = int(np.count_nonzero(ex_col[kf0:kf1] == int(O)))
@@ -230,6 +230,15 @@ def test_build_map_validation():
 RUNS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)), min_size=1, max_size=6)
 
 
+@pytest.mark.parametrize("rows, cols", [(slice(0, 20, 2), slice(0, 10)),
+                                        (slice(0, 10), slice(9, None, -1))])
+def test_uav_kernel_refuses_stepped_windows(rows, cols):
+    vmap, _ = generate(SceneSpec(kind="ramp"))
+    state = init(vmap)
+    with pytest.raises(ValueError, match="step 1"):
+        uav_cell_value(vmap, state.height, rows, cols, 0.5)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), res=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
        origin_z=st.floats(-10.0, 10.0), min_occupancy=st.floats(0.01, 1.0),
@@ -251,7 +260,7 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
     n0, n1 = sorted(data.draw(st.tuples(st.integers(0, N), st.integers(0, N))))
     got = uav_cell_value(vmap, state.height, slice(m0, m1), slice(n0, n1), min_occupancy)
     assert np.array_equal(got, state.uav.values[m0:m1, n0:n1])
-    present = state.height.present_mask
+    present = state.height.floor_k >= 0
     for m in range(m0, m1):
         for n in range(n0, n1):
             value = got[m - m0, n - n0]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from voxflat import init, load_voxel_map, save_voxel_map
+from voxflat import ConversionParams, init, load_voxel_map, save_voxel_map
 from voxflat.scenes import (SCENE_KINDS, SceneSpec, SceneTruth, generate,
                             verify_against_truth)
 
@@ -179,6 +179,37 @@ def test_headroom_below_the_safety_margin_is_refused(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("clutter", -3, ValueError, "clutter must be >= 0"),
+    ("seed", -1, ValueError, "seed must be >= 0"),
+    ("wall_thickness", -2, ValueError, "wall_thickness must be >= 0"),
+    ("clutter", 2.5, TypeError, "clutter must be an integer"),
+    ("wall_thickness", 2.7, TypeError, "wall_thickness must be an integer"),
+    ("seed", "3", TypeError, "seed must be an integer"),
+])
+def test_spec_counts_are_non_negative_integers(field, value, error, message):
+    # clutter=-3 built the plain room, and wall_thickness=2.7 the voxels of 2.
+    with pytest.raises(error, match=f"^{message}"):
+        SceneSpec(kind="flat-room", **{field: value})
+
+
+def test_spec_takes_integer_like_counts_as_ints():
+    spec = SceneSpec(kind="flat-room", clutter=np.int64(2), seed=np.uint8(3))
+    assert type(spec.clutter) is int and type(spec.seed) is int
+    assert spec == SceneSpec(kind="flat-room", clutter=2, seed=3)
+
+
+def test_headroom_is_counted_in_the_pipelines_voxels():
+    # 1.2 m at res 0.7/7 leaves 10 free voxels, which min_run(res) accepts,
+    # though 10 * res is an ulp below the 1 m margin.
+    res = 0.7 / 7
+    assert 10 * res < 1.0 and ConversionParams().min_run(res) == 10
+    convert_and_verify(SceneSpec(kind="flat-room", height=1.2, resolution=res))
+    with pytest.raises(ValueError, match="room is 9 voxels tall, below the safety "
+                                         "margin of 10 voxels"):
+        generate(SceneSpec(kind="flat-room", height=1.1, resolution=res))
+
+
 @pytest.mark.parametrize("field", ["size_x", "size_y", "height", "resolution", "slope",
                                    "step_height", "wall_height", "gap", "beam_low",
                                    "beam_high"])
@@ -237,6 +268,15 @@ def test_each_planted_mismatch_yields_exactly_its_own_message(layer):
         expected = "expected free, got 1.0"
     problems = verify_against_truth(truth, state.height, state.slope, state.uav, state.ugv)
     assert problems == [f"{layer} ({m},{n}): {expected}"]
+
+
+def test_slopes_are_compared_exactly():
+    _, truth, state = convert_and_verify(SceneSpec(kind="ramp", size_x=2.0, size_y=1.6))
+    m, n = np.argwhere(~np.isnan(truth.slope))[0]
+    state.slope.values[m, n] = np.nextafter(truth.slope[m, n], np.inf)
+    problems = verify_against_truth(truth, state.height, state.slope, state.uav, state.ugv)
+    assert problems == [f"slope ({m},{n}): expected {truth.slope[m, n]}, "
+                        f"got {state.slope.values[m, n]}"]
 
 
 def test_coarser_resolution_scenes_still_verify():

@@ -171,6 +171,16 @@ def test_radius_validation():
         build_slope_map(height, 0)
 
 
+@pytest.mark.parametrize("rows, cols", [(slice(0, 20, 2), slice(0, 10)),
+                                        (slice(0, 10), slice(9, None, -1))])
+def test_stepped_windows_are_refused(rows, cols):
+    # floor[0:20:2] has 10 rows; a window that dropped the step returned 20.
+    vmap, _ = generate(SceneSpec(kind="ramp"))
+    height = init(vmap).height
+    with pytest.raises(ValueError, match="step 1"):
+        slope_at(height, rows, cols, 2)
+
+
 @st.composite
 def floor_grids(draw):
     """A height map on voxel faces with a sparse, isolated or collinear layout."""

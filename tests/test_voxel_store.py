@@ -228,14 +228,14 @@ def test_apply_cells_last_write_wins_for_repeated_voxels():
     vm = VoxelMap(0.1, (0, 0, 0), (2, 2, 2))
     vm.apply_cells([(0, 0, 0, F), (0, 0, 0, O), (1, 1, 1, O), (0, 0, 0, U),
                     (1, 1, 1, F)])
-    assert (vm.state_at(0, 0, 0), vm.state_at(1, 1, 1)) == (U, F)
+    assert vm.states[[0, 1], [0, 1], [0, 1]].tolist() == [U, F]
     # a batch long enough for numpy's general indexing loops
     rng = np.random.default_rng(3)
     voxels = rng.integers(0, 2, (20000, 3))
     states = rng.integers(0, 3, 20000)
     vm.apply_cells([(*v, s) for v, s in zip(voxels.tolist(), states.tolist())])
     last = {tuple(v): s for v, s in zip(voxels.tolist(), states.tolist())}
-    assert all(vm.state_at(*v) == s for v, s in last.items())
+    assert all(vm.states[v] == s for v, s in last.items())
 
 
 def test_apply_cells_bool_index_acts_as_its_integer():
@@ -278,14 +278,14 @@ def test_apply_cells_rejects_bad_updates_without_mutating():
     vm.apply_cells([(0, 0, 0, F)])
     with pytest.raises(IndexError, match="update 1"):
         vm.apply_cells([(1, 1, 1, F), (6, 0, 0, O)])
-    assert vm.state_at(1, 1, 1) == U  # batch rejected before any write
+    assert vm.states[1, 1, 1] == U  # batch rejected before any write
 
 
 def test_apply_cells_touches_only_reported_columns():
     rng = np.random.default_rng(7)
     for _ in range(20):
         vm = random_map(rng, M=8, N=8, K=6, writes=30)
-        before = {(m, n): [vm.state_at(m, n, k) for k in range(6)]
+        before = {(m, n): vm.states[m, n].tolist()
                   for m in range(8) for n in range(8)}
         updates = [(int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(6)),
                     VoxelState(int(rng.integers(0, 3)))) for _ in range(5)]
@@ -293,7 +293,7 @@ def test_apply_cells_touches_only_reported_columns():
         for m in range(8):
             for n in range(8):
                 if (m, n) not in dirty:
-                    now = [vm.state_at(m, n, k) for k in range(6)]
+                    now = vm.states[m, n].tolist()
                     assert now == before[(m, n)]
 
 
@@ -302,12 +302,6 @@ def test_erasing_all_cells_restores_equality_with_fresh_map():
     vm.apply_cells([(1, 2, 3, O), (1, 2, 2, F)])
     vm.apply_cells([(1, 2, 3, U), (1, 2, 2, U)])
     assert vm == VoxelMap(0.1, (0, 0, 0), (4, 4, 4))
-
-
-def test_state_at_outside_extent_is_unknown():
-    vm = VoxelMap(0.1, (0, 0, 0), (4, 4, 4))
-    assert vm.state_at(99, 0, 0) == U
-    assert vm.state_at(-1, 0, 0) == U
 
 
 def test_fill_box_matches_apply_cells():
@@ -375,8 +369,7 @@ def test_voxel_map_matches_a_plain_array(tmp_path_factory, script):
     save_voxel_map(vm, path)
     loaded = load_voxel_map(path)
     assert loaded == vm
-    assert all(loaded.state_at(i, j, k) == ref[i, j, k]
-               for i in range(M) for j in range(N) for k in range(K))
+    assert np.array_equal(loaded.states, ref)
 
 
 _INT_TYPES = (int, np.int64, np.int32, np.uint16, np.intp)
