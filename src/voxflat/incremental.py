@@ -9,11 +9,14 @@ the reach of its data dependencies:
 - voxels: `VoxelMap.apply_cells` writes the batch by one validated scatter
   and returns the written columns as sorted (rows, cols) index arrays;
 - heights: `convert_column` on the written columns (halo 0);
-- slopes: `slope_at` on the dirty columns grown by the fit radius r. Its
-  integer sums are exact, so a window gives the same bits as the full map;
+- slopes: `slope_at` on the dirty columns grown by the fit radius r, only
+  when a dirty column's floor face changed: the fit reads nothing else, so
+  otherwise the stored slopes are current (early cutoff). Its integer sums
+  are exact, so a window gives the same bits as the full map;
 - UAV: `uav_cell_value` on the dirty columns grown by 1, since a cell reads
   its own voxels and its 8-neighbours' spans;
-- UGV: `ugv_values` on the slope box, since it reads UAV and slope.
+- UGV: `ugv_values` on the slope box when slopes ran, else on the UAV box,
+  since it reads UAV and slope.
 
 A stage's box is the bounding box of the dirty columns, computed once, grown
 by its halo. Every cell of a box is rewritten, so no stale value survives.
@@ -24,6 +27,8 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .column_extraction import HeightMap, build_height_map, convert_column
 from .occupancy_maps import (OccupancyGrid, build_ugv_map, build_uav_map,
@@ -37,7 +42,13 @@ CSV_HEADER = "update_index,columns_dirty,slope_cells,occupancy_cells,wall_time_u
 
 @dataclass(frozen=True)
 class DirtyReport:
-    """Recomputation counts of one update, plus its wall time."""
+    """Recomputation counts of one update, plus its wall time.
+
+    `slope_cells` is the slope box the fit reran on, 0 when no dirty column's
+    floor face moved and the fit was skipped. `occupancy_cells` is the UGV
+    box actually rewritten: the slope box, or the UAV box (the dirty columns
+    grown by 1) on a skip.
+    """
 
     columns: int
     slope_cells: int
@@ -99,39 +110,47 @@ def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport
     """Apply voxel writes and rerun each stage's kernel on its halo box.
 
     The state is mutated in place. The report counts the dirty columns, the
-    slope cells recomputed, and the occupancy cells recomputed (the UGV box,
-    which holds the UAV one).
+    slope cells recomputed (0 when no dirty column's floor face moved, so the
+    slope fit was skipped), and the UGV cells rewritten: the slope box when
+    the fit ran, else the UAV box. Either box holds the UAV one.
     """
     t0 = time.perf_counter_ns()
     vmap = state.voxels
     dirty = vmap.apply_cells(updates)
     state.__dict__.pop("ranges", None)  # the cached view is stale now
     m, n = dirty
-    slope_cells = 0
+    slope_cells = occupancy_cells = 0
     if m.size:
         params = state.params
         res = vmap.resolution
-        radius = params.slope_radius_cells(res)
         M, N, _ = vmap.extent
-        state.height.set_faces(dirty, *convert_column(vmap.states[dirty],
-                                                      params.min_run(res)))
+        floor_k, ceil_k = convert_column(vmap.states[dirty], params.min_run(res))
+        # Early cutoff: the slope fit reads only floor faces, so when none of
+        # them moved the stored slopes are current and UGV changes only where
+        # UAV did.
+        floor_moved = not np.array_equal(state.height.floor_k[dirty], floor_k)
+        state.height.set_faces(dirty, floor_k, ceil_k)
         # m comes back sorted; for the few dirty columns of an update, Python
         # min and max of n are cheaper than two numpy reductions.
         ns = n.tolist()
         box = (int(m[0]), int(m[-1]) + 1, min(ns), max(ns) + 1)
-        rows, cols = _grow(box, radius, M, N)
-        values, degenerate = slope_at(state.height, rows, cols, radius)
-        state.slope.values[rows, cols] = values
-        state.slope.degenerate[rows, cols] = degenerate
-        slope_cells = values.size
-        uav_rows, uav_cols = _grow(box, 1, M, N)
+        uav_rows, uav_cols = rows, cols = _grow(box, 1, M, N)
+        if floor_moved:
+            radius = params.slope_radius_cells(res)
+            rows, cols = _grow(box, radius, M, N)
+            values, degenerate = slope_at(state.height, rows, cols, radius)
+            state.slope.values[rows, cols] = values
+            state.slope.degenerate[rows, cols] = degenerate
+            slope_cells = values.size
         state.uav.values[uav_rows, uav_cols] = uav_cell_value(
             vmap, state.height, uav_rows, uav_cols, params.min_occupancy)
-        state.ugv.values[rows, cols] = ugv_values(state.uav.values[rows, cols],
-                                                  values, params.max_slope)
+        ugv = ugv_values(state.uav.values[rows, cols],
+                         state.slope.values[rows, cols], params.max_slope)
+        state.ugv.values[rows, cols] = ugv
+        occupancy_cells = ugv.size
 
     elapsed_us = (time.perf_counter_ns() - t0) // 1000
-    return DirtyReport(m.size, slope_cells, slope_cells, int(elapsed_us))
+    return DirtyReport(m.size, slope_cells, occupancy_cells, int(elapsed_us))
 
 
 def _grow(box: tuple[int, int, int, int], halo: int, M: int,

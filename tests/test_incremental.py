@@ -47,11 +47,15 @@ def test_empty_update_changes_nothing():
 
 
 def test_single_voxel_halo_bounds():
+    # an occupied voxel on the floor face lifts the column's floor by one, so
+    # the slope fit reruns on its radius-r box and UGV with it
     vmap, _ = generate(SceneSpec(kind="flat-room", size_x=3.0, size_y=3.0))
     state = init(vmap)
     radius = ConversionParams().slope_radius_cells(vmap.resolution)
-    M, N, K = vmap.extent
-    report = update(state, [(M // 2, N // 2, K // 2, F)])
+    M, N, _ = vmap.extent
+    floor = int(state.height.floor_k[M // 2, N // 2])
+    report = update(state, [(M // 2, N // 2, floor, O)])
+    assert state.height.floor_k[M // 2, N // 2] == floor + 1
     assert report.columns == 1
     assert report.slope_cells == (2 * radius + 1) ** 2
     assert report.occupancy_cells == (2 * radius + 1) ** 2
@@ -67,32 +71,60 @@ def test_update_matches_from_scratch_rebuild():
         assert states_equal(state, init(state.voxels)) == []
 
 
+def assert_edit_stays_in_halos(vmap, edit, halos):
+    """Apply one edit around the map's center column to a fresh state: each
+    grid may change only within its halo (Chebyshev distance from the
+    center; None: nowhere), and the state still equals a rebuild."""
+    M, N, _ = vmap.extent
+    m, n = M // 2, N // 2
+    state = init(copy.deepcopy(vmap))
+    # the stored faces; the meter views are rebuilt after an update
+    grids = {"floor": state.height.floor_k, "ceiling": state.height.ceil_k,
+             "uav": state.uav.values, "slope": state.slope.values,
+             "degenerate": state.slope.degenerate, "ugv": state.ugv.values}
+    before = {name: grid.copy() for name, grid in grids.items()}
+    report = update(state, edit)
+    for name, grid in grids.items():
+        inside = np.zeros((M, N), dtype=bool)
+        halo = halos[name]
+        if halo is not None:
+            inside[m - halo:m + halo + 1, n - halo:n + halo + 1] = True
+        assert np.array_equal(grid[~inside], before[name][~inside], equal_nan=True), \
+            f"{name} changed outside its halo of {halo}"
+    assert states_equal(state, init(state.voxels)) == []
+    return state, report
+
+
 def test_cells_outside_the_halo_are_untouched():
-    # Two one-column edits: one occupied voxel inside the free span, and a
-    # pillar that removes the column's height cell. Each grid may change only
-    # within its own halo: heights in the column, UAV within Chebyshev
-    # distance 1, slope and UGV within the fit radius r.
+    # Two floor-moving one-column edits: one occupied voxel on the floor
+    # face, and a pillar that removes the column's height cell. Each grid may
+    # change only within its own halo: heights in the column, UAV within
+    # Chebyshev distance 1, slope and UGV within the fit radius r.
     vmap, _ = generate(SceneSpec(kind="flat-room", size_x=4.0, size_y=4.0))
     M, N, K = vmap.extent
     m, n = M // 2, N // 2
     r = ConversionParams().slope_radius_cells(vmap.resolution)
-    for edit in ([(m, n, K // 2, O)], [(m, n, k, O) for k in range(K)]):
-        state = init(copy.deepcopy(vmap))
-        # the stored faces; the meter views are rebuilt after an update
-        grids = {"floor": (state.height.floor_k, 0), "ceiling": (state.height.ceil_k, 0),
-                 "uav": (state.uav.values, 1), "slope": (state.slope.values, r),
-                 "ugv": (state.ugv.values, r)}
-        before = {name: grid.copy() for name, (grid, _) in grids.items()}
-        report = update(state, edit)
+    floor = int(init(vmap).height.floor_k[m, n])
+    halos = {"floor": 0, "ceiling": 0, "uav": 1, "slope": r, "degenerate": r, "ugv": r}
+    for edit in ([(m, n, floor, O)], [(m, n, k, O) for k in range(K)]):
+        state, report = assert_edit_stays_in_halos(vmap, edit, halos)
         assert report.occupancy_cells == (2 * r + 1) ** 2
-        for name, (grid, halo) in grids.items():
-            inside = np.zeros((M, N), dtype=bool)
-            inside[m - halo:m + halo + 1, n - halo:n + halo + 1] = True
-            assert np.array_equal(grid[~inside], before[name][~inside], equal_nan=True), \
-                f"{name} changed outside its halo of {halo}"
-        assert states_equal(state, init(state.voxels)) == []
     # the pillar reached every grid
     assert np.isnan(state.height.floor[m, n]) and state.uav.values[m, n] == 1.0
+
+
+def test_cells_outside_the_uav_halo_are_untouched_when_no_floor_moves():
+    # one occupied voxel high in the free span moves the ceiling but not the
+    # floor: the slope fit is skipped, so slopes change nowhere, and UGV is
+    # rewritten on the UAV box only
+    vmap, _ = generate(SceneSpec(kind="flat-room", size_x=4.0, size_y=4.0))
+    M, N, K = vmap.extent
+    ceil = init(vmap).height.ceil_k[M // 2, N // 2]
+    halos = {"floor": None, "ceiling": 0, "uav": 1, "slope": None,
+             "degenerate": None, "ugv": 1}
+    state, report = assert_edit_stays_in_halos(vmap, [(M // 2, N // 2, K - 5, O)], halos)
+    assert state.height.ceil_k[M // 2, N // 2] != ceil
+    assert (report.columns, report.slope_cells, report.occupancy_cells) == (1, 0, 9)
 
 
 def test_update_cost_scales_with_the_dirty_halo_not_the_map():
@@ -248,6 +280,31 @@ class RebuildEquivalence(RuleBasedStateMachine):
                                              st.integers(0, K - 1)),
                                    min_size=1, max_size=12))
         update(self.state, [w for m, n, f in cells for w in floor_column(m, n, f, K)])
+
+    @rule(data=st.data())
+    def write_above_floors(self, data):
+        # Random states at k >= floor_k + min_run in present columns leave
+        # the all-free window at the floor intact, so no floor can move and
+        # every such batch takes the update that skips the slope fit.
+        vmap, params = self.state.voxels, self.state.params
+        K = vmap.extent[2]
+        above = self.state.height.floor_k + params.min_run(vmap.resolution)
+        cells = np.argwhere((self.state.height.floor_k >= 0) & (above < K))
+        if not len(cells):
+            return
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(cells) - 1),
+                                             st.integers(0, K - 1),
+                                             st.sampled_from([U, O, F])),
+                                   min_size=1, max_size=20))
+        writes = []
+        for i, k, s in picks:
+            m, n = (int(x) for x in cells[i])
+            lowest = int(above[m, n])
+            writes.append((m, n, lowest + k % (K - lowest), s))
+        floor = self.state.height.floor_k.copy()
+        report = update(self.state, writes)
+        assert np.array_equal(self.state.height.floor_k, floor)
+        assert report.slope_cells == 0
 
     @rule(layout=st.sampled_from(["isolated", "row", "column", "diagonal"]),
           at=st.integers(0, 11), data=st.data())

@@ -219,6 +219,27 @@ def test_spec_rejects_non_finite_numbers(field, value):
         SceneSpec(kind="flat-room", **{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(False)])
+def test_spec_observed_above_must_be_a_bool(value):
+    # observed_above="no" built the observed wall
+    with pytest.raises(TypeError, match="^observed_above must be a bool"):
+        SceneSpec(kind="low-wall", observed_above=value)
+
+
+@pytest.mark.parametrize("field", ["size_x", "resolution", "slope", "gap", "beam_high"])
+@pytest.mark.parametrize("value", ["3", True, None, 2j])
+def test_spec_meter_fields_must_be_real_numbers(field, value):
+    # size_x="3" failed with a bare comparison TypeError
+    with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        SceneSpec(kind="flat-room", **{field: value})
+
+
+def test_spec_takes_real_numbers_as_floats():
+    spec = SceneSpec(kind="flat-room", size_x=3, size_y=np.float32(2.5), height=np.int64(2))
+    assert all(type(getattr(spec, f)) is float for f in ("size_x", "size_y", "height"))
+    assert spec == SceneSpec(kind="flat-room", size_x=3.0, size_y=2.5, height=2.0)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("resolution", 0.0, "resolution must be finite and positive"),
     ("resolution", -0.1, "resolution must be finite and positive"),

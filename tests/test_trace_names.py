@@ -63,10 +63,22 @@ def test_init_and_update_call_every_wrapped_stage(calls):
     state = init(vmap)
     assert {name for name in build if calls[name] == 0} == set()
 
-    M, N, K = vmap.extent
-    report = update(state, [(M // 2, N // 2, K // 2, VoxelState.OCCUPIED)])
+    # an occupied voxel on the floor face moves the floor, so every stage runs
+    M, N, _ = vmap.extent
+    floor = int(state.height.floor_k[M // 2, N // 2])
+    report = update(state, [(M // 2, N // 2, floor, VoxelState.OCCUPIED)])
     assert report.columns == 1
     assert {name for name in per_update if calls[name] == 0} == set()
     radius = ConversionParams().slope_radius_cells(vmap.resolution)
     assert calls["slope_at"] == 1
     assert report.slope_cells == (2 * radius + 1) ** 2
+
+
+def test_update_that_keeps_every_floor_does_not_call_slope_at(calls):
+    vmap, _ = generate(SceneSpec(kind="flat-room", size_x=2.0, size_y=1.6))
+    state = init(vmap)
+    M, N, K = vmap.extent
+    report = update(state, [(M // 2, N // 2, K - 5, VoxelState.OCCUPIED)])
+    assert (report.columns, report.slope_cells) == (1, 0)
+    assert calls["slope_at"] == 0
+    assert calls["convert_column"] == calls["uav_cell_value"] == 1
