@@ -276,7 +276,7 @@ def _cmd_bench(args) -> int:
         vmap = load_voxel_map(args.input)
     else:
         vmap, _ = generate(SceneSpec(kind=args.scene))
-    batches = _read_trace(args.trace, vmap)
+    batches = _read_trace(args.trace)
     state = incremental.init(vmap, _params(args))
     rows = [CSV_HEADER]
     for index, batch in enumerate(batches):
@@ -287,7 +287,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _read_trace(path, vmap) -> list[list]:
+def _read_trace(path) -> list[list]:
     batches: list[list] = []
     current: list = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):

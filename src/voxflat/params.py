@@ -1,13 +1,51 @@
-"""Conversion parameters and their validated defaults."""
+"""Conversion parameters, their validated defaults, and the one field rule
+every parameter dataclass checks its fields by."""
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 
 # min_clearance / res can land a few ulps above a whole voxel count when res
 # is not a binary fraction (2.1 / 0.3 is 7.000000000000001); this tolerance
 # (meters) keeps a clearance of exactly L voxels from asking for L + 1.
 _CLEARANCE_EPS = 1e-9
+
+
+def check_fields(params) -> None:
+    """Check and normalize every field of a frozen dataclass by its annotation.
+
+    The annotations are strings (postponed evaluation). A "float" field, or a
+    "float | None" field that is not None, takes a real number that is not a
+    bool and stores it as a finite float. An "int" field takes an integer in
+    the sense of `operator.index` that is not a bool and stores it as an
+    int >= 0. A "bool" field takes only a bool. A wrong type raises
+    TypeError and a non-finite or negative value ValueError, both naming the
+    field. Fields of any other annotation, and range rules, are the class's.
+    """
+    for f in fields(params):
+        name, value = f.name, getattr(params, f.name)
+        if f.type == "bool":
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+        elif f.type == "float" or (f.type == "float | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(params, name, value)
+        elif f.type == "int":
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -27,9 +65,7 @@ class ConversionParams:
     max_slope: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        check_fields(self)
         if self.min_clearance <= 0:
             raise ValueError(f"min_clearance must be positive, got {self.min_clearance}")
         if not (0.0 < self.min_occupancy <= 1.0):

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
+from .params import check_fields
 from .voxel_store import Cell, cell_center, int_records
 
 Waypoint3D = tuple[float, float, float]
@@ -40,38 +41,29 @@ class LiftParams:
 
     lookahead is the window half-width in waypoints: waypoint i takes the
     maximum floor over waypoints i-lookahead..i+lookahead (clipped to the
-    path) plus height_offset. UAV mode also needs safety_radius, the radius
-    of the collision sphere enforced afterwards.
+    path) plus height_offset. safety_radius, when given, is the radius of
+    the aerial collision sphere enforced afterwards; it must be positive.
+    Fields are checked by `check_fields`.
     """
 
-    mode: str  # "uav" or "ugv"
     lookahead: int
     height_offset: float
     safety_radius: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("uav", "ugv"):
-            raise ValueError(f"mode must be 'uav' or 'ugv', got {self.mode!r}")
-        if not isinstance(self.lookahead, int) or isinstance(self.lookahead, bool):
-            raise ValueError(f"lookahead must be an int, got {self.lookahead!r}")
-        if self.lookahead < 0:
-            raise ValueError(f"lookahead must be >= 0, got {self.lookahead}")
-        if not math.isfinite(self.height_offset):
-            raise ValueError(f"height_offset must be finite, got {self.height_offset}")
-        if self.mode == "uav":
-            if (self.safety_radius is None or not math.isfinite(self.safety_radius)
-                    or self.safety_radius <= 0):
-                raise ValueError("uav mode requires a finite, positive safety_radius")
+        check_fields(self)
+        if self.safety_radius is not None and self.safety_radius <= 0:
+            raise ValueError(f"safety_radius must be positive, got {self.safety_radius}")
 
     @classmethod
     def uav_defaults(cls, resolution: float) -> "LiftParams":
         # 2 m of path lookahead, 1 m above floor, 0.5 m sphere.
-        return cls("uav", round(2.0 / resolution), 1.0, 0.5)
+        return cls(round(2.0 / resolution), 1.0, 0.5)
 
     @classmethod
     def ugv_defaults(cls, resolution: float) -> "LiftParams":
         # 0.5 m lookahead, 0.1 m above floor, no sphere.
-        return cls("ugv", round(0.5 / resolution), 0.1, None)
+        return cls(round(0.5 / resolution), 0.1)
 
 
 def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
@@ -97,8 +89,6 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
             raise ValueError(f"{name} cell ({m}, {n}) is not a free cell")
         ends.append((m, n))
     (sm, sn), (gm, gn) = ends
-    if (sm, sn) == (gm, gn):
-        return [(sm, sn)]
     source = sm * N + sn
     target = gm * N + gn
     steps = [(dm, dn, dm * N + dn, cost) for dm, dn, cost in _STEPS]
@@ -156,7 +146,8 @@ def lift_path(path: Sequence[Cell], height: HeightMap,
         idx = int(np.argmax(missing))
         bad_m, bad_n = path[idx]
         raise ValueError(f"waypoint {idx} at cell ({bad_m}, {bad_n}) has no height data")
-    w = params.lookahead
+    # Windows are clipped to the path, so a wider one reads nothing more.
+    w = min(params.lookahead, len(path))
     # oz + k*res is monotone in k, so the highest face gives the highest floor.
     pad = np.full(w, -1, dtype=floor_k.dtype)
     top = sliding_window_view(np.concatenate((pad, floor_k, pad)), 2 * w + 1).max(axis=1)
@@ -178,8 +169,8 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     where nothing is known to be clear, and a waypoint with a non-finite
     coordinate. An error names the first waypoint that has one.
     """
-    if radius <= 0:
-        raise ValueError(f"clearance radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"clearance radius must be finite and positive, got {radius}")
     if not path:
         return []
     res = height.resolution

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
-from .params import ConversionParams
+from .params import ConversionParams, check_fields
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState, check_geometry
 
@@ -58,9 +56,9 @@ _SLOPE_GUARD = 0.05
 class SceneSpec:
     """Which scene to build and its dimensional parameters (meters).
 
-    The meter fields are finite real numbers, stored as float; seed,
-    wall_thickness and clutter are integer counts >= 0; observed_above is a
-    bool. A value of the wrong type raises TypeError naming its field.
+    Fields are checked by `check_fields`: the meter fields are finite real
+    numbers, stored as float; seed, wall_thickness and clutter are integer
+    counts >= 0; observed_above is a bool.
     """
 
     kind: str
@@ -82,26 +80,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        # field types are the annotation strings (postponed evaluation)
-        for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise TypeError(f"{name} must be a bool, got {value!r}")
-            if f.type == "float":
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise TypeError(f"{name} must be a real number, got {value!r}")
-                value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-                object.__setattr__(self, name, value)
-            if f.type == "int":
-                try:
-                    value = operator.index(value)
-                except TypeError:
-                    raise TypeError(f"{name} must be an integer, got {value!r}") from None
-                if value < 0:
-                    raise ValueError(f"{name} must be >= 0, got {value}")
-                object.__setattr__(self, name, value)
+        check_fields(self)
         check_geometry(ValueError, self.resolution)
         if min(self.size_x, self.size_y, self.height) <= 0:
             raise ValueError("scene dimensions must be positive")

@@ -9,12 +9,15 @@ resolution cancels.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
 Σnk) are int64 box sums taken from summed-area tables (Crow, SIGGRAPH 1984),
-and the count-scaled centered moments are formed exactly in integers. Only
-the final division, `hypot` and degeneracy test run in float64, elementwise.
-An exact sum has no summation order, so any window of the map gives the same
-bits as the full map: `init()` and `update()` share `slope_at`, and rebuild
-equivalence holds by construction. An exact plane reads exactly, so a flat
-floor has slope 0.0 and a 2:1 ramp has slope 2.0.
+and the count-scaled centered moments are formed exactly in integers. Their
+products (the determinant and the two numerators of the gradient), the
+final division, `hypot` and the degeneracy test run in float64, elementwise:
+the products are exact while each stays below 2**53, as at the default
+radius, and past that they round instead of wrapping. Every step is a
+function of one cell's exact sums, with no summation order, so any window of
+the map gives the same bits as the full map: `init()` and `update()` share
+`slope_at`, and rebuild equivalence holds by construction. An exact plane
+reads exactly, so a flat floor has slope 0.0 and a 2:1 ramp has slope 2.0.
 """
 from __future__ import annotations
 
@@ -57,10 +60,12 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
 
     Absent cells read NaN and unflagged; degenerate fits read 0.0 and
     flagged. The window's values equal the same cells of `build_slope_map`
-    bit for bit, whatever the window.
+    bit for bit, whatever the window. A radius beyond max(M, N) reads the
+    whole map from every cell, so it is read as max(M, N).
     """
     if radius < 1:
         raise ValueError(f"neighborhood radius must be >= 1, got {radius}")
+    radius = min(radius, max(height.extent))
     m0, m1, n0, n1 = height.window(rows, cols)
     values = np.full((m1 - m0, n1 - n0), np.nan)
     degenerate = np.zeros(values.shape, dtype=bool)
@@ -81,8 +86,9 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     Absent cells contribute 0 to every moment. Coordinates are local to the
     grown block: the centered moments are translation invariant and exact,
     so the origin changes no bit. Table entries may wrap in int64, but box
-    sums and moments are exact modulo 2**64, so every one whose true value
-    fits in int64 is exact.
+    sums and centered moments are exact modulo 2**64, so every one whose true
+    value fits in int64 is exact. The centered moments' products can leave
+    int64 from radius 28, so they are taken in float64.
     """
     faces = height.block(m0, m1, n0, n1, r)
     present = faces[0] >= 0
@@ -103,16 +109,16 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     s = (table[:, d:, d:] - table[:, :-d, d:]
          - table[:, d:, :-d] + table[:, :-d, :-d])
     c, sm, sn, sk, smm, smn, snn, smk, snk = s
-    cxx = c * smm - sm * sm
-    cxy = c * smn - sm * sn
-    cyy = c * snn - sn * sn
-    cxz = c * smk - sm * sk
-    cyz = c * snk - sn * sk
+    cxx = (c * smm - sm * sm).astype(np.float64)
+    cxy = (c * smn - sm * sn).astype(np.float64)
+    cyy = (c * snn - sn * sn).astype(np.float64)
+    cxz = (c * smk - sm * sk).astype(np.float64)
+    cyz = (c * snk - sn * sk).astype(np.float64)
     det = cxx * cyy - cxy * cxy
     num_a = cyy * cxz - cxy * cyz
     num_b = cxx * cyz - cxy * cxz
     # Condition estimate lam_max / lam_min = lam_max² / det of the centered
-    # normal matrix, from the exact integer moments.
+    # normal matrix, from the exact moments.
     lam_max = ((cxx + cyy) + np.sqrt((cxx - cyy) ** 2 + 4 * cxy * cxy)) / 2.0
     degenerate = (c < 3) | (det == 0) | (lam_max * lam_max > _MAX_CONDITION * det)
     safe = np.where(degenerate, 1, det)

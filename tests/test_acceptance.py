@@ -168,7 +168,7 @@ def test_criterion_6_path_lift():
         previous = None
         for lookahead in (0, 2, 5):
             z = [wp[2] for wp in
-                 lift_path(path, height, LiftParams("ugv", lookahead, 0.3))]
+                 lift_path(path, height, LiftParams(lookahead, 0.3))]
             if previous is not None:
                 assert all(b >= a + -1e-12 for a, b in zip(previous, z))
             previous = z
@@ -181,7 +181,7 @@ def test_criterion_6_path_lift():
         height = make_height_map(floors.tolist(), (floors + 3.0).tolist())
         floors, ceilings = height.floor, height.ceiling
         path = [(m, int(rng.integers(0, 12))) for m in range(12)]
-        lifted = lift_path(path, height, LiftParams("uav", 2, 1.0, radius))
+        lifted = lift_path(path, height, LiftParams(2, 1.0, radius))
         cleared = enforce_clearance(lifted, height, radius)
         for x, y, z in cleared:
             m = int(x / 0.1)

@@ -211,7 +211,7 @@ def test_lift_flat_floor():
     height = make_height_map([[0.0] * 6], [[3.0] * 6])
     path = [(0, n) for n in range(6)]
     for lookahead in (0, 1, 3):
-        lifted = lift_path(path, height, LiftParams("ugv", lookahead, 1.0))
+        lifted = lift_path(path, height, LiftParams(lookahead, 1.0))
         assert all(z == 1.0 for _, _, z in lifted)
     assert lifted[0][:2] == (0.05, 0.05)  # cell centers
 
@@ -220,7 +220,7 @@ def test_lift_rises_before_a_step():
     floors = [[0.0], [0.0], [0.0], [0.0], [1.0], [1.0], [1.0]]
     height = make_height_map(floors)
     path = [(m, 0) for m in range(7)]
-    lifted = lift_path(path, height, LiftParams("ugv", 2, 0.5))
+    lifted = lift_path(path, height, LiftParams(2, 0.5))
     z = [wp[2] for wp in lifted]
     # windowed max pulls the climb two waypoints ahead of the edge
     assert z == [0.5, 0.5, 1.5, 1.5, 1.5, 1.5, 1.5]
@@ -230,15 +230,29 @@ def test_lift_without_lookahead_tracks_the_floor():
     floors = [[0.0], [0.2], [0.4], [0.1]]
     height = make_height_map(floors)
     path = [(m, 0) for m in range(4)]
-    lifted = lift_path(path, height, LiftParams("ugv", 0, 0.1))
+    lifted = lift_path(path, height, LiftParams(0, 0.1))
     assert [wp[2] for wp in lifted] == pytest.approx([0.1, 0.3, 0.5, 0.2])
+
+
+def test_lift_window_is_bounded_by_the_path():
+    # lookahead 10**7 padded the path to 2 * 10**7 faces (about 120 MB traced)
+    height = make_height_map([[0.0], [0.2], [0.4]])
+    path = [(0, 0), (1, 0), (2, 0)]
+    tracemalloc.start()
+    try:
+        lifted = lift_path(path, height, LiftParams(10**7, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lifted == lift_path(path, height, LiftParams(3, 0.1))
+    assert peak < 1024 * 1024
 
 
 def test_lift_errors_on_missing_height_identifying_the_waypoint():
     height = make_height_map([[0.0], [None], [0.0]])
     path = [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(ValueError, match=r"waypoint 1 at cell \(1, 0\)"):
-        lift_path(path, height, LiftParams("ugv", 1, 0.1))
+        lift_path(path, height, LiftParams(1, 0.1))
 
 
 def test_window_monotonicity_in_lookahead():
@@ -249,7 +263,7 @@ def test_window_monotonicity_in_lookahead():
         path = [(m, 0) for m in range(20)]
         previous = None
         for lookahead in (0, 1, 2, 5, 25):
-            lifted = lift_path(path, height, LiftParams("ugv", lookahead, 0.3))
+            lifted = lift_path(path, height, LiftParams(lookahead, 0.3))
             assert lifted == lift_path_reference(path, height, lookahead, 0.3)
             z = [wp[2] for wp in lifted]
             if previous is not None:
@@ -268,19 +282,19 @@ def test_lift_matches_the_scalar_window_on_random_2d_paths():
         present = np.argwhere(~np.isnan(floors)).tolist()
         path = [tuple(present[i]) for i in rng.integers(0, len(present), 30)]
         for lookahead in (0, 1, 4, 40):
-            params = LiftParams("ugv", lookahead, 0.25)
+            params = LiftParams(lookahead, 0.25)
             assert lift_path(path, height, params) == lift_path_reference(
                 path, height, lookahead, 0.25)
         missing = np.argwhere(np.isnan(floors)).tolist()
         if missing:
             bad = [*path[:5], tuple(missing[0]), (9, 0), *path[5:]]
             with pytest.raises(ValueError) as got:
-                lift_path(bad, height, LiftParams("ugv", 2, 0.25))
+                lift_path(bad, height, LiftParams(2, 0.25))
             with pytest.raises(ValueError) as want:
                 lift_path_reference(bad, height, 2, 0.25)
             assert str(got.value) == str(want.value)
             assert str(got.value).startswith("waypoint 5 ")
-    assert lift_path([], height, LiftParams("ugv", 2, 0.25)) == []
+    assert lift_path([], height, LiftParams(2, 0.25)) == []
 
 
 def test_lift_is_idempotent_on_its_own_projection():
@@ -288,7 +302,7 @@ def test_lift_is_idempotent_on_its_own_projection():
     floors = rng.uniform(0, 1, (10, 1)).tolist()
     height = make_height_map(floors)
     path = [(m, 0) for m in range(10)]
-    params = LiftParams("ugv", 2, 0.2)
+    params = LiftParams(2, 0.2)
     first = lift_path(path, height, params)
     projected = [(int((x - 0.0) / 0.1), int((y - 0.0) / 0.1)) for x, y, _ in first]
     assert lift_path(projected, height, params) == first
@@ -307,7 +321,7 @@ def test_clearance_clamps_under_an_overhang():
     M, N, _ = vmap.extent
     n = N // 2
     path2d = [(m, n) for m in range(2, M - 2)]
-    lifted = lift_path(path2d, height, LiftParams("uav", 2, 1.0, 0.5))
+    lifted = lift_path(path2d, height, LiftParams(2, 1.0, 0.5))
     cleared = enforce_clearance(lifted, height, 0.5)
     changed = [i for i, (a, b) in enumerate(zip(lifted, cleared)) if a != b]
     assert changed  # the beam forces some waypoints down
@@ -427,22 +441,29 @@ def test_clearance_radius_validation():
         enforce_clearance([], height, 0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_clearance_radius_must_be_finite_and_positive(radius):
+    # inf raised OverflowError from math.ceil, and NaN a conversion error
+    height = make_height_map([[0.0]])
+    with pytest.raises(ValueError, match="clearance radius must be finite and positive"):
+        enforce_clearance([(0.05, 0.05, 1.0)], height, radius)
+
+
 def test_lift_params_validation_and_defaults():
-    with pytest.raises(ValueError):
-        LiftParams("boat", 0, 1.0)
-    with pytest.raises(ValueError):
-        LiftParams("uav", 1, 1.0)  # uav needs a safety radius
-    with pytest.raises(ValueError):
-        LiftParams("ugv", -1, 1.0)
+    with pytest.raises(ValueError, match="lookahead must be >= 0"):
+        LiftParams(-1, 1.0)
     for lookahead in (2.0, 2.5, True, "2"):
-        with pytest.raises(ValueError, match="lookahead must be an int"):
-            LiftParams("ugv", lookahead, 1.0)
+        with pytest.raises(TypeError, match="lookahead must be an integer"):
+            LiftParams(lookahead, 1.0)
     for offset in (math.nan, math.inf):
         with pytest.raises(ValueError, match="height_offset"):
-            LiftParams("ugv", 1, offset)
+            LiftParams(1, offset)
     for radius in (math.nan, math.inf):
         with pytest.raises(ValueError, match="safety_radius"):
-            LiftParams("uav", 1, 1.0, radius)
+            LiftParams(1, 1.0, radius)
+    for radius in (0.0, -0.5):
+        with pytest.raises(ValueError, match="safety_radius must be positive"):
+            LiftParams(1, 1.0, radius)
     uav = LiftParams.uav_defaults(0.1)
     assert (uav.lookahead, uav.height_offset, uav.safety_radius) == (20, 1.0, 0.5)
     ugv = LiftParams.ugv_defaults(0.1)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voxflat import HeightMap, build_slope_map, slope_at
+from voxflat import ConversionParams, HeightMap, build_slope_map, init, slope_at
 from voxflat.scenes import SceneSpec, generate
-from voxflat import init
 
 from oracles import best_grid_residual, fit_plane, make_height_map, plane_residual
 
@@ -169,6 +168,38 @@ def test_radius_validation():
         slope_at(height, slice(0, 1), slice(0, 1), 0)
     with pytest.raises(ValueError):
         build_slope_map(height, 0)
+
+
+@pytest.mark.parametrize("r", [28, 30, 35, 60])
+def test_large_radius_fits_neither_wrap_nor_blow_up(r):
+    # The determinant and numerators once left int64 from radius 28: this
+    # 3:1 plane read 1.2442 at r 28, 2.8889 at r 35, and a flagged 0.0 at
+    # r 30 and r 60.
+    mm, nn = np.indices((2 * r + 1, 2 * r + 1))
+    k = (3 * mm + nn + 5).astype(np.int32)
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), k, k + 20)
+    values, degenerate = slope_at(height, slice(r, r + 1), slice(r, r + 1), r)
+    assert not degenerate[0, 0]
+    assert values[0, 0] == pytest.approx(np.sqrt(10.0), rel=1e-12)
+
+
+def test_steep_ramp_stays_untraversable_at_a_wide_window():
+    # Every interior floor is steeper than max_slope 2.0; at radius 30 the
+    # wrapped fit read 3,628 of them as ground-traversable.
+    vmap, _ = generate(SceneSpec(kind="ramp", slope=2.5, size_x=12.0, size_y=8.0))
+    state = init(vmap, ConversionParams(slope_window_m=3.0))
+    assert (state.uav.values == 0.0).any()
+    assert not (state.ugv.values == 0.0).any()
+
+
+@pytest.mark.parametrize("radius", [5, 12, 10**7])
+def test_radius_beyond_the_map_reads_as_the_map_size(radius):
+    k = np.random.default_rng(21).integers(0, 40, (4, 3)).astype(np.int32)
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), k, k + 50)
+    want = slope_at(height, slice(0, 4), slice(0, 3), 4)
+    got = slope_at(height, slice(0, 4), slice(0, 3), radius)
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("rows, cols", [(slice(0, 20, 2), slice(0, 10)),
