@@ -196,6 +196,8 @@ def _cmd_convert(args) -> int:
 def _cmd_lift(args) -> int:
     if args.mode == "ugv" and (args.r_r is not None or args.r_max_z is not None):
         raise _UsageError("lift: --r-r and --r-max-z apply to --mode uav only")
+    if args.p_f is not None and not math.isfinite(args.p_f):
+        raise _UsageError(f"lift: --p-f must be finite, got {args.p_f}")
     grid = io_formats.read_occupancy(args.grid)
     if grid.kind != args.mode:
         raise ValueError(
@@ -287,14 +289,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _read_trace(path) -> list[list]:
-    batches: list[list] = []
+def _read_trace(path) -> list[np.ndarray]:
+    """The trace's batches, each one int64 (n, 4) array of i, j, k, state."""
+    batches: list[np.ndarray] = []
     current: list = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = raw.strip()
         if not line:
             if current:
-                batches.append(current)
+                batches.append(np.array(current, np.int64))
                 current = []
             continue
         if line.startswith("#"):
@@ -306,12 +309,14 @@ def _read_trace(path) -> list[list]:
             i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unreadable voxel index") from None
+        if not -2**63 <= min(i, j, k) <= max(i, j, k) < 2**63:
+            raise ValueError(f"{path}:{lineno}: voxel index beyond int64")
         state = _STATE_TOKENS.get(parts[3].lower())
         if state is None:
             raise ValueError(f"{path}:{lineno}: unknown state {parts[3]!r}")
         current.append((i, j, k, state))
     if current:
-        batches.append(current)
+        batches.append(np.array(current, np.int64))
     return batches
 
 

@@ -106,8 +106,12 @@ def init(vmap: VoxelMap, params: ConversionParams | None = None) -> ConversionSt
     return ConversionState(vmap, params, height, slope, uav, ugv)
 
 
-def update(state: ConversionState, updates: Sequence[CellUpdate]) -> DirtyReport:
+def update(state: ConversionState,
+           updates: Sequence[CellUpdate] | np.ndarray) -> DirtyReport:
     """Apply voxel writes and rerun each stage's kernel on its halo box.
+
+    The writes are (i, j, k, state) tuples or an integer (n, 4) array, as
+    `VoxelMap.apply_cells` takes them.
 
     The state is mutated in place. The report counts the dirty columns, the
     slope cells recomputed (0 when no dirty column's floor face moved, so the

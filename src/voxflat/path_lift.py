@@ -175,11 +175,9 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
         return []
     res = height.resolution
     M, N = height.extent
-    reach = math.ceil(radius / res)
-    dm, dn = np.array([(dm, dn)
-                       for dm in range(-reach, reach + 1)
-                       for dn in range(-reach, reach + 1)
-                       if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]).T
+    # An offset of max(M, N) cells or more leaves the map from any waypoint
+    # on it, so the disc is clipped there however large the radius.
+    dm, dn = _disc(radius, res, min(math.ceil(radius / res), max(M, N)))
     try:
         points = np.array(path, dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric waypoints
@@ -231,6 +229,14 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
         )
     z = np.minimum(np.maximum(z, lo), hi)
     return [(wx, wy, wz) for (wx, wy, _), wz in zip(path, z.tolist())]
+
+
+def _disc(radius: float, res: float, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dm, dn) offsets of the cells within reach whose centers lie within
+    radius of the center cell's, in row-major order."""
+    dm, dn = np.mgrid[-reach:reach + 1, -reach:reach + 1]
+    inside = np.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)
+    return dm[inside], dn[inside]
 
 
 # -- path files -----------------------------------------------------------

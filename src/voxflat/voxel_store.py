@@ -4,8 +4,10 @@ Storage is one uint8 array of shape (M, N, K) indexed (i, j, k), so a map
 costs M*N*K bytes however little of it has been observed (8 MB at
 512x512x32). Every downstream product (height, slope, occupancy) reads the
 map per column, and a column is a contiguous row of that array, so there is
-no octree here. A batch of voxel writes is validated as one array and stored
-by one flat scatter; the columns it touched come back as sorted index arrays.
+no octree here. A batch of voxel writes, given as (i, j, k, state) tuples
+(packed by one struct call each) or as an integer (n, 4) array (copied by one
+cast), is validated as one int64 array and stored by one flat scatter; the
+columns it touched come back as sorted index arrays.
 VXG files are read and written one block of records at a time, so their
 peak memory is the dense map plus one block, however large the file.
 """
@@ -18,7 +20,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
+from itertools import starmap
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -70,27 +72,43 @@ def cell_center(origin: Sequence[float], resolution: float, m: int, n: int) -> t
     return (origin[0] + (m + 0.5) * resolution, origin[1] + (n + 0.5) * resolution)
 
 
-def int_records(records: Sequence[Sequence[int]], width: int, label: str) -> np.ndarray:
-    """Integer records as one int64 (n, width) array, converted in one C pass.
+def int_records(records: Sequence[Sequence[int]] | np.ndarray, width: int,
+                label: str) -> np.ndarray:
+    """Integer records as a new writable, C-contiguous int64 (n, width) array.
 
-    Fields must be integers in the sense of operator.index: Python and numpy
-    ints and IntEnums pass, and bool acts as its integer. A record of another
-    length raises ValueError and a non-integer field TypeError, both naming
-    the record as f"{label} {position}". Values beyond int64 are clamped to
-    -1 or 2**62, which are out of range for any caller's bounds check.
+    A sequence of records is packed by one struct call per record. Fields must
+    be integers in the sense of operator.index: Python and numpy ints and
+    IntEnums pass, and bool acts as its integer. A record of another length
+    raises ValueError and a non-integer field TypeError, both naming the
+    record as f"{label} {position}". Values beyond int64 are clamped to -1 or
+    2**62, which are out of range for any caller's bounds check.
+
+    An integer ndarray of shape (n, width) is copied by one cast, with uint64
+    values beyond int64 clamped to 2**62 as above. Any other array (bool,
+    float, object, or another shape) is read as a list of tuples of its
+    Python values and follows the rules above, with the same messages; so a
+    bool array acts as its integers, as bool fields do.
     """
-    n = len(records)
-    out = np.empty((n, width), np.int64)
-    try:
-        if set(map(len, records)) <= {width}:
-            # struct's "q" code takes integers only, through __index__.
-            struct.pack_into(f"={width * n}q", out, 0, *chain.from_iterable(records))
+    if isinstance(records, np.ndarray):
+        if records.ndim == 2 and records.shape[1] == width and records.dtype.kind in "iu":
+            out = records.astype(np.int64, order="C")
+            if records.dtype == np.uint64:
+                out[records > np.iinfo(np.int64).max] = 2**62
             return out
+        rows = records.tolist()
+        records = list(map(tuple, rows)) if records.ndim == 2 else rows
+    try:
+        # struct's "q" code takes integers only, through __index__, and
+        # refuses a record of another length; a bytearray keeps it writable.
+        packed = bytearray().join(starmap(struct.Struct(f"={width}q").pack, records))
+        return np.frombuffer(packed, np.int64).reshape(-1, width)
     except (TypeError, struct.error):
         pass
+    out = np.empty((len(records), width), np.int64)
     for pos, record in enumerate(records):
         try:
-            fields = [min(max(operator.index(v), -1), 2**62) for v in record]
+            fields = [v if -2**63 <= v < 2**63 else -1 if v < 0 else 2**62
+                      for v in map(operator.index, record)]
         except TypeError:
             raise TypeError(f"{label} {pos}: expected {width} integers, got {record!r}") from None
         if len(fields) != width:
@@ -155,17 +173,23 @@ class VoxelMap:
 
     # -- mutation -------------------------------------------------------
 
-    def apply_cells(self, updates: Sequence[CellUpdate]) -> tuple[np.ndarray, np.ndarray]:
+    def apply_cells(self, updates: Sequence[CellUpdate] | np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """Write voxel states, last write wins, and return the touched columns.
 
-        The batch becomes one int64 (n, 4) array, is validated whole, and is
-        written by one flat scatter, so a bad record leaves the map untouched.
-        Fields must be integers (bool acts as its integer): a float, str or
-        None raises TypeError, an index outside the extent IndexError and a
-        state outside 0-2 ValueError, each naming the first bad record.
+        The batch is a sequence of (i, j, k, state) records or an integer
+        (n, 4) array; `int_records` turns either into one new int64 (n, 4)
+        array, which is validated whole and written by one flat scatter, so a
+        bad record leaves the map untouched. Fields must be integers (bool
+        acts as its integer, and so does a bool array): a float, str or None
+        raises TypeError, an index outside the extent IndexError and a state
+        outside 0-2 ValueError, each naming the first bad record and printing
+        its fields as Python values (5, not np.int32(5)), in the same words
+        for tuples and arrays.
         The touched columns come back as (rows, cols) int64 arrays, unique and
-        sorted in (i, j) order like np.nonzero. Rewriting a voxel with its
-        current state still marks its column dirty (dirtiness is conservative).
+        sorted in (i, j) order like np.nonzero; they never share memory with
+        the batch. Rewriting a voxel with its current state still marks its
+        column dirty (dirtiness is conservative).
         """
         M, N, K = self.extent
         records = int_records(updates, 4, "update")
@@ -183,7 +207,7 @@ class VoxelMap:
             if bad[pos, :3].any():
                 raise IndexError(
                     f"update {pos}: voxel ({i}, {j}, {k}) outside extent {M}x{N}x{K}")
-            raise ValueError(f"update {pos}: invalid voxel state {state!r}")
+            raise ValueError(f"update {pos}: invalid voxel state {state}")
         # Repeated voxels: a 1-D integer-array assignment stores its values in
         # order, so the last write wins (pinned by the voxel store tests).
         self._voxels.reshape(-1)[linear] = state

@@ -403,16 +403,21 @@ def lift_path_reference(path, height: HeightMap, lookahead: int, offset: float):
     return out
 
 
+def disc_offsets_reference(radius: float, res: float) -> list[tuple[int, int]]:
+    """Cell offsets whose centers lie within radius of the center cell's."""
+    reach = math.ceil(radius / res)
+    return [(dm, dn)
+            for dm in range(-reach, reach + 1)
+            for dn in range(-reach, reach + 1)
+            if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]
+
+
 def enforce_clearance_reference(path, height: HeightMap, radius: float):
     """enforce_clearance as a loop over waypoints and the cells of the disc."""
     res = height.resolution
     ox, oy = height.origin[0], height.origin[1]
     M, N = height.extent
-    reach = math.ceil(radius / res)
-    offsets = [(dm, dn)
-               for dm in range(-reach, reach + 1)
-               for dn in range(-reach, reach + 1)
-               if math.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)]
+    offsets = disc_offsets_reference(radius, res)
     out = []
     for idx, (x, y, z) in enumerate(path):
         m = int(math.floor((x - ox) / res))

@@ -497,3 +497,35 @@ def test_trace_parse_errors(tmp_path, capsys):
     assert run("bench", "--in", vxg, "--trace", trace,
                "--out", tmp_path / "b.csv") == 2
     assert "trace.txt:2: unreadable voxel index" in capsys.readouterr().err
+    trace.write_text("1 2 3 free\n\n1 2 99999999999999999999 free\n")
+    capsys.readouterr()
+    assert run("bench", "--in", vxg, "--trace", trace,
+               "--out", tmp_path / "b.csv") == 2
+    assert "trace.txt:3: voxel index beyond int64" in capsys.readouterr().err
+    trace.write_text("1 2 3 free\n1 -2 3 occupied\n")
+    assert run("bench", "--in", vxg, "--trace", trace,
+               "--out", tmp_path / "b.csv") == 2
+    assert "error: update 1: voxel (1, -2, 3) outside extent" in capsys.readouterr().err
+
+
+def test_trace_batches_are_integer_arrays(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("# two batches\n10 5 3 free\n10 5 4 0\n\n\n11 5 3 occupied\n")
+    batches = cli._read_trace(trace)
+    assert [b.dtype for b in batches] == [np.int64, np.int64]
+    assert [b.tolist() for b in batches] == [[[10, 5, 3, 2], [10, 5, 4, 0]],
+                                             [[11, 5, 3, 1]]]
+
+
+@pytest.mark.parametrize("p_f", ["inf", "-inf", "nan"])
+def test_lift_refuses_a_non_finite_path_lookahead(tmp_path, capsys, p_f):
+    # inf ended in an OverflowError traceback, and nan did not name the flag
+    out = convert(tmp_path, synth(tmp_path, "flat-room"))
+    path_out = tmp_path / "path.txt"
+    capsys.readouterr()
+    for mode in ("uav", "ugv"):
+        assert run("lift", "--grid", out / f"{mode}_map.g2d", "--height", out / "height.g2d",
+                   "--mode", mode, "--start", 5, 5, "--goal", 6, 5, "--out", path_out,
+                   f"--p-f={p_f}") == 1
+        assert f"lift: --p-f must be finite, got {float(p_f)}" in capsys.readouterr().err
+    assert not path_out.exists()

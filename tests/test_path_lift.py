@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from voxflat import (LiftParams, OccupancyGrid, enforce_clearance, init,
                      lift_path, plan_2d, read_path_2d, read_path_3d,
                      write_path_2d, write_path_3d)
+from voxflat import path_lift
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import (bfs_hops, dijkstra_cost, enforce_clearance_reference,
-                     lift_path_reference, make_height_map, plan_2d_reference)
+from oracles import (bfs_hops, dijkstra_cost, disc_offsets_reference,
+                     enforce_clearance_reference, lift_path_reference,
+                     make_height_map, plan_2d_reference)
 
 
 def grid_from_rows(rows):
@@ -433,6 +436,32 @@ def test_clearance_on_a_floor_only_map_has_no_ceiling_bound():
     got = enforce_clearance(path, height, 0.1)
     assert got == enforce_clearance_reference(path, height, 0.1)
     assert got == [(0.05, 0.05, height.floor[0, 1] + 0.1), (0.05, 0.05, 9.0)]
+
+
+@pytest.mark.parametrize("res", [0.02, 0.05, 0.1, 0.15, 0.25, 1 / 3, 1.0])
+def test_clearance_disc_is_the_per_offset_rule(res):
+    for radius in [0.01, 0.1, 0.3, 0.5, 0.7, 1.0, 1.4142135623730951, 2.5, 3.0]:
+        dm, dn = path_lift._disc(radius, res, math.ceil(radius / res))
+        assert dm.dtype == dn.dtype == np.int64
+        assert list(zip(dm.tolist(), dn.tolist())) == disc_offsets_reference(radius, res)
+
+
+def test_clearance_disc_is_clipped_to_the_map():
+    # the disc was built over (2 * ceil(radius / res) + 1)**2 cells however
+    # small the map: about 10**14 for this radius
+    height = make_height_map([[0.0] * 6] * 6, [[None] * 6] * 6)
+    path = [(0.05, 0.05, 0.0), (0.55, 0.35, 2.0)]
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        got = enforce_clearance(path, height, 1e6)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(0.05, 0.05, 1e6), (0.55, 0.35, 1e6)]
+    assert peak < 1024 * 1024
+    assert elapsed < 2.0
 
 
 def test_clearance_radius_validation():

@@ -1,11 +1,14 @@
+import operator
 import os
 import struct
 import threading
 import tracemalloc
+from enum import IntEnum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (load_outcome, load_voxel_map_reference, save_voxel_map_reference,
                      vxg_blocks_of)
@@ -402,26 +405,170 @@ def write_batches(draw):
     return (M, N, K), np.array(prior, np.uint8).reshape(M, N, K), batch, bad
 
 
+def batch_forms(batch):
+    """The batch as drawn and, when every record is four integers, as (n, 4)
+    int32 and int64 arrays."""
+    yield batch
+    if all(len(r) == 4 and all(isinstance(v, (int, np.integer)) for v in r) for r in batch):
+        for dtype in (np.int32, np.int64):
+            yield np.array(batch, dtype).reshape(-1, 4)
+
+
+def apply_outcome(extent, prior, batch):
+    """(states, rows dtype, rows, cols dtype, cols) after apply_cells on a map
+    holding prior, or (error type, message, states) if it raised. An array
+    batch must come back unchanged and unshared by the dirty arrays."""
+    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), extent)
+    vm._voxels[...] = prior
+    given = batch.copy() if isinstance(batch, np.ndarray) else None
+    try:
+        rows, cols = vm.apply_cells(batch)
+    except (TypeError, ValueError, IndexError) as exc:
+        return type(exc), str(exc), vm.states.tolist()
+    if given is not None:
+        assert np.array_equal(batch, given) and batch.dtype == given.dtype
+        assert not np.shares_memory(rows, batch) and not np.shares_memory(cols, batch)
+    return vm.states.tolist(), rows.dtype, rows.tolist(), cols.dtype, cols.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(write_batches())
 def test_apply_cells_matches_a_per_voxel_loop(case):
     extent, prior, batch, bad = case
-    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), extent)
-    for (i, j, k), s in np.ndenumerate(prior):
-        vm.fill_box(i, i + 1, j, j + 1, k, k + 1, VoxelState(int(s)))
+    # Tuples and integer arrays of the same batch give the same states and
+    # dirty columns, or the same error with the same message.
+    outcome, *others = [apply_outcome(extent, prior, form) for form in batch_forms(batch)]
+    assert all(other == outcome for other in others)
     if bad is not None:
         error, pos = bad
-        with pytest.raises(error, match=f"^update {pos}: "):
-            vm.apply_cells(batch)
-        assert np.array_equal(vm.states, prior)
+        assert outcome[0] is error and outcome[1].startswith(f"update {pos}: ")
+        assert outcome[2] == prior.tolist()
         return
     ref = prior.copy()
     for i, j, k, s in batch:  # in order, so the last write wins
         ref[i, j, k] = s
-    rows, cols = vm.apply_cells(batch)
-    assert np.array_equal(vm.states, ref)
-    assert list(zip(rows.tolist(), cols.tolist())) == sorted(
-        {(int(i), int(j)) for i, j, _, _ in batch})
+    states, _, rows, _, cols = outcome
+    assert states == ref.tolist()
+    assert list(zip(rows, cols)) == sorted({(int(i), int(j)) for i, j, _, _ in batch})
+
+
+def test_apply_cells_errors_print_plain_ints():
+    vm = VoxelMap(0.1, (0, 0, 0), (3, 3, 4))
+    for batch in ([(0, 0, 0, O), (np.int32(1), np.int64(2), np.uint8(9), np.int32(1))],
+                  np.array([(0, 0, 0, 1), (1, 2, 9, 1)], np.int32)):
+        with pytest.raises(IndexError, match=r"^update 1: voxel \(1, 2, 9\) outside "):
+            vm.apply_cells(batch)
+    for batch in ([(0, 0, 0, O), (1, 2, 3, np.int32(5))],
+                  np.array([(0, 0, 0, 1), (1, 2, 3, 5)], np.int32)):
+        with pytest.raises(ValueError, match="^update 1: invalid voxel state 5$"):
+            vm.apply_cells(batch)
+    assert vm.cell_count() == 0
+
+
+def test_apply_cells_bool_array_acts_as_its_integers():
+    # A bool array is read as tuples of Python bools, and bool fields act as
+    # their integers.
+    batch = np.array([(True, False, True, True), (False, True, False, False),
+                      (True, True, True, True)])
+    as_tuples = [tuple(r) for r in batch.tolist()]
+    assert (apply_outcome((2, 2, 2), np.zeros((2, 2, 2), np.uint8), batch)
+            == apply_outcome((2, 2, 2), np.zeros((2, 2, 2), np.uint8), as_tuples))
+    vm = VoxelMap(0.1, (0, 0, 0), (2, 2, 2))
+    assert cells(vm.apply_cells(batch)) == {(0, 1), (1, 0), (1, 1)}
+    assert vm.states[1, 1, 1] == O and vm.states[0, 1, 0] == U
+
+
+@pytest.mark.parametrize("batch, error, message", [
+    (np.array([(0, 0, 0, 1), (0, 1, 0, 2.5)]), TypeError, "update 0: expected 4 "
+     "integers, got (0.0, 0.0, 0.0, 1.0)"),
+    (np.array([(0, 0, 0, 1)], np.float32), TypeError, "update 0: expected 4 integers, "
+     "got (0.0, 0.0, 0.0, 1.0)"),
+    (np.array([(0, 0, 0, 1), (0, 1, 0, "2")], object), TypeError, "update 1: expected 4 "
+     "integers, got (0, 1, 0, '2')"),
+    (np.array([(0, 0, 0, 1), (0, 1, 0, None)], object), TypeError, "update 1: expected 4 "
+     "integers, got (0, 1, 0, None)"),
+    (np.array([(0, 0, 0), (0, 1, 0)], np.int64), ValueError, "update 0: expected 4 "
+     "integers, got (0, 0, 0)"),
+    (np.array([0, 0, 0, 1], np.int64), TypeError, "update 0: expected 4 integers, got 0"),
+], ids=["float64", "float32", "object-str", "object-none", "width-3", "one-dimensional"])
+def test_apply_cells_other_arrays_follow_the_tuple_rules(batch, error, message):
+    as_tuples = [tuple(r) for r in batch.tolist()] if batch.ndim == 2 else batch.tolist()
+    prior = np.zeros((2, 2, 2), np.uint8)
+    outcome = apply_outcome((2, 2, 2), prior, batch)
+    assert outcome == apply_outcome((2, 2, 2), prior, as_tuples)
+    assert outcome == (error, message, prior.tolist())
+
+
+# -- int_records against a per-field oracle ----------------------------------
+
+class Small(IntEnum):
+    TWO = 2
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+int_fields = st.one_of(
+    _INT64, st.integers(-2**70, 2**70), st.booleans(), st.sampled_from([Small.TWO, F]),
+    _INT64.map(np.int64), st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64), st.integers(0, 255).map(np.uint8))
+
+
+def field_oracle(v):
+    v = operator.index(v)
+    return v if -2**63 <= v < 2**63 else min(max(v, -1), 2**62)
+
+
+def assert_fresh_int64(out, n, width):
+    assert out.dtype == np.int64 and out.shape == (n, width)
+    assert out.flags.c_contiguous and out.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.sampled_from([2, 4]), data=st.data())
+def test_int_records_matches_a_per_field_oracle(width, data):
+    records = data.draw(st.lists(st.lists(int_fields, min_size=width, max_size=width)
+                                 .map(tuple), max_size=12))
+    out = voxel_store.int_records(records, width, "rec")
+    assert_fresh_int64(out, len(records), width)
+    assert out.tolist() == [[field_oracle(v) for v in r] for r in records]
+    out[...] = 0  # writable without touching anything the caller holds
+    bad = data.draw(st.one_of(
+        st.tuples(st.just(TypeError), st.sampled_from([1.5, 2.0, "1", None, np.float64(1)])),
+        st.tuples(st.just(ValueError), st.sampled_from([width - 1, width + 1]))))
+    pos = data.draw(st.integers(0, len(records)))
+    if bad[0] is TypeError:
+        record = list(data.draw(st.lists(int_fields, min_size=width, max_size=width)))
+        record[data.draw(st.integers(0, width - 1))] = bad[1]
+    else:
+        record = data.draw(st.lists(int_fields, min_size=bad[1], max_size=bad[1]))
+    records.insert(pos, tuple(record))
+    message = f"rec {pos}: expected {width} integers, got {tuple(record)!r}"
+    with pytest.raises(bad[0]) as info:
+        voxel_store.int_records(records, width, "rec")
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.sampled_from([2, 4]), data=st.data())
+def test_int_records_of_an_array_is_its_records(width, data):
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                       np.uint32, np.uint64, np.bool_]))
+    n = data.draw(st.integers(0, 8))
+    array = data.draw(hnp.arrays(dtype, (n, width)))
+    if data.draw(st.booleans()):
+        array = np.asfortranarray(array)
+    given = array.copy()
+    out = voxel_store.int_records(array, width, "rec")
+    assert_fresh_int64(out, n, width)
+    assert not np.shares_memory(out, array)
+    assert np.array_equal(array, given)
+    as_tuples = [tuple(r) for r in array.tolist()]
+    assert out.tolist() == voxel_store.int_records(as_tuples, width, "rec").tolist()
+
+
+def test_int_records_of_nothing():
+    for width in (2, 4):
+        for records in ([], (), np.empty((0, width), np.int32), np.empty((0, width))):
+            assert_fresh_int64(voxel_store.int_records(records, width, "rec"), 0, width)
 
 
 # -- blocked VXG codec against the whole-file reference -----------------------
