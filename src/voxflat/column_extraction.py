@@ -6,9 +6,10 @@ bottom face of its lowest kept run and its ceiling the top face of its
 highest, as voxel-face indices (floor_k, ceil_k). The map stores those
 indices; meters (`origin_z + k*res`) appear only in its output views and in
 `HeightMap.from_meters`, the one entry for outside heights. `convert_column`
-finds both indices for any (..., K) stack of columns with whole-array
-operations, so `build_height_map` (every column, in row bands) and `update()`
-(the written columns) run the same code.
+finds both indices for any (..., K) stack of columns by ANDing shifted slices
+of the boolean free mask, with no per-column loop, so `build_height_map`
+(every column, in row bands) and `update()` (the written columns) run the
+same code.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ import numpy as np
 
 from .voxel_store import VoxelMap, VoxelState, check_geometry
 
-# Voxels per convert_column pass in build_height_map; bounds its int32
-# temporaries to a few MB.
+# Voxels per convert_column pass in build_height_map: its bool temporaries
+# are 256 KB each. On a 512x512x32 map, bands of 2**17 to 2**22 voxels build
+# within 3% of each other; smaller ones pay per-pass overhead (2**14: +33%).
 _BAND_VOXELS = 1 << 18
 
 # A plain int: numpy compares an array with an IntEnum member much slower.
@@ -33,23 +35,29 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
 
     A free run is kept when it is at least min_run voxels long. floor_k is
     the bottom of the lowest kept run and ceil_k the top (one past the last
-    voxel) of the highest; both read -1 where no run is kept.
+    voxel) of the highest; both int64, and -1 where no run is kept.
 
     A run is kept exactly when some window of min_run voxels inside it is
     all free, so the lowest all-free window starts at the floor and the
-    highest ends at the ceiling. Window sums come from a prefix count of
-    free voxels along k.
+    highest ends at the ceiling. The windows come from the free mask by
+    doubling: ANDing a mask of all-free s-voxel windows with itself shifted
+    by s gives the 2s-voxel windows, and two s-voxel windows min_run - s
+    apart, s the largest power of two <= min_run, cover one min_run window.
+    That is floor(log2 min_run) + 1 passes of one-byte ANDs at most.
     """
     if not isinstance(min_run, (int, np.integer)) or min_run < 1:
         raise ValueError(f"min_run must be an int >= 1, got {min_run!r}")
     *lead, K = columns.shape
     if min_run > K:
         return np.full(lead, -1), np.full(lead, -1)
-    count = np.zeros((*lead, K + 1), dtype=np.int32)
-    (columns == _FREE).cumsum(axis=-1, out=count[..., 1:])
-    window = count[..., min_run:] - count[..., :-min_run] == min_run
-    found = window.any(axis=-1)
-    floor_k = np.where(found, window.argmax(axis=-1), -1)
+    run, s = columns == _FREE, 1  # run[..., k]: voxels k .. k+s-1 all free
+    while 2 * s <= min_run:
+        run = run[..., :-s] & run[..., s:]
+        s *= 2
+    window = run if s == min_run else run[..., :s - min_run] & run[..., min_run - s:]
+    first = window.argmax(axis=-1)
+    found = window[..., 0] | (first > 0)  # argmax reads 0 where no window is free
+    floor_k = np.where(found, first, -1)
     ceil_k = np.where(found, K - window[..., ::-1].argmax(axis=-1), -1)
     return floor_k, ceil_k
 

@@ -130,15 +130,19 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     return None
 
 
-def lift_path(path: Sequence[Cell], height: HeightMap,
+def lift_path(path: Sequence[Cell] | np.ndarray, height: HeightMap,
               params: LiftParams) -> list[Waypoint3D]:
     """Assign each waypoint the windowed-max floor height plus the offset.
 
     The window is clipped at the path ends. Every waypoint must sit on a
-    present height cell; the raised error names the offending waypoint.
+    present height cell; the raised error names the offending waypoint. An
+    (n, 2) array path is read as the list of its `tolist()` records, so it
+    lifts, and fails, exactly as that list does.
     """
-    if not path:
+    if len(path) == 0:
         return []
+    if isinstance(path, np.ndarray):
+        path = path.tolist()
     m, n = int_records(path, 2, "waypoint").T
     floor_k = height.faces_at(m, n)[0]
     missing = floor_k < 0
@@ -156,7 +160,7 @@ def lift_path(path: Sequence[Cell], height: HeightMap,
     return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
-def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
+def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap,
                       radius: float) -> list[Waypoint3D]:
     """Move waypoints so a sphere of the given radius fits between floor and
     ceiling of every height cell whose center lies within the radius.
@@ -167,12 +171,16 @@ def enforce_clearance(path: Sequence[Waypoint3D], height: HeightMap,
     than the sphere) is an error naming the waypoint, never a compromise; so
     is a waypoint off the map or with no height cell within the radius,
     where nothing is known to be clear, and a waypoint with a non-finite
-    coordinate. An error names the first waypoint that has one.
+    coordinate. An error names the first waypoint that has one. An (n, 3)
+    array path is read as the list of its `tolist()` records, as in
+    `lift_path`.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"clearance radius must be finite and positive, got {radius}")
-    if not path:
+    if len(path) == 0:
         return []
+    if isinstance(path, np.ndarray):
+        path = path.tolist()
     res = height.resolution
     M, N = height.extent
     # An offset of max(M, N) cells or more leaves the map from any waypoint

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import operator
 import os
 import struct
@@ -129,18 +130,34 @@ class VoxelMap:
 
     Cells never written are Unknown.
     Voxel layer k spans world z in [origin_z + k*res, origin_z + (k+1)*res).
+
+    The resolution and origin coordinates are real numbers and the extent
+    three integer counts (`operator.index`), none of them a bool; anything
+    else, and what `check_geometry` rejects, raises ValueError naming the
+    field. The types are those of `params.check_fields`, which raises
+    TypeError for a wrong type; here every geometry defect, type or value, is
+    a ValueError, as `check_geometry` reports it for the VXG and G2D headers,
+    so a caller catches one error type for a bad geometry.
     """
 
     def __init__(self, resolution: float, origin: Sequence[float], extent: Sequence[int]):
         try:
-            ext = tuple(map(operator.index, extent))
+            ext = tuple(map(_count, extent))
         except TypeError:
             ext = ()
         if len(ext) != 3:
             raise ValueError(f"extent must be three counts, got {extent!r}")
-        self.origin = tuple(float(c) for c in origin)
-        if len(self.origin) != 3:
+        try:
+            coords = tuple(origin)
+        except TypeError:
+            coords = ()
+        if len(coords) != 3:
             raise ValueError(f"origin must have three coordinates, got {origin!r}")
+        if not all(map(_real, coords)):
+            raise ValueError(f"origin coordinates must be real numbers, got {origin!r}")
+        if not _real(resolution):
+            raise ValueError(f"resolution must be a real number, got {resolution!r}")
+        self.origin = tuple(map(float, coords))
         check_geometry(ValueError, resolution, self.origin, ext)
         self.resolution = float(resolution)
         self.extent = ext
@@ -455,6 +472,17 @@ def header_fields(line: str, tag: str, n: int, convert, error) -> tuple:
         return tuple(convert(p) for p in parts[1:])
     except ValueError:
         raise error(f"unreadable value in {tag!r} line: {line!r}") from None
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(value) -> int:
+    """operator.index of a value that is not a bool; TypeError otherwise."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not a count: {value!r}")
+    return operator.index(value)
 
 
 def check_geometry(error, resolution=None, origin=None, extent=None) -> None:

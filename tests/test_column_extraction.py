@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,70 @@ def test_convert_column_matches_the_per_column_range_rule(data, res, origin_z,
         else:
             assert (origin_z + floor_k[index] * res,
                     origin_z + ceil_k[index] * res) == want
+
+
+def kept_span(column: list[int], min_run: int) -> tuple[int, int]:
+    """(floor_k, ceil_k) of one column by scanning its free runs: the bottom
+    of the lowest run of at least min_run voxels and the top of the highest,
+    (-1, -1) when no run is that long."""
+    kept, k = [], 0
+    for state, run in itertools.groupby(column):
+        length = len(list(run))
+        if state == F and length >= min_run:
+            kept.append((k, k + length))
+        k += length
+    return (kept[0][0], kept[-1][1]) if kept else (-1, -1)
+
+
+def scanned_spans(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor_k and ceil_k of a (..., K) stack by kept_span, column by column."""
+    lead = columns.shape[:-1]
+    spans = np.array([kept_span(columns[i].tolist(), min_run) for i in np.ndindex(*lead)],
+                     dtype=np.int64).reshape(*lead, 2)
+    return spans[..., 0], spans[..., 1]
+
+
+def every_column(K: int) -> np.ndarray:
+    """All 3**K columns of K voxels, as a (3**K, K) uint8 stack."""
+    return np.array(list(itertools.product((U, O, F), repeat=K)),
+                    dtype=np.uint8).reshape(3**K, K)
+
+
+def assert_kernel_matches_scan(columns: np.ndarray, min_run: int) -> None:
+    got = convert_column(columns, min_run)
+    for face, want in zip(got, scanned_spans(columns, min_run)):
+        assert isinstance(face, np.ndarray) and face.dtype == np.int64
+        assert face.shape == columns.shape[:-1]
+        assert np.array_equal(face, want)
+
+
+@pytest.mark.parametrize("K", range(8))
+def test_convert_column_matches_a_scan_of_every_column(K):
+    # Every min_run from 1 to K + 1: powers of two (the doubling alone) and
+    # every overlap of two halves, up to min_run K and one past it.
+    columns = every_column(K)
+    for min_run in range(1, K + 2):
+        assert_kernel_matches_scan(columns, min_run)
+
+
+def test_convert_column_takes_any_lead_shape_and_strided_columns():
+    K = 6
+    columns = every_column(K)
+    grid = columns[100:124].reshape(4, 6, K)
+    strided = np.full((len(columns), 2 * K), int(F), dtype=np.uint8)
+    strided[:, ::2] = columns  # the free voxels between must not be read
+    stacks = [
+        columns[17],                         # one column: lead shape ()
+        columns[:0],                         # no columns: lead shape (0,)
+        columns[300:306].reshape(2, 3, K),   # lead shape (2, 3)
+        columns[[40, 3, 700, 3]],            # a fancy-indexed band
+        grid[[0, 3, 1], [5, 0, 2]],          # columns picked from a 3D map
+        grid.transpose(1, 0, 2),             # strided lead axes
+        strided[:, ::2],                     # a view with a step along k
+    ]
+    for stack in stacks:
+        for min_run in range(1, K + 2):
+            assert_kernel_matches_scan(stack, min_run)
 
 
 def test_convert_column_validates_min_run():

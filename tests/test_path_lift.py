@@ -390,6 +390,51 @@ def test_clearance_reads_no_cell_off_the_map():
         corner, height, 0.5)
 
 
+def outcome(fn, *args):
+    """A call's result, or its error type and message."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_array_paths_lift_and_clear_as_their_lists():
+    height = make_height_map([[0.0, 0.2, 0.4], [0.3, None, 0.1], [0.5, 0.0, 0.2]],
+                             [[3.0, 3.0, 3.0], [3.0, None, 3.0], [3.0, 3.0, 3.0]])
+    params = LiftParams(1, 0.25)
+    cells = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 1)]
+    lifted = lift_path(cells, height, params)
+    for dtype in (np.int32, np.int64, np.uint8):
+        assert lift_path(np.array(cells, dtype), height, params) == lifted
+    # a float array is read as its float records, which are refused
+    for bad in (cells, [*cells, (1, 1)], [*cells, (3, 0)], [*cells, (0.5, 1.0)]):
+        for dtype in (np.int64, np.float64):
+            array = np.array(bad, dtype)
+            assert outcome(lift_path, array, height, params) == outcome(
+                lift_path, array.tolist(), height, params)
+    with pytest.raises(ValueError, match=r"waypoint 5 at cell \(1, 1\) has no height"):
+        lift_path(np.array([*cells, (1, 1)], np.int32), height, params)
+    assert lift_path(np.empty((0, 2), np.int64), height, params) == []
+
+    waypoints = [(0.05, 0.05, 0.4), (0.15, 0.25, 2.9), (0.25, 0.05, 1.0)]
+    for dtype in (np.float64, np.float32):
+        array = np.array(waypoints, dtype)
+        cleared = enforce_clearance(array, height, 0.1)
+        assert cleared == enforce_clearance(array.tolist(), height, 0.1)
+        assert all(type(v) is float for wp in cleared for v in wp)
+    # each error names its waypoint with the Python values of the array
+    for bad, radius in (((0.35, 0.05, 1.0), 0.1), ((0.05, 0.05, float("nan")), 0.1),
+                        ((0.15, 0.15, 1.0), 1.6)):  # off the map, not finite, too narrow
+        array = np.array([bad, *waypoints], np.float32)
+        got = outcome(enforce_clearance, array, height, radius)
+        assert got == outcome(enforce_clearance, array.tolist(), height, radius)
+        assert got[0] is ValueError and got[1].startswith("waypoint 0")
+    with pytest.raises(ValueError, match=r"waypoint 1 at \(0.3499999940395355, "):
+        enforce_clearance(np.array([waypoints[0], (0.35, 0.05, 1.0)], np.float32),
+                          height, 0.1)
+    assert enforce_clearance(np.empty((0, 3)), height, 0.1) == []
+
+
 @st.composite
 def clearance_cases(draw):
     """A small height map with absent cells, waypoints on and at the edges of

@@ -717,10 +717,27 @@ def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
     (0.1, (0, 0, 0), (2.0, 2, 2), "extent must be three counts"),
     (0.1, (0, 0, 0), ("2", "2", "2"), "extent must be three counts"),
     (0.1, (0, 0), (1, 1, 1), "origin must have three coordinates"),
+    (0.1, 0.0, (1, 1, 1), "origin must have three coordinates, got 0.0"),
+    # a bool is no count, resolution or coordinate, and a str no number
+    (True, ("1", 0.0, 0.0), (True, 2, 2), r"extent must be three counts, got \(True, 2, 2\)"),
+    (0.1, (0, 0, 0), (2, 2, False), "extent must be three counts"),
+    (True, (0, 0, 0), (2, 2, 2), "resolution must be a real number, got True"),
+    ("0.1", (0, 0, 0), (2, 2, 2), "resolution must be a real number, got '0.1'"),
+    (0.1, ("1", 0.0, 0.0), (2, 2, 2),
+     r"origin coordinates must be real numbers, got \('1', 0.0, 0.0\)"),
+    (0.1, (0, None, 0), (2, 2, 2), "origin coordinates must be real numbers"),
+    (0.1, (False, 0, 0), (2, 2, 2), "origin coordinates must be real numbers"),
 ])
 def test_voxel_map_rejects_bad_geometry(resolution, origin, extent, message):
     with pytest.raises(ValueError, match=message):
         VoxelMap(resolution, origin, extent)
+
+
+def test_voxel_map_takes_numpy_scalars_and_arrays():
+    vm = VoxelMap(np.float32(0.25), np.array([1, -2, 0.5]), np.array([2, 3, 4], np.int16))
+    assert vm.resolution == 0.25 and vm.origin == (1.0, -2.0, 0.5)
+    assert vm.extent == (2, 3, 4) and all(type(e) is int for e in vm.extent)
+    assert all(type(c) is float for c in (vm.resolution, *vm.origin))
 
 
 @pytest.mark.parametrize("line, replacement, message", [
