@@ -2,9 +2,14 @@
 
 The correctness contract is rebuild equivalence: after any sequence of
 updates the state is bit-identical to a from-scratch conversion of the
-current voxel map. Each stage is one kernel that `init()` runs over the whole
-extent and `update()` runs over the dirty columns grown by the stage's halo,
-the reach of its data dependencies:
+current voxel map. Each stage is one kernel that `init()` runs over the box
+of the extent that can hold output, and `update()` over the dirty columns
+grown by the stage's halo, the reach of its data dependencies. `init()`'s
+boxes come from `column_extraction.nonzero_box`, two reductions along
+contiguous memory: the observed columns for heights, the present cells for
+slopes, and the present cells grown by one for UAV; every cell outside a box
+keeps its absent, NaN or -1 value. `slope_at` trims any window to its
+present cells' box the same way, so `update()` shares that rule. Per stage:
 
 - voxels: `VoxelMap.apply_cells` writes the batch by one validated scatter
   and returns the written columns as sorted (rows, cols) index arrays;
@@ -30,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .column_extraction import HeightMap, build_height_map, convert_column
+from .column_extraction import HeightMap, build_height_map, convert_column, grow
 from .occupancy_maps import (OccupancyGrid, build_ugv_map, build_uav_map,
                              ugv_values, uav_cell_value)
 from .params import ConversionParams
@@ -138,10 +143,10 @@ def update(state: ConversionState,
         # min and max of n are cheaper than two numpy reductions.
         ns = n.tolist()
         box = (int(m[0]), int(m[-1]) + 1, min(ns), max(ns) + 1)
-        uav_rows, uav_cols = rows, cols = _grow(box, 1, M, N)
+        uav_rows, uav_cols = rows, cols = grow(box, 1, M, N)
         if floor_moved:
             radius = params.slope_radius_cells(res)
-            rows, cols = _grow(box, radius, M, N)
+            rows, cols = grow(box, radius, M, N)
             values, degenerate = slope_at(state.height, rows, cols, radius)
             state.slope.values[rows, cols] = values
             state.slope.degenerate[rows, cols] = degenerate
@@ -156,10 +161,3 @@ def update(state: ConversionState,
     elapsed_us = (time.perf_counter_ns() - t0) // 1000
     return DirtyReport(m.size, slope_cells, occupancy_cells, int(elapsed_us))
 
-
-def _grow(box: tuple[int, int, int, int], halo: int, M: int,
-          N: int) -> tuple[slice, slice]:
-    """Half-open box (m0, m1, n0, n1) grown by halo, clipped to the extent."""
-    m0, m1, n0, n1 = box
-    return (slice(max(0, m0 - halo), min(M, m1 + halo)),
-            slice(max(0, n0 - halo), min(N, n1 + halo)))

@@ -6,8 +6,10 @@ inside each present neighbour's [floor_k, ceil_k) span with a prefix sum
 along k, and divides by the span's length in voxels. The largest ratio over
 neighbours is its value when it reaches min_occupancy; below that, and on
 cells with no present neighbour, the value is unknown (-1). `uav_cell_value`
-computes this for any window of the map, `build_uav_map` for the whole
-extent, and `update()` for the dirty columns grown by one cell.
+computes this for any window of the map, and `update()` for the dirty columns
+grown by one cell. `build_uav_map` starts from -1 everywhere and runs it on
+the bounding box of the present cells (`nonzero_box`) grown by one cell: no
+cell outside that box has a present neighbour.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap
+from .column_extraction import HeightMap, grow, nonzero_box
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState
 
@@ -116,14 +118,19 @@ def ugv_values(uav_values: np.ndarray, slope_values: np.ndarray,
 
 def build_uav_map(vmap: VoxelMap, height: HeightMap,
                   min_occupancy: float) -> OccupancyGrid:
-    """uav_cell_value over the whole extent."""
+    """uav_cell_value over the box of present cells grown by one; every
+    other cell has no present 8-neighbour and reads -1."""
     if not (0.0 < min_occupancy <= 1.0):
         raise ValueError(f"min_occupancy must be in (0, 1], got {min_occupancy}")
     if vmap.extent[:2] != height.extent:
         raise ValueError(f"voxel extent {vmap.extent} does not match height "
                          f"extent {height.extent}")
     M, N = height.extent
-    values = uav_cell_value(vmap, height, slice(0, M), slice(0, N), min_occupancy)
+    values = np.full((M, N), -1.0)
+    box = nonzero_box(height.floor_k >= 0)
+    if box is not None:
+        rows, cols = grow(box, 1, M, N)
+        values[rows, cols] = uav_cell_value(vmap, height, rows, cols, min_occupancy)
     return OccupancyGrid("uav", height.resolution, height.origin, values)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, bands
+from .column_extraction import HeightMap, bands, nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
 # degenerate (collinear or near-collinear sample layout).
@@ -71,7 +71,7 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     degenerate = np.zeros(values.shape, dtype=bool)
     # Only the bounding box of present cells has output; absent cells outside
     # it read NaN already.
-    for r, c in bands(height.floor_k[m0:m1, n0:n1] >= 0, _BAND_ROWS):
+    for r, c in bands(nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0), _BAND_ROWS):
         values[r, c], degenerate[r, c] = _kernel(
             height, m0 + r.start, m0 + r.stop, n0 + c.start, n0 + c.stop, radius)
     return values, degenerate

@@ -239,13 +239,25 @@ class VoxelMap:
 
     def fill_box(self, i0: int, i1: int, j0: int, j1: int, k0: int, k1: int,
                  state: VoxelState) -> None:
-        """Bulk-write one state over the half-open box [i0,i1)x[j0,j1)x[k0,k1)."""
+        """Bulk-write one state over the half-open box [i0,i1)x[j0,j1)x[k0,k1).
+
+        The state is an integer 0-2 in the sense of operator.index (bool acts
+        as its integer, as in apply_cells): a non-integer raises TypeError
+        and a value outside 0-2 ValueError, both naming the state; a box
+        outside the extent raises IndexError. Nothing is written on error.
+        """
+        try:
+            s = operator.index(state)
+        except TypeError:
+            raise TypeError(f"voxel state must be an integer 0-2, got {state!r}") from None
+        if not 0 <= s <= 2:
+            raise ValueError(f"invalid voxel state {state!r}")
         M, N, K = self.extent
         if not (0 <= i0 <= i1 <= M and 0 <= j0 <= j1 <= N and 0 <= k0 <= k1 <= K):
             raise IndexError(
                 f"box [{i0},{i1})x[{j0},{j1})x[{k0},{k1}) outside extent {M}x{N}x{K}"
             )
-        self._voxels[i0:i1, j0:j1, k0:k1] = int(state)
+        self._voxels[i0:i1, j0:j1, k0:k1] = _FILL[s]
 
     # -- comparison -----------------------------------------------------
 
@@ -263,6 +275,9 @@ class VoxelMap:
 
 
 _STATES = (VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE)
+# 0-d uint8 arrays of the states: numpy fills a slice from one of these
+# without converting a Python int on every call.
+_FILL = tuple(np.array(s, dtype=np.uint8) for s in range(3))
 
 
 def _runs_of(col: np.ndarray) -> tuple[tuple[int, int, VoxelState], ...]:

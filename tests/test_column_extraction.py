@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
                      build_height_map, convert_column, init)
-from voxflat.column_extraction import bands
+from voxflat.column_extraction import bands, nonzero_box
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -250,6 +250,10 @@ def test_convert_column_validates_min_run():
         convert_column(np.zeros((2, 5), dtype=np.uint8), 0)
     with pytest.raises(ValueError):
         convert_column(np.zeros((2, 5), dtype=np.uint8), 1.0)
+    # a bool is not a run length, although Python counts it as an int
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="min_run must be an int >= 1"):
+            convert_column(np.full((1, 4), int(F), dtype=np.uint8), flag)
     # a run threshold taller than the column keeps nothing
     floor_k, ceil_k = convert_column(np.full((2, 5), int(F), dtype=np.uint8), 6)
     assert floor_k.tolist() == ceil_k.tolist() == [-1, -1]
@@ -265,18 +269,47 @@ def test_height_block_pads_with_absent_faces():
     assert faces[0].tolist() == [[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [-1, -1, -1]]
     assert faces[1].tolist() == [[-1, -1, -1], [4, 5, -1], [-1, 6, -1], [-1, -1, -1]]
     assert (height.floor_k >= 0).tolist() == [[True, True], [False, True]]
-    assert list(bands(height.floor_k[1:2, 0:2] >= 0, 64)) == [(slice(0, 1), slice(1, 2))]
-    assert list(bands(height.floor_k[1:2, 0:1] >= 0, 64)) == []
+    assert nonzero_box(height.floor_k[1:2, 0:2] >= 0) == (0, 1, 1, 2)
+    assert nonzero_box(height.floor_k[1:2, 0:1] >= 0) is None
     assert height.window(slice(-1, None), slice(5, 0)) == (1, 2, 2, 2)
 
 
 def test_bands_cover_the_bounding_box_of_the_mask_in_row_blocks():
     mask = np.zeros((9, 7), dtype=bool)
     mask[[1, 6], [5, 2]] = True
-    assert list(bands(mask, 2)) == [(slice(1, 3), slice(2, 6)), (slice(3, 5), slice(2, 6)),
-                                    (slice(5, 7), slice(2, 6))]
-    assert list(bands(mask, 64)) == [(slice(1, 7), slice(2, 6))]
-    assert list(bands(np.zeros((3, 3), dtype=bool), 1)) == []
+    box = nonzero_box(mask)
+    assert list(bands(box, 2)) == [(slice(1, 3), slice(2, 6)), (slice(3, 5), slice(2, 6)),
+                                   (slice(5, 7), slice(2, 6))]
+    assert list(bands(box, 64)) == [(slice(1, 7), slice(2, 6))]
+    assert list(bands(None, 1)) == []
+
+
+def test_nonzero_box_bounds_the_columns_holding_a_nonzero_entry():
+    states = np.zeros((5, 6, 4), dtype=np.uint8)
+    assert nonzero_box(states) is None
+    states[4, 5, 3] = int(F)  # the last row and column, top voxel only
+    assert nonzero_box(states) == (4, 5, 5, 6)
+    states[1, 2, 0] = int(O)
+    assert nonzero_box(states) == (1, 5, 2, 6)
+    assert nonzero_box(states[:, :, 1:]) == (4, 5, 5, 6)  # a strided view
+    # a 2D mask gives the box of its True cells; an empty array has none
+    assert nonzero_box(states.any(axis=2)) == (1, 5, 2, 6)
+    assert nonzero_box(np.zeros((0, 3), dtype=bool)) is None
+    assert nonzero_box(np.zeros((3, 0), dtype=bool)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+def test_nonzero_box_is_the_box_of_observed_columns(shape, seed, density):
+    # The contiguous reductions agree with the per-column any() they replace.
+    rng = np.random.default_rng(seed)
+    states = np.where(rng.random(shape) < density,
+                      rng.integers(1, 3, shape), 0).astype(np.uint8)
+    m, n = np.nonzero(states.any(axis=2))
+    want = (m.min(), m.max() + 1, n.min(), n.max() + 1) if m.size else None
+    assert nonzero_box(states) == want
+    assert nonzero_box(states.any(axis=2)) == want
 
 
 def test_height_faces_at_reads_minus_one_off_the_map_and_where_no_floor():

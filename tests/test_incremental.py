@@ -7,7 +7,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from voxflat import (ConversionParams, DirtyReport, VoxelMap, VoxelState, init,
                      update)
+from voxflat.column_extraction import convert_column
 from voxflat.incremental import CSV_HEADER
+from voxflat.occupancy_maps import uav_cell_value
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import HeightRange, extract_ranges, filter_free_ranges, states_equal
@@ -252,6 +254,115 @@ def test_ranges_are_the_range_rule_in_voxels(data, res, origin_z, min_clearance)
         update(state, [(m, n, k, s) for m, n, k0, length, s in batch
                        for k in range(k0, min(K, k0 + length))])
         assert_ranges_match_the_oracle(state)
+
+
+def random_states(rng, extent):
+    """Voxel states of the given extent: mostly free so that height cells
+    occur, some occupied, and about a fifth of the columns all Unknown."""
+    states = rng.choice(np.array([U, O, F, F, F], dtype=np.uint8), extent)
+    states[rng.random(extent[:2]) < 0.2] = U
+    return states
+
+
+def voxel_map(states):
+    vmap = VoxelMap(0.1, (0.0, 0.0, 0.0), states.shape)
+    observed = np.argwhere(states)
+    vmap.apply_cells(np.c_[observed, states[tuple(observed.T)]])
+    return vmap
+
+
+def box_params(radius):
+    return ConversionParams(min_clearance=0.3, slope_window_m=0.1 * radius)
+
+
+def assert_embedded(states, extent, at, params):
+    """init() of `states` placed at cell `at` of an otherwise all-Unknown
+    (M, N) extent gives the small map's grids there and absent, NaN and -1
+    everywhere else; its heights and UAV values also equal the stage kernels
+    run over the whole extent."""
+    m, n, K = states.shape
+    big = np.zeros((*extent, K), dtype=np.uint8)
+    window = slice(at[0], at[0] + m), slice(at[1], at[1] + n)
+    big[window] = states
+    small, full = init(voxel_map(states), params), init(voxel_map(big), params)
+    inside = np.zeros(extent, dtype=bool)
+    inside[window] = True
+    grids = (("floor", lambda s: s.height.floor_k, -1),
+             ("ceiling", lambda s: s.height.ceil_k, -1),
+             ("slope", lambda s: s.slope.values, np.nan),
+             ("degenerate", lambda s: s.slope.degenerate, False),
+             ("uav", lambda s: s.uav.values, -1.0),
+             ("ugv", lambda s: s.ugv.values, -1.0))
+    for name, grid, absent in grids:
+        assert np.array_equal(grid(full)[window], grid(small), equal_nan=True), name
+        outside = grid(full)[~inside]
+        assert np.array_equal(outside, np.full(outside.shape, absent), equal_nan=True), name
+    floor_k, ceil_k = convert_column(big, params.min_run(0.1))
+    assert np.array_equal(full.height.floor_k, floor_k)
+    assert np.array_equal(full.height.ceil_k, ceil_k)
+    M, N = extent
+    assert np.array_equal(full.uav.values, uav_cell_value(
+        full.voxels, full.height, slice(0, M), slice(0, N), params.min_occupancy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), radius=st.integers(1, 3))
+def test_a_map_embedded_in_unknown_space_converts_as_it_does_alone(data, seed, radius):
+    # init() reads only the box that can hold output: heights the box of
+    # observed columns, UAV the box of present cells grown by one
+    m, n, K = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)),
+               data.draw(st.integers(1, 10)))
+    M, N = m + data.draw(st.integers(0, 8)), n + data.draw(st.integers(0, 8))
+    at = data.draw(st.integers(0, M - m)), data.draw(st.integers(0, N - n))
+    states = random_states(np.random.default_rng(seed), (m, n, K))
+    assert_embedded(states, (M, N), at, box_params(radius))
+
+
+@pytest.mark.parametrize("case", ["all unknown", "last row", "last column",
+                                  "single column", "last corner column"])
+def test_observed_box_edge_cases(case):
+    M, N, K = 9, 7, 10
+    shape, at = {"all unknown": ((3, 3), (2, 2)),
+                 "last row": ((1, N), (M - 1, 0)),
+                 "last column": ((M, 1), (0, N - 1)),
+                 "single column": ((1, 1), (4, 3)),
+                 "last corner column": ((1, 1), (M - 1, N - 1))}[case]
+    states = random_states(np.random.default_rng(7), (*shape, K))
+    if case == "all unknown":
+        states[:] = U
+    else:  # one column floored at k = 1, so some cell is present
+        states[0, 0] = [O] + [F] * (K - 1)
+    assert_embedded(states, (M, N), at, box_params(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), radius=st.integers(1, 3))
+def test_updates_outside_the_prior_box_and_back_to_unknown_rebuild_exactly(
+        data, seed, radius):
+    # The prior observes a box smaller than the extent; updates reveal
+    # columns outside it, then set every observed voxel back to Unknown.
+    rng = np.random.default_rng(seed)
+    M, N, K = (data.draw(st.integers(2, 10)), data.draw(st.integers(2, 10)),
+               data.draw(st.integers(3, 10)))
+    m, n = data.draw(st.integers(1, M - 1)), data.draw(st.integers(1, N - 1))
+    m0, n0 = data.draw(st.integers(0, M - m)), data.draw(st.integers(0, N - n))
+    prior = np.zeros((M, N, K), dtype=np.uint8)
+    prior[m0:m0 + m, n0:n0 + n] = random_states(rng, (m, n, K))
+    params = box_params(radius)
+    state = init(voxel_map(prior), params)
+    outside = np.ones((M, N), dtype=bool)
+    outside[m0:m0 + m, n0:n0 + n] = False
+    cells = rng.permutation(np.argwhere(outside))[:data.draw(st.integers(1, 8))]
+    columns = random_states(rng, (len(cells), 1, K))[:, 0]
+    update(state, [(i, j, k, s) for (i, j), column in zip(cells.tolist(), columns)
+                   for k, s in enumerate(column.tolist())])
+    assert states_equal(state, init(state.voxels, params)) == []
+    observed = np.argwhere(state.voxels.states)
+    update(state, np.c_[observed, np.zeros(len(observed), dtype=np.int64)])
+    assert state.voxels.cell_count() == 0
+    assert states_equal(state, init(state.voxels, params)) == []
+    assert (state.height.floor_k == -1).all() and np.isnan(state.slope.values).all()
+    assert (state.uav.values == -1.0).all() and (state.ugv.values == -1.0).all()
 
 
 class RebuildEquivalence(RuleBasedStateMachine):

@@ -1,5 +1,7 @@
+import copy
 import operator
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -305,6 +307,30 @@ def test_erasing_all_cells_restores_equality_with_fresh_map():
     vm.apply_cells([(1, 2, 3, O), (1, 2, 2, F)])
     vm.apply_cells([(1, 2, 3, U), (1, 2, 2, U)])
     assert vm == VoxelMap(0.1, (0, 0, 0), (4, 4, 4))
+
+
+@pytest.mark.parametrize("state, error", [(7, ValueError), (3, ValueError),
+                                          (-1, ValueError), (2.7, TypeError),
+                                          ("2", TypeError), (None, TypeError),
+                                          (np.float64(1.0), TypeError)])
+def test_fill_box_rejects_a_bad_state_and_writes_nothing(state, error):
+    vm = VoxelMap(0.1, (0, 0, 0), (4, 4, 5))
+    vm.fill_box(0, 4, 0, 4, 0, 2, O)
+    before = copy.deepcopy(vm)
+    with pytest.raises(error, match=re.escape(repr(state))):
+        vm.fill_box(0, 1, 0, 1, 0, 2, state)
+    assert vm == before
+
+
+def test_fill_box_takes_any_integer_state(tmp_path):
+    # IntEnum members, Python and numpy ints, and bool as its integer; the
+    # saved map loads back
+    vm = VoxelMap(0.1, (0, 0, 0), (4, 4, 5))
+    for j, state in enumerate((F, 1, np.uint8(2), True)):
+        vm.fill_box(0, 4, j, j + 1, 0, 3, state)
+    assert vm.states[0, :, 0].tolist() == [2, 1, 2, 1]
+    save_voxel_map(vm, tmp_path / "m.vxg")
+    assert load_voxel_map(tmp_path / "m.vxg") == vm
 
 
 def test_fill_box_matches_apply_cells():
