@@ -170,6 +170,8 @@ def _cmd_convert(args) -> int:
         outputs["uav_pgm"] = "uav_map.pgm"
         outputs["ugv_pgm"] = "ugv_map.pgm"
     write_time = time.perf_counter() - t0
+    sizes = io_formats.size_report(
+        args.input, {label: out_dir / name for label, name in outputs.items()})
     M, N, K = vmap.extent
     manifest = {
         "input": str(args.input),
@@ -180,6 +182,7 @@ def _cmd_convert(args) -> int:
             "s_a_cells": params.slope_radius_cells(vmap.resolution),
         },
         "outputs": outputs,
+        "bytes": {"input": sizes.voxel_bytes, **dict(sizes.entries)},
         "wall_time_s": round(elapsed, 6),
         "load_time_s": round(load_time, 6),
         "write_time_s": round(write_time, 6),

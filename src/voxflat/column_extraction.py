@@ -12,9 +12,10 @@ and `update()` (the written columns) run the same code.
 
 A full build reads only the box that can hold output: `build_height_map` the
 bounding box of the observed columns, in row bands of about _BAND_VOXELS
-voxels of the box's width. `nonzero_box` finds it, and the slope and UAV
-builds' boxes, with reductions along contiguous memory (each row's maximum,
-then one down the hit rows only), never along the short k axis.
+voxels of the box's width. `voxel_store.nonzero_box` finds it, and the slope
+and UAV builds' boxes and the box a VXG file stores, with reductions along
+contiguous memory (each row's maximum, then one down the hit rows only),
+never along the short k axis.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .voxel_store import VoxelMap, VoxelState, check_geometry
+from .voxel_store import VoxelMap, VoxelState, check_geometry, nonzero_box
 
 # Voxels per convert_column pass in build_height_map, as whole rows of the
 # observed box: its bool temporaries are 256 KB each. On a fully observed
@@ -200,27 +201,6 @@ class HeightMap:
         m, n = np.where(inside, m, 0), np.where(inside, n, 0)
         return (np.where(inside, self.floor_k[m, n], -1),
                 np.where(inside, self.ceil_k[m, n], -1))
-
-
-def nonzero_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
-    """Bounding box (m0, m1, n0, n1), half-open, of the columns a[m, n] of a
-    2D or 3D array that hold a nonzero entry; None when none does.
-
-    Both reductions run along contiguous memory: the maximum of each row's
-    whole slab finds the hit rows, then the maximum down those rows only,
-    taken over k as well for a 3D array, finds the hit columns. On a
-    512x512x32 voxel map that is several times cheaper than `any(axis=2)`
-    over the short k axis.
-    """
-    if not a.size:
-        return None
-    rows = np.flatnonzero((a if a.ndim == 2 else a.reshape(len(a), -1)).max(axis=1))
-    if not rows.size:
-        return None
-    m0, m1 = int(rows[0]), int(rows[-1]) + 1
-    cols = a[m0:m1].max(axis=0)
-    cols = np.flatnonzero(cols if cols.ndim == 1 else cols.max(axis=1))
-    return m0, m1, int(cols[0]), int(cols[-1]) + 1
 
 
 def grow(box: tuple[int, int, int, int], halo: int, M: int,

@@ -5,7 +5,7 @@ updates the state is bit-identical to a from-scratch conversion of the
 current voxel map. Each stage is one kernel that `init()` runs over the box
 of the extent that can hold output, and `update()` over the dirty columns
 grown by the stage's halo, the reach of its data dependencies. `init()`'s
-boxes come from `column_extraction.nonzero_box`, two reductions along
+boxes come from `voxel_store.nonzero_box`, two reductions along
 contiguous memory: the observed columns for heights, the present cells for
 slopes, and the present cells grown by one for UAV; every cell outside a box
 keeps its absent, NaN or -1 value. `slope_at` trims any window to its

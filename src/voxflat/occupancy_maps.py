@@ -7,9 +7,9 @@ along k, and divides by the span's length in voxels. The largest ratio over
 neighbours is its value when it reaches min_occupancy; below that, and on
 cells with no present neighbour, the value is unknown (-1). `uav_cell_value`
 computes this for any window of the map, and `update()` for the dirty columns
-grown by one cell. `build_uav_map` starts from -1 everywhere and runs it on
-the bounding box of the present cells (`nonzero_box`) grown by one cell: no
-cell outside that box has a present neighbour.
+grown by one cell. `build_uav_map` runs it on the bounding box of the
+present cells (`nonzero_box`) grown by one cell and pads the result with -1
+to the extent: no cell outside that box has a present neighbour.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, grow, nonzero_box
+from .column_extraction import HeightMap, grow
 from .slope_map import SlopeMap
-from .voxel_store import VoxelMap, VoxelState
+from .voxel_store import VoxelMap, VoxelState, nonzero_box
 
 NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 # Row and column offsets of the 8-neighbours in a block padded by one cell.
@@ -126,11 +126,14 @@ def build_uav_map(vmap: VoxelMap, height: HeightMap,
         raise ValueError(f"voxel extent {vmap.extent} does not match height "
                          f"extent {height.extent}")
     M, N = height.extent
-    values = np.full((M, N), -1.0)
     box = nonzero_box(height.floor_k >= 0)
-    if box is not None:
+    if box is None:
+        values = np.full((M, N), -1.0)
+    else:  # the box's values padded with -1: every cell is written once
         rows, cols = grow(box, 1, M, N)
-        values[rows, cols] = uav_cell_value(vmap, height, rows, cols, min_occupancy)
+        values = np.pad(uav_cell_value(vmap, height, rows, cols, min_occupancy),
+                        ((rows.start, M - rows.stop), (cols.start, N - cols.stop)),
+                        constant_values=-1.0)
     return OccupancyGrid("uav", height.resolution, height.origin, values)
 
 

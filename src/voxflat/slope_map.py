@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, bands, nonzero_box
+from .column_extraction import HeightMap, bands
+from .voxel_store import nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
 # degenerate (collinear or near-collinear sample layout).

@@ -7,23 +7,21 @@ work on integer voxel indices over whole windows; rasterization inverts range
 extraction by painting voxels, the plane search is exhaustive, the grid
 planner cost check is a plain Dijkstra and its path check the same A* over
 (m, n) tuple keys, path lifting and clearance are per-waypoint loops, and
-the VXG codec reads and writes the whole file at once.
+the VXG codec reads and writes the whole file at once, finding its box
+by a per-column `any` and its payload by `np.frombuffer`.
 """
 from __future__ import annotations
 
-import contextlib
 import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
-from unittest import mock
 
 import numpy as np
 
 from voxflat import (ColumnView, HeightMap, VoxelMap, VoxelState, VxgError,
                      VxgHeaderError, VxgRecordError, VxgTruncatedError, VxgVersionError)
-from voxflat import voxel_store
 from voxflat.occupancy_maps import NEIGHBORS_8
 from voxflat.voxel_store import Cell, cell_center, fmt_float, header_fields
 
@@ -450,31 +448,30 @@ def enforce_clearance_reference(path, height: HeightMap, radius: float):
 # -- VXG codec: whole-file reference ------------------------------------------
 
 def save_voxel_map_reference(vmap: VoxelMap, path) -> None:
-    """The canonical VXG encoding in one piece: np.nonzero walks the array
-    in C order, the canonical (i, j, k) record order, and every record is
-    built before the one write."""
-    index = np.nonzero(vmap._voxels)
-    records = np.empty((index[0].size, 4), dtype="<u4")
-    for c, values in enumerate(index + (vmap._voxels[index],)):
-        records[:, c] = values
+    """The canonical VXG encoding in one piece: the box from a per-column
+    `any`, and its voxels as one C-order byte string before the one write."""
+    observed = vmap._voxels.any(axis=2)
+    rows = np.flatnonzero(observed.any(axis=1))
+    cols = np.flatnonzero(observed.any(axis=0))
+    m0, m1, n0, n1 = ((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size
+                      else (0, 0, 0, 0))
     ox, oy, oz = vmap.origin
     M, N, K = vmap.extent
     header = (
-        f"VXG 1\n"
+        f"VXG 2\n"
         f"res {fmt_float(vmap.resolution)}\n"
         f"origin {fmt_float(ox)} {fmt_float(oy)} {fmt_float(oz)}\n"
         f"extent {M} {N} {K}\n"
-        f"count {records.shape[0]}\n"
+        f"box {m0} {m1} {n0} {n1}\n"
     )
     with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(records.data)
+        f.write(header.encode("ascii") + vmap._voxels[m0:m1, n0:n1].tobytes())
 
 
 def load_voxel_map_reference(path) -> VoxelMap:
-    """VXG parse of the whole file at once, with each check a whole-payload
-    array pass: header, payload length, invalid states, out-of-range voxels,
-    allocation, then duplicates (named by their later record)."""
+    """VXG parse of the whole file at once, with each check in order:
+    header, box, payload length, allocation, then the first invalid state
+    over the whole payload (`np.frombuffer`) in C order."""
     data = Path(path).read_bytes()
     lines = []
     offset = 0
@@ -492,7 +489,7 @@ def load_voxel_map_reference(path) -> VoxelMap:
         version = int(magic[1])
     except ValueError:
         raise VxgHeaderError(f"unreadable version in {lines[0]!r}") from None
-    if version != 1:
+    if version != 2:
         raise VxgVersionError(f"unsupported VXG version {version}")
 
     resolution = header_fields(lines[1], "res", 1, float, VxgHeaderError)[0]
@@ -504,30 +501,17 @@ def load_voxel_map_reference(path) -> VoxelMap:
     extent = header_fields(lines[3], "extent", 3, int, VxgHeaderError)
     if any(e < 1 for e in extent):
         raise VxgHeaderError(f"extent components must be >= 1, got {extent}")
-    count = header_fields(lines[4], "count", 1, int, VxgHeaderError)[0]
-    if count < 0:
-        raise VxgHeaderError(f"negative record count {count}")
+    M, N, K = extent
+    m0, m1, n0, n1 = header_fields(lines[4], "box", 4, int, VxgHeaderError)
+    if not (0 <= m0 <= m1 <= M and 0 <= n0 <= n1 <= N):
+        raise VxgHeaderError(
+            f"box [{m0},{m1})x[{n0},{n1}) is not a box inside extent {M}x{N}")
 
     payload = data[offset:]
-    expected = count * 16
+    shape = (m1 - m0, n1 - n0, K)
+    expected = math.prod(shape)
     if len(payload) != expected:
-        raise VxgTruncatedError(
-            f"expected {expected} record bytes, found {len(payload)}"
-        )
-    records = np.frombuffer(payload, dtype="<u4").reshape(count, 4)
-
-    M, N, K = extent
-    bad_state = ~np.isin(records[:, 3], (1, 2))
-    if bad_state.any():
-        r = int(np.argmax(bad_state))
-        raise VxgRecordError(f"record {r}: invalid state {int(records[r, 3])}")
-    out_of_range = (records[:, 0] >= M) | (records[:, 1] >= N) | (records[:, 2] >= K)
-    if out_of_range.any():
-        r = int(np.argmax(out_of_range))
-        raise VxgRecordError(
-            f"record {r}: voxel ({int(records[r, 0])}, {int(records[r, 1])}, "
-            f"{int(records[r, 2])}) outside extent {M}x{N}x{K}"
-        )
+        raise VxgTruncatedError(f"expected {expected} payload bytes, found {len(payload)}")
 
     try:
         vmap = VoxelMap(resolution, origin, extent)
@@ -535,26 +519,14 @@ def load_voxel_map_reference(path) -> VoxelMap:
         raise VxgHeaderError(
             f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
         ) from None
-    flat = vmap._voxels.reshape(-1)
-    linear = np.ravel_multi_index(tuple(records[:, :3].T), extent)
-    flat[linear] = records[:, 3]
-    if np.count_nonzero(flat) != count:
-        order = np.argsort(linear, kind="stable")
-        repeats = order[1:][linear[order[1:]] == linear[order[:-1]]]
-        r = int(repeats.min())
-        raise VxgRecordError(
-            f"record {r}: duplicate voxel ({int(records[r, 0])}, "
-            f"{int(records[r, 1])}, {int(records[r, 2])})"
-        )
+    states = np.frombuffer(payload, dtype=np.uint8)
+    bad = np.flatnonzero(states > 2)
+    if bad.size:
+        i, j, k = np.unravel_index(bad[0], shape)
+        raise VxgRecordError(f"voxel ({m0 + i}, {n0 + j}, {k}): invalid state "
+                             f"{states[bad[0]]}")
+    vmap._voxels[m0:m1, n0:n1] = states.reshape(shape)
     return vmap
-
-
-def vxg_blocks_of(block: int | None):
-    """Set the VXG codec's records per block for a with-block (None: keep
-    the default), so small maps cross block boundaries."""
-    if block is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(voxel_store, "_BLOCK_RECORDS", block)
 
 
 def load_outcome(load, path):

@@ -85,6 +85,24 @@ def test_diff_tolerance_must_be_finite_and_non_negative(tmp_path, capsys):
         assert "--tol must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_convert_manifest_records_file_sizes(tmp_path):
+    vxg = synth(tmp_path, "ramp")
+    out = convert(tmp_path, vxg, "out", "--pgm")
+    manifest = json.loads((out / "manifest.json").read_text())
+    sizes = manifest["bytes"]
+    assert sizes.pop("input") == vxg.stat().st_size
+    assert sizes == {label: (out / name).stat().st_size
+                     for label, name in manifest["outputs"].items()}
+    assert len(sizes) == 6
+
+
+def test_convert_refuses_a_vxg_1_file(tmp_path, capsys):
+    old = tmp_path / "old.vxg"
+    old.write_bytes(b"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent 64 48 8\ncount 0\n")
+    assert run("convert", "--in", old, "--out-dir", tmp_path / "o") == 2
+    assert "unsupported VXG version 1" in capsys.readouterr().err
+
+
 def test_diff_of_incomparable_grids_is_a_data_error(tmp_path, capsys):
     out = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6"))
     assert run("diff", out / "uav_map.g2d", out / "height.g2d") == 2

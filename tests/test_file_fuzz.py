@@ -4,7 +4,8 @@ Valid files are mutated by Hypothesis (byte flips, overwrites, insertions,
 deletions and truncation); a reader must then either return a value or
 raise its typed error. Any other exception escaping is a reader bug. The VXG
 reader must also agree with the whole-file reference reader: the same map,
-or the same error class and message.
+or the same error class and message. Its file is a VXG 2 box narrower than
+the extent, so mutations reach the box line and every payload row.
 Extents stay tiny, and an insertion adds at most three bytes, so a mutated
 extent cannot ask for much memory.
 """
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import load_outcome, load_voxel_map_reference, vxg_blocks_of
+from oracles import load_outcome, load_voxel_map_reference
 from voxflat import (ConversionParams, GridFormatError, VoxelMap, VoxelState, init,
                      load_voxel_map, read_grid, read_height, read_occupancy,
                      read_slope, save_voxel_map, write_height,
@@ -61,15 +62,16 @@ def small_map() -> VoxelMap:
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutations=st.lists(mutation, min_size=1, max_size=3),
-       block=st.sampled_from([5, None]))
-def test_mutated_vxg_files_raise_only_vxg_errors(tmp_path_factory, mutations, block):
-    # Blocks of 5 records put block boundaries inside the 72-record payload.
+@given(mutations=st.lists(mutation, min_size=1, max_size=3))
+def test_mutated_vxg_files_raise_only_vxg_errors(tmp_path_factory, mutations):
+    # small_map in a larger extent: the box is rows 1-3, columns 2-3.
+    vmap = VoxelMap(0.1, (0.0, 0.0, 0.0), (5, 4, 12))
+    vmap._voxels[1:4, 2:4] = small_map().states
     path = tmp_path_factory.mktemp("vxg") / "map.vxg"
-    save_voxel_map(small_map(), path)
+    save_voxel_map(vmap, path)
+    assert b"\nbox 1 4 2 4\n" in path.read_bytes()
     path.write_bytes(mutate(path.read_bytes(), mutations))
-    with vxg_blocks_of(block):
-        got = load_outcome(load_voxel_map, path)
+    got = load_outcome(load_voxel_map, path)
     assert got == load_outcome(load_voxel_map_reference, path)
 
 

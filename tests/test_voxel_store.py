@@ -1,20 +1,20 @@
+import contextlib
 import copy
 import operator
 import os
 import re
-import struct
 import threading
 import tracemalloc
 from enum import IntEnum
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (load_outcome, load_voxel_map_reference, save_voxel_map_reference,
-                     vxg_blocks_of)
-from voxflat import (VoxelMap, VoxelState, VxgHeaderError, VxgRecordError,
+from oracles import load_outcome, load_voxel_map_reference, save_voxel_map_reference
+from voxflat import (VoxelMap, VoxelState, VxgError, VxgHeaderError, VxgRecordError,
                      VxgTruncatedError, VxgVersionError, load_voxel_map,
                      save_voxel_map, voxel_store)
 
@@ -34,7 +34,7 @@ def test_empty_map_saves_header_only(tmp_path):
     path = tmp_path / "empty.vxg"
     save_voxel_map(vm, path)
     data = path.read_bytes()
-    assert data == b"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent 10 10 10\ncount 0\n"
+    assert data == b"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent 10 10 10\nbox 0 0 0 0\n"
     loaded = load_voxel_map(path)
     assert loaded == vm
     assert loaded.column(3, 4).runs == ((0, 10, U),)
@@ -74,19 +74,32 @@ def test_round_trip_random_maps(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+def load_through_a_pipe(tmp_path, data: bytes):
+    """load_outcome of data written into a fifo by another thread."""
+    fifo = tmp_path / "fifo"
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
+    writer.start()
+    try:
+        return load_outcome(load_voxel_map, fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 def test_load_reads_a_pipe(tmp_path):
     vm = random_map(np.random.default_rng(3))
     save_voxel_map(vm, tmp_path / "map.vxg")
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
-                              args=((tmp_path / "map.vxg").read_bytes(),))
-    writer.start()
-    try:
-        assert load_voxel_map(fifo) == vm
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    data = (tmp_path / "map.vxg").read_bytes()
+    assert load_through_a_pipe(tmp_path, data) == vm
+    # A defect read through a pipe is named as in the file.
+    header, payload = data.rsplit(b"\n", 1)
+    for bad in (data[:-1], data + b"\x00", header + b"\n" + b"\x03" + payload[1:]):
+        (tmp_path / "bad.vxg").write_bytes(bad)
+        got = load_through_a_pipe(tmp_path, bad)
+        assert got == load_outcome(load_voxel_map, tmp_path / "bad.vxg")
+        assert isinstance(got, tuple) and issubclass(got[0], VxgError)
 
 
 def test_header_errors_are_distinct(tmp_path):
@@ -101,6 +114,11 @@ def test_header_errors_are_distinct(tmp_path):
 
     bad.write_bytes(b"VXG 9\n" + base.split(b"\n", 1)[1])
     with pytest.raises(VxgVersionError):
+        load_voxel_map(bad)
+
+    # There is no VXG 1 reader: the old record format is refused by version.
+    bad.write_bytes(b"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent 2 2 2\ncount 0\n")
+    with pytest.raises(VxgVersionError, match="unsupported VXG version 1"):
         load_voxel_map(bad)
 
     for old, new in ((b"res 0.1", b"res zero"), (b"res 0.1", b"res nan"),
@@ -122,34 +140,34 @@ def test_header_errors_are_distinct(tmp_path):
     vm.apply_cells([(0, 0, 0, F)])
     save_voxel_map(vm, good)
     full = good.read_bytes()
-    bad.write_bytes(full[:-4])
-    with pytest.raises(VxgTruncatedError):
+    assert full.endswith(b"box 0 1 0 1\n\x02\x00")
+    bad.write_bytes(full[:-1])
+    with pytest.raises(VxgTruncatedError, match="expected 2 payload bytes, found 1"):
         load_voxel_map(bad)
-    bad.write_bytes(full + b"\x00\x00")
-    with pytest.raises(VxgTruncatedError):
+    bad.write_bytes(full + b"\x00")
+    with pytest.raises(VxgTruncatedError, match="expected 2 payload bytes, found 3"):
         load_voxel_map(bad)
 
 
 def test_record_errors_carry_position(tmp_path):
-    header = b"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent 2 2 2\ncount 2\n"
-    ok = np.array([[0, 0, 0, 2]], dtype="<u4").tobytes()
-    bad_state = np.array([[1, 1, 1, 7]], dtype="<u4").tobytes()
+    # A payload byte above 2 is named by its voxel, the first in C order
+    # over the box, with the box's offset added back.
+    header = b"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent 4 5 2\nbox 1 3 2 4\n"
     path = tmp_path / "rec.vxg"
-    path.write_bytes(header + ok + bad_state)
-    with pytest.raises(VxgRecordError, match="record 1"):
-        load_voxel_map(path)
-    out_of_range = np.array([[5, 0, 0, 1]], dtype="<u4").tobytes()
-    path.write_bytes(header + ok + out_of_range)
-    with pytest.raises(VxgRecordError, match="record 1"):
-        load_voxel_map(path)
-    for state in (1, 2):
-        duplicate = np.array([[0, 0, 0, state]], dtype="<u4").tobytes()
-        path.write_bytes(header + ok + duplicate)
-        with pytest.raises(VxgRecordError, match=r"record 1: duplicate voxel \(0, 0, 0\)"):
+    for at, value, voxel in ((0, 3, (1, 2, 0)), (5, 255, (2, 2, 1)), (7, 3, (2, 3, 1))):
+        payload = bytearray(b"\x01\x02" * 4)
+        payload[at] = value
+        path.write_bytes(header + bytes(payload))
+        message = rf"voxel \({voxel[0]}, {voxel[1]}, {voxel[2]}\): invalid state {value}$"
+        with pytest.raises(VxgRecordError, match=message):
             load_voxel_map(path)
-    three = header.replace(b"count 2", b"count 3")
-    path.write_bytes(three + ok + bad_state.replace(b"\x07", b"\x01") + ok)
-    with pytest.raises(VxgRecordError, match="record 2: duplicate"):
+        assert load_outcome(load_voxel_map, path) == load_outcome(
+            load_voxel_map_reference, path)
+    # Two bad bytes in different box rows: the first is named.
+    payload = bytearray(8)
+    payload[6], payload[3] = 7, 255
+    path.write_bytes(header + bytes(payload))
+    with pytest.raises(VxgRecordError, match=r"voxel \(1, 3, 1\): invalid state 255"):
         load_voxel_map(path)
 
 
@@ -160,8 +178,16 @@ def test_save_writes_golden_bytes_in_ijk_order(tmp_path):
     path = tmp_path / "golden.vxg"
     save_voxel_map(vm, path)
     assert path.read_bytes() == (
-        b"VXG 1\nres 0.25\norigin -1.0 0.5 0.0\nextent 3 2 4\ncount 5\n"
-        + b"".join(struct.pack("<4I", *r) for r in records))
+        b"VXG 2\nres 0.25\norigin -1.0 0.5 0.0\nextent 3 2 4\nbox 0 3 0 2\n"
+        # (i, j) = (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1); k = 0..3 each
+        b"\x00\x00\x00\x00" b"\x00\x00\x00\x01" b"\x02\x00\x01\x00"
+        b"\x02\x00\x00\x00" b"\x00\x00\x00\x00" b"\x00\x02\x00\x00")
+    # One voxel: the box is its column, and only that column is stored.
+    vm = VoxelMap(0.5, (0.0, 0.0, 0.0), (3, 4, 3))
+    vm.apply_cells([(2, 1, 1, O)])
+    save_voxel_map(vm, path)
+    assert path.read_bytes() == (
+        b"VXG 2\nres 0.5\norigin 0.0 0.0 0.0\nextent 3 4 3\nbox 2 3 1 2\n\x00\x01\x00")
 
 
 def test_column_runs_merge_and_split():
@@ -597,136 +623,186 @@ def test_int_records_of_nothing():
             assert_fresh_int64(voxel_store.int_records(records, width, "rec"), 0, width)
 
 
-# -- blocked VXG codec against the whole-file reference -----------------------
+# -- VXG codec against the whole-file reference -----------------------------
 
-# Small blocks put block boundaries inside tiny maps; None keeps the default.
-block_sizes = st.sampled_from([1, 2, 3, 5, 16, None])
+def vxg_slabs_of(slab_bytes: int | None):
+    """Set the bytes per slab save_voxel_map copies from a box that is not
+    contiguous (None: keep the default), so small maps cross slabs."""
+    if slab_bytes is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(voxel_store, "_SLAB_BYTES", slab_bytes)
+
+
+# Small slabs put slab boundaries inside tiny maps (1: one box row per slab).
+slab_sizes = st.sampled_from([1, 8, 40, None])
+
+
+def assert_codec_matches_the_reference(vm, folder):
+    """Saved bytes equal the reference's, both readers load the map back,
+    and saving the loaded map gives the same bytes."""
+    save_voxel_map(vm, folder / "map.vxg")
+    save_voxel_map_reference(vm, folder / "ref.vxg")
+    data = (folder / "map.vxg").read_bytes()
+    assert data == (folder / "ref.vxg").read_bytes()
+    loaded = load_voxel_map(folder / "map.vxg")
+    assert loaded == vm
+    assert load_voxel_map_reference(folder / "map.vxg") == vm
+    save_voxel_map(loaded, folder / "again.vxg")
+    assert (folder / "again.vxg").read_bytes() == data
+    return data
 
 
 @settings(max_examples=150, deadline=None)
 @given(extent=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9)),
-       density=st.sampled_from([0.0, 0.3, 1.0]), block=block_sizes,
+       density=st.sampled_from([0.0, 0.3, 1.0]), slab=slab_sizes,
        seed=st.integers(0, 2**32 - 1))
 def test_blocked_codec_matches_the_reference(tmp_path_factory, extent, density,
-                                             block, seed):
+                                             slab, seed):
     rng = np.random.default_rng(seed)
     vm = VoxelMap(0.1, (0.5, -1.0, 0.0), extent)
     present = rng.random(extent) < density
     vm._voxels[present] = rng.integers(1, 3, extent, dtype=np.uint8)[present]
-    folder = tmp_path_factory.mktemp("vxg")
-    with vxg_blocks_of(block):
-        save_voxel_map(vm, folder / "map.vxg")
-        save_voxel_map_reference(vm, folder / "ref.vxg")
-        assert (folder / "map.vxg").read_bytes() == (folder / "ref.vxg").read_bytes()
-        assert load_voxel_map(folder / "map.vxg") == vm
-        assert load_voxel_map_reference(folder / "map.vxg") == vm
-
-
-def test_codec_matches_the_reference_beyond_one_default_block(tmp_path):
-    rng = np.random.default_rng(5)
-    extent = (40, 40, 48)  # 76,800 records, more than one block of 65,536
-    vm = VoxelMap(0.05, (0.0, 0.0, -1.0), extent)
-    vm._voxels[...] = rng.integers(1, 3, extent, dtype=np.uint8)
-    assert vm.cell_count() > voxel_store._BLOCK_RECORDS
-    save_voxel_map(vm, tmp_path / "map.vxg")
-    save_voxel_map_reference(vm, tmp_path / "ref.vxg")
-    assert (tmp_path / "map.vxg").read_bytes() == (tmp_path / "ref.vxg").read_bytes()
-    assert load_voxel_map(tmp_path / "map.vxg") == vm
+    with vxg_slabs_of(slab):
+        assert_codec_matches_the_reference(vm, tmp_path_factory.mktemp("vxg"))
 
 
 @st.composite
-def defective_records(draw):
-    """An extent and a record list: distinct valid voxels with out-of-range
-    voxels, invalid states and repeats of earlier voxels mixed in."""
-    M, N, K = extent = draw(st.tuples(st.integers(1, 4), st.integers(1, 4),
-                                      st.integers(1, 4)))
-    voxels = draw(st.permutations([(i, j, k) for i in range(M) for j in range(N)
-                                   for k in range(K)]))
-    records = []
-    for kind in draw(st.lists(st.sampled_from(
-            ["valid"] * 6 + ["outside", "state", "repeat"]), max_size=24)):
-        state = draw(st.integers(1, 2))
-        if kind == "valid" and voxels:
-            records.append((*voxels.pop(), state))
-        elif kind == "outside":
-            axis = draw(st.integers(0, 2))
-            voxel = [0, 0, 0]
-            voxel[axis] = extent[axis] + draw(st.integers(0, 3)) * 1000
-            records.append((*voxel, state))
-        elif kind == "state":
-            records.append((0, 0, 0, draw(st.sampled_from([0, 3, 255, 2**32 - 1]))))
-        elif kind == "repeat" and records:
-            records.append((*draw(st.sampled_from(records))[:3], state))
-    return extent, records
+def embedded_maps(draw):
+    """A small random block of voxels at a random offset in a larger extent,
+    and the block's box; all-Unknown maps, one voxel in a corner of the
+    extent and blocks filling the whole extent are drawn on purpose."""
+    M, N, K = extent = draw(st.tuples(st.integers(1, 7), st.integers(1, 7),
+                                      st.integers(1, 5)))
+    vm = VoxelMap(0.2, (-0.5, 0.25, 1.0), extent)
+    kind = draw(st.sampled_from(["empty", "corner", "full", "block"]))
+    if kind == "empty":
+        return vm, None
+    if kind == "corner":
+        i, j = draw(st.sampled_from([0, M - 1])), draw(st.sampled_from([0, N - 1]))
+        k, state = draw(st.integers(0, K - 1)), draw(st.integers(1, 2))
+        vm.apply_cells([(i, j, k, state)])
+        return vm, (i, i + 1, j, j + 1)
+    m0, n0 = (0, 0) if kind == "full" else (draw(st.integers(0, M - 1)),
+                                           draw(st.integers(0, N - 1)))
+    m1, n1 = (M, N) if kind == "full" else (draw(st.integers(m0 + 1, M)),
+                                           draw(st.integers(n0 + 1, N)))
+    block = draw(hnp.arrays(np.uint8, (m1 - m0, n1 - n0, K), elements=st.integers(0, 2)))
+    # An observed voxel on each of the block's four sides makes it the box.
+    rows, cols = st.integers(0, m1 - m0 - 1), st.integers(0, n1 - n0 - 1)
+    for i, j in ((0, draw(cols)), (-1, draw(cols)), (draw(rows), 0), (draw(rows), -1)):
+        block[i, j, draw(st.integers(0, K - 1))] = draw(st.integers(1, 2))
+    vm._voxels[m0:m1, n0:n1] = block
+    return vm, (m0, m1, n0, n1)
 
 
-def write_records(path, extent, records):
-    header = (f"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent {extent[0]} {extent[1]} "
-              f"{extent[2]}\ncount {len(records)}\n").encode("ascii")
-    path.write_bytes(header + np.array(records, dtype="<u4").reshape(-1, 4).tobytes())
+@settings(max_examples=200, deadline=None)
+@given(case=embedded_maps(), slab=slab_sizes)
+def test_saved_box_is_the_observed_box(tmp_path_factory, case, slab):
+    vm, box = case
+    with vxg_slabs_of(slab):
+        data = assert_codec_matches_the_reference(vm, tmp_path_factory.mktemp("vxg"))
+    m0, m1, n0, n1 = box or (0, 0, 0, 0)
+    header = f"\nbox {m0} {m1} {n0} {n1}\n".encode("ascii")
+    assert data.endswith(header + vm.states[m0:m1, n0:n1].tobytes())
+
+
+def test_codec_matches_the_reference_beyond_one_default_block(tmp_path):
+    # A box one column narrower than the extent on each side is not
+    # contiguous in the map, and at 1.47 MB it spans two default slabs.
+    rng = np.random.default_rng(5)
+    vm = VoxelMap(0.05, (0.0, 0.0, -1.0), (120, 130, 96))
+    vm._voxels[:, 1:129] = rng.integers(0, 3, (120, 128, 96), dtype=np.uint8)
+    box = vm.states[:, 1:129]
+    assert not box.flags.c_contiguous and box.nbytes > voxel_store._SLAB_BYTES
+    data = assert_codec_matches_the_reference(vm, tmp_path)
+    assert b"\nbox 0 120 1 129\n" in data
+
+
+@st.composite
+def defective_files(draw):
+    """A VXG 2 file whose box may leave the extent or run backwards, whose
+    payload may be a byte short or long, and whose bytes may hold values
+    above 2."""
+    M, N, K = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    m0, m1 = sorted(draw(st.lists(st.integers(-1, M + 1), min_size=2, max_size=2)),
+                    reverse=draw(st.booleans()))
+    n0, n1 = sorted(draw(st.lists(st.integers(-1, N + 1), min_size=2, max_size=2)),
+                    reverse=draw(st.booleans()))
+    size = max(0, m1 - m0) * max(0, n1 - n0) * K + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    payload = draw(st.lists(st.sampled_from([0, 1, 2, 2, 3, 255]), min_size=max(0, size),
+                            max_size=max(0, size)))
+    return (f"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent {M} {N} {K}\n"
+            f"box {m0} {m1} {n0} {n1}\n").encode("ascii") + bytes(payload)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=defective_records(), block=block_sizes)
-def test_blocked_load_names_the_reference_defect(tmp_path_factory, case, block):
-    extent, records = case
+@given(data=defective_files())
+def test_blocked_load_names_the_reference_defect(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("vxg") / "rec.vxg"
-    write_records(path, extent, records)
-    with vxg_blocks_of(block):
-        assert load_outcome(load_voxel_map, path) == load_outcome(
-            load_voxel_map_reference, path)
+    path.write_bytes(data)
+    assert load_outcome(load_voxel_map, path) == load_outcome(
+        load_voxel_map_reference, path)
 
 
-@pytest.mark.parametrize("records, message", [
-    # an out-of-range voxel in block 1, an invalid state in block 2: the state wins
-    ([(0, 0, 0, 1), (0, 0, 1, 2), (9, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0)],
-     "record 4: invalid state 0"),
-    # a voxel repeated across the boundary of blocks 0 and 1
-    ([(0, 0, 0, 1), (1, 1, 1, 2), (1, 1, 1, 1), (0, 1, 0, 2)],
-     r"record 2: duplicate voxel \(1, 1, 1\)"),
-    # a voxel repeated inside block 1, after a repeat-free block 0
-    ([(0, 0, 0, 1), (1, 1, 1, 2), (0, 1, 0, 1), (0, 1, 0, 2)],
-     r"record 3: duplicate voxel \(0, 1, 0\)"),
+@pytest.mark.parametrize("box, payload, error, message", [
+    ("0 2 0 3", b"\x01" * 6, VxgHeaderError, r"box \[0,2\)x\[0,3\) is not a box inside extent 3x2"),
+    ("2 1 0 1", b"", VxgHeaderError, r"box \[2,1\)x\[0,1\) is not a box"),
+    ("0 1 1 0", b"", VxgHeaderError, r"box \[0,1\)x\[1,0\) is not a box"),
+    ("-1 1 0 1", b"\x01" * 8, VxgHeaderError, r"box \[-1,1\)x\[0,1\) is not a box"),
+    ("1 3 0 2", b"\x01" * 15, VxgTruncatedError, "expected 16 payload bytes, found 15"),
+    ("1 3 0 2", b"\x01" * 17, VxgTruncatedError, "expected 16 payload bytes, found 17"),
+    ("1 1 0 2", b"\x01", VxgTruncatedError, "expected 0 payload bytes, found 1"),
 ])
-def test_defects_in_later_blocks_match_the_reference(tmp_path, records, message):
-    path = tmp_path / "rec.vxg"
-    write_records(path, (2, 2, 2), records)
-    with pytest.raises(VxgRecordError, match=message):
-        load_voxel_map_reference(path)
-    with vxg_blocks_of(2), pytest.raises(VxgRecordError, match=message):
+def test_vxg_box_and_payload_defects(tmp_path, box, payload, error, message):
+    path = tmp_path / "map.vxg"
+    path.write_bytes(b"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent 3 2 4\nbox "
+                     + box.encode("ascii") + b"\n" + payload)
+    with pytest.raises(error, match=message):
         load_voxel_map(path)
+    assert load_outcome(load_voxel_map, path) == load_outcome(load_voxel_map_reference, path)
 
 
 def test_out_of_range_records_win_over_an_unallocatable_extent(tmp_path):
+    # The box and the payload length are checked before the map is
+    # allocated, so a file naming a huge extent fails on them, not on memory.
     path = tmp_path / "rec.vxg"
-    write_records(path, (10**6, 10**6, 1000), [(0, 0, 0, 1), (0, 0, 0, 3)])
-    with pytest.raises(VxgRecordError, match="record 1: invalid state 3"):
+    header = b"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent 1000000 1000000 1000\n"
+    path.write_bytes(header + b"box 0 1 0 1000001\n")
+    with pytest.raises(VxgHeaderError, match="is not a box inside extent"):
         load_voxel_map(path)
-    write_records(path, (10**6, 10**6, 1000), [(0, 0, 0, 1), (0, 0, 1000, 1)])
-    with pytest.raises(VxgRecordError, match="record 1: voxel"):
+    path.write_bytes(header + b"box 0 1 0 1\n" + b"\x01" * 999)
+    with pytest.raises(VxgTruncatedError, match="expected 1000 payload bytes, found 999"):
+        load_voxel_map(path)
+    path.write_bytes(header + b"box 0 0 0 0\n")
+    with pytest.raises(VxgHeaderError, match="too large to allocate"):
         load_voxel_map(path)
 
 
 def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
-    # 2,097,152 records: a 33.5 MB payload over a 2 MB dense map. Reading or
-    # writing the whole payload at once peaks at several times the payload.
-    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), (256, 256, 32))
-    vm.fill_box(0, 256, 0, 256, 0, 16, O)
-    vm.fill_box(0, 256, 0, 256, 16, 32, F)
-    path = tmp_path / "full.vxg"
-    tracemalloc.start()
-    try:
-        save_voxel_map(vm, path)
-        save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        loaded = load_voxel_map(path)
-        load_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size > 33_500_000
-    assert loaded == vm
-    assert save_peak < 8_000_000
-    assert load_peak < 8_000_000
+    # A full 2 MB map is one 2 MB payload, read into and written from the
+    # map itself. A box narrower than the extent is written in slabs, read
+    # row by row into the map: the map plus one slab.
+    for N, cols in ((256, slice(0, 256)), (258, slice(1, 257))):
+        vm = VoxelMap(0.1, (0.0, 0.0, 0.0), (256, N, 32))
+        vm._voxels[:, cols, :16] = O
+        vm._voxels[:, cols, 16:] = F
+        path = tmp_path / "full.vxg"
+        tracemalloc.start()
+        try:
+            save_voxel_map(vm, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_voxel_map(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 256 * 256 * 32
+        assert loaded == vm
+        assert save_peak < 8_000_000
+        assert load_peak < 8_000_000
+        # beyond the map: at most one slab on save, none on load
+        assert save_peak < voxel_store._SLAB_BYTES + 100_000
+        assert load_peak < vm.states.nbytes + 100_000
 
 
 @pytest.mark.parametrize("resolution, origin, extent, message", [
@@ -769,9 +845,9 @@ def test_voxel_map_takes_numpy_scalars_and_arrays():
 @pytest.mark.parametrize("line, replacement, message", [
     (b"extent 2 2 2", b"extent 2 0 2", r"extent components must be >= 1, got \(2, 0, 2\)"),
     (b"extent 2 2 2", b"extent -1 2 2", "extent components must be >= 1"),
-    (b"count 0", b"count -3", "negative record count -3"),
+    (b"box 0 0 0 0", b"box -3 0 0 0", "is not a box inside extent 2x2"),
     (b"res 0.1", b"res 1/10", "unreadable value in 'res' line"),
-    (b"count 0", b"count", "malformed 'count' line"),
+    (b"box 0 0 0 0", b"box 0 0 0", "malformed 'box' line"),
 ])
 def test_vxg_header_rejects_empty_extents_and_negative_counts(tmp_path, line,
                                                               replacement, message):
