@@ -26,7 +26,8 @@ from .params import ConversionParams
 from .path_lift import (LiftParams, enforce_clearance, lift_path, plan_2d,
                         read_path_2d, write_path_3d)
 from .scenes import SCENE_KINDS, SceneSpec, generate
-from .voxel_store import (VoxelState, VxgError, load_voxel_map, save_voxel_map)
+from .voxel_store import (VoxelState, VxgError, load_voxel_map, read_voxel_map,
+                          save_voxel_map)
 
 # (paper flag, ConversionParams field, help); the manifest's parameter names
 _CONVERSION_FLAGS = (
@@ -145,7 +146,7 @@ def _params(args) -> ConversionParams:
 
 def _cmd_convert(args) -> int:
     t0 = time.perf_counter()
-    vmap = load_voxel_map(args.input)
+    vmap, input_bytes = read_voxel_map(args.input)
     load_time = time.perf_counter() - t0
     params = _params(args)
     out_dir = Path(args.out_dir)
@@ -182,7 +183,7 @@ def _cmd_convert(args) -> int:
             "s_a_cells": params.slope_radius_cells(vmap.resolution),
         },
         "outputs": outputs,
-        "bytes": {"input": sizes.voxel_bytes, **dict(sizes.entries)},
+        "bytes": {"input": input_bytes, **dict(sizes.entries)},
         "wall_time_s": round(elapsed, 6),
         "load_time_s": round(load_time, 6),
         "write_time_s": round(write_time, 6),

@@ -16,12 +16,23 @@ voxels of the box's width. `voxel_store.nonzero_box` finds it, and the slope
 and UAV builds' boxes and the box a VXG file stores, with reductions along
 contiguous memory (each row's maximum, then one down the hit rows only),
 never along the short k axis.
+
+`run_bands` runs the bands of the height, slope and UAV builds on one shared
+thread pool, a thread per usable CPU: numpy releases the interpreter lock
+inside the band kernels, and each band writes only its own rows of the
+output, so the bits are those of the serial loop. One band, or one usable
+CPU, runs inline on the caller's thread. So does `update()` while its boxes
+span at most one band of rows (64 for slopes and UAV), as edits of a few
+voxels and scan batches do.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -222,19 +233,82 @@ def bands(box: tuple[int, int, int, int] | None,
         yield slice(b0, min(b0 + rows, m1)), slice(n0, n1)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The band pool, made on the first multi-band run with _cpus() threads.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool and its lock in a forked child: the pool's threads were
+    not forked, so a submit to it would wait forever, and another thread may
+    have held the lock at the fork."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_bands(fn: Callable[[slice, slice], None],
+              box: tuple[int, int, int, int] | None, rows: int) -> None:
+    """fn(row slice, column slice) for every band of `bands(box, rows)`.
+
+    Bands run concurrently on the shared pool, so each call must write only
+    its own band of the outputs. One band, or one usable CPU, runs inline on
+    the caller's thread. Returns, or raises the error of the first failing
+    band in top-to-bottom order, as the serial loop would, only once no band
+    is running; bands not yet started when one fails are dropped.
+    """
+    if box is None or box[0] >= box[1]:
+        return
+    m0, m1, n0, n1 = box
+    if m1 - m0 <= rows:  # one band, as an update's window is: a direct call
+        fn(slice(m0, m1), slice(n0, n1))
+        return
+    if (workers := _cpus()) < 2:
+        for r, c in bands(box, rows):
+            fn(r, c)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="voxflat-band")
+        pool = _pool
+    futures = []
+    try:
+        for r, c in bands(box, rows):
+            futures.append(pool.submit(fn, r, c))
+        for future in futures:
+            future.result()
+    finally:
+        for future in futures:
+            future.cancel()  # a no-op on bands already run or running
+        wait(futures)
+
+
 def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
     """convert_column over the observed box, in bands of whole rows.
 
     Only the bounding box of columns holding any voxel (`nonzero_box`) is
     read; columns outside it have no free run, and their cells stay absent.
-    A band holds about _BAND_VOXELS voxels of the box.
+    A band holds about _BAND_VOXELS voxels of the box; `run_bands` runs them.
     """
     M, N, K = vmap.extent
     height = HeightMap.empty(vmap.resolution, vmap.origin, (M, N))
     states = vmap.states
     box = nonzero_box(states)
+
+    def band(r: slice, c: slice) -> None:
+        height.floor_k[r, c], height.ceil_k[r, c] = convert_column(states[r, c], min_run)
+
     if box is not None:
-        rows = max(1, _BAND_VOXELS // ((box[3] - box[2]) * K))
-        for band in bands(box, rows):
-            height.set_faces(band, *convert_column(states[band], min_run))
+        run_bands(band, box, max(1, _BAND_VOXELS // ((box[3] - box[2]) * K)))
     return height

@@ -25,6 +25,11 @@ present cells' box the same way, so `update()` shares that rule. Per stage:
 
 A stage's box is the bounding box of the dirty columns, computed once, grown
 by its halo. Every cell of a box is rewritten, so no stale value survives.
+
+Both entry points call each stage from the caller's thread. Inside `init()`
+the height, slope and UAV builds run their row bands concurrently on
+`column_extraction.run_bands`'s thread pool; `update()`'s windows are one
+band for a few voxels or a scan batch, so its stages run inline.
 """
 from __future__ import annotations
 

@@ -9,7 +9,10 @@ cells with no present neighbour, the value is unknown (-1). `uav_cell_value`
 computes this for any window of the map, and `update()` for the dirty columns
 grown by one cell. `build_uav_map` runs it on the bounding box of the
 present cells (`nonzero_box`) grown by one cell and pads the result with -1
-to the extent: no cell outside that box has a present neighbour.
+to the extent: no cell outside that box has a present neighbour. A window is
+computed in bands of _BAND_ROWS rows through `column_extraction.run_bands`,
+so a full build's bands run on its thread pool and an update's window, one
+band, on the caller's thread.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, grow
+from .column_extraction import HeightMap, grow, run_bands
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState, nonzero_box
 
@@ -63,12 +66,14 @@ def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,
     boundary cells only, so any window equals the same cells of
     `build_uav_map` bit for bit.
     """
-    m0, m1, n0, n1 = height.window(rows, cols)
+    box = m0, m1, n0, n1 = height.window(rows, cols)
     values = np.empty((m1 - m0, n1 - n0))
-    for b0 in range(m0, m1, _BAND_ROWS):
-        b1 = min(b0 + _BAND_ROWS, m1)
-        values[b0 - m0:b1 - m0] = _uav_block(vmap, height, b0, b1, n0, n1,
-                                             min_occupancy)
+
+    def band(r: slice, c: slice) -> None:
+        values[r.start - m0:r.stop - m0] = _uav_block(
+            vmap, height, r.start, r.stop, c.start, c.stop, min_occupancy)
+
+    run_bands(band, box, _BAND_ROWS)
     return values
 
 

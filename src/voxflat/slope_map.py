@@ -18,6 +18,10 @@ function of one cell's exact sums, with no summation order, so any window of
 the map gives the same bits as the full map: `init()` and `update()` share
 `slope_at`, and rebuild equivalence holds by construction. An exact plane
 reads exactly, so a flat floor has slope 0.0 and a 2:1 ramp has slope 2.0.
+
+`slope_at` fits the window's present-cell box in bands of _BAND_ROWS output
+rows through `column_extraction.run_bands`: a full build's bands run on its
+thread pool, and an update's window, one band, runs on the caller's thread.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, bands
+from .column_extraction import HeightMap, run_bands
 from .voxel_store import nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
@@ -70,11 +74,14 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     m0, m1, n0, n1 = height.window(rows, cols)
     values = np.full((m1 - m0, n1 - n0), np.nan)
     degenerate = np.zeros(values.shape, dtype=bool)
-    # Only the bounding box of present cells has output; absent cells outside
-    # it read NaN already.
-    for r, c in bands(nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0), _BAND_ROWS):
+
+    def band(r: slice, c: slice) -> None:
         values[r, c], degenerate[r, c] = _kernel(
             height, m0 + r.start, m0 + r.stop, n0 + c.start, n0 + c.stop, radius)
+
+    # Only the bounding box of present cells has output; absent cells outside
+    # it read NaN already.
+    run_bands(band, nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0), _BAND_ROWS)
     return values, degenerate
 
 

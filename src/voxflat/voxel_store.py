@@ -365,13 +365,20 @@ def load_voxel_map(path: str | Path) -> VoxelMap:
     rows, so the peak memory is the dense map; a byte above 2 is then named
     by its voxel, the first in C order.
     """
+    return read_voxel_map(path)[0]
+
+
+def read_voxel_map(path: str | Path) -> tuple[VoxelMap, int]:
+    """load_voxel_map, plus the bytes read: header and payload, the whole
+    file, also when it is a pipe, whose size no stat reports."""
     with open(path, "rb") as f:
-        lines = []
+        lines, header_bytes = [], 0
         for _ in range(5):
             line = f.readline()
             if not line.endswith(b"\n"):
                 raise VxgHeaderError("incomplete header: expected 5 header lines")
             lines.append(line[:-1].decode("ascii", errors="replace"))
+            header_bytes += len(line)
 
         magic = lines[0].split()
         if len(magic) != 2 or magic[0] != "VXG":
@@ -420,7 +427,7 @@ def load_voxel_map(path: str | Path) -> VoxelMap:
         i, j, k = map(int, np.unravel_index(np.argmax(box > 2), box.shape))
         raise VxgRecordError(f"voxel ({m0 + i}, {n0 + j}, {k}): invalid state "
                              f"{box[i, j, k]}")
-    return vmap
+    return vmap, header_bytes + expected
 
 
 def header_fields(line: str, tag: str, n: int, convert, error) -> tuple:

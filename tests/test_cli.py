@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +96,22 @@ def test_convert_manifest_records_file_sizes(tmp_path):
     assert sizes == {label: (out / name).stat().st_size
                      for label, name in manifest["outputs"].items()}
     assert len(sizes) == 6
+
+
+def test_convert_manifest_counts_the_bytes_read_from_a_pipe(tmp_path):
+    # a pipe's stat size is 0, so the count must come from the reader
+    data = synth(tmp_path, "ramp").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
+    writer.start()
+    try:
+        out = convert(tmp_path, fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["bytes"]["input"] == len(data) > 0
 
 
 def test_convert_refuses_a_vxg_1_file(tmp_path, capsys):

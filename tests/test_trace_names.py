@@ -7,12 +7,14 @@ traced run. The list is read from the source, without importing it.
 """
 import ast
 import importlib
+import threading
 from pathlib import Path
 
 import pytest
 
 import voxflat.incremental
-from voxflat import ConversionParams, VoxelState, init, update
+from voxflat import ConversionParams, VoxelState, column_extraction, init, update
+from voxflat import occupancy_maps, slope_map
 from voxflat.scenes import SceneSpec, generate
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -36,10 +38,18 @@ def test_every_wrapped_name_resolves():
         assert callable(owner), f"{module_name}.{path} is not callable"
 
 
+class Calls(dict):
+    """Call counts by wrapped name; `threads` holds each call's thread."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counting wrappers on every wrapped `voxflat.incremental` name."""
-    counts = {}
+    counts = Calls()
     for module_name, attr, _ in wrapped_names():
         if module_name != "voxflat.incremental":
             continue
@@ -48,6 +58,7 @@ def calls(monkeypatch):
 
         def counting(*args, _attr=attr, _original=original, **kwargs):
             counts[_attr] += 1
+            counts.threads.add(threading.current_thread())
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(voxflat.incremental, attr, counting)
@@ -82,3 +93,32 @@ def test_update_that_keeps_every_floor_does_not_call_slope_at(calls):
     assert (report.columns, report.slope_cells) == (1, 0)
     assert calls["slope_at"] == 0
     assert calls["convert_column"] == calls["uav_cell_value"] == 1
+
+
+def test_wrapped_calls_stay_on_the_main_thread_while_bands_use_the_pool(calls, monkeypatch):
+    # The tracer's span stack is not thread-safe: every wrapped call must run
+    # on the caller's thread, while the bands inside them may not.
+    monkeypatch.setattr(column_extraction, "_cpus", lambda: 2)
+    monkeypatch.setattr(column_extraction, "_pool", None)
+    monkeypatch.setattr(column_extraction, "_BAND_VOXELS", 1)
+    monkeypatch.setattr(slope_map, "_BAND_ROWS", 2)
+    monkeypatch.setattr(occupancy_maps, "_BAND_ROWS", 2)
+    band_threads = set()
+    kernel = column_extraction.convert_column
+
+    def recording(*args):
+        band_threads.add(threading.current_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(column_extraction, "convert_column", recording)
+    vmap, _ = generate(SceneSpec(kind="flat-room", size_x=2.0, size_y=1.6))
+    try:
+        state = init(vmap)
+        M, N, _ = vmap.extent
+        floor = int(state.height.floor_k[M // 2, N // 2])
+        update(state, [(m, N // 2, floor, VoxelState.OCCUPIED) for m in range(2, M - 2)])
+    finally:
+        column_extraction._pool.shutdown()
+    assert {name for name in calls if calls[name] == 0} == set()
+    assert calls.threads == {threading.main_thread()}
+    assert band_threads - {threading.main_thread()}, "no band ran on the pool"
