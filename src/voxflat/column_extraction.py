@@ -20,15 +20,14 @@ never along the short k axis.
 `run_bands` runs the bands of the height, slope and UAV builds on one shared
 thread pool, a thread per usable CPU: numpy releases the interpreter lock
 inside the band kernels, and each band writes only its own rows of the
-output, so the bits are those of the serial loop. One band, or one usable
-CPU, runs inline on the caller's thread. So does `update()` while its boxes
-span at most one band of rows (64 for slopes and UAV), as edits of a few
-voxels and scan batches do.
+output, so the bits are those of the serial loop. One band runs inline on
+the caller's thread: an explored map's UAV box does, and so does `update()`
+while its windows span at most one band (64 rows for slopes, 2**16 cells
+for UAV), as edits of a few voxels and scan batches do.
 """
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -240,21 +239,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The band pool, made on the first multi-band run with _cpus() threads.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor
 
 
-def _forget_pool() -> None:
-    """Drop the pool and its lock in a forked child: the pool's threads were
-    not forked, so a submit to it would wait forever, and another thread may
-    have held the lock at the fork."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _new_pool() -> None:
+    """Make the band pool, one thread per usable CPU; the executor starts
+    them on first use. A forked child makes its own: the parent's threads
+    were not forked, so a submit to the inherited pool would wait forever."""
+    global _pool
+    _pool = ThreadPoolExecutor(_cpus(), thread_name_prefix="voxflat-band")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def run_bands(fn: Callable[[slice, slice], None],
@@ -262,10 +260,10 @@ def run_bands(fn: Callable[[slice, slice], None],
     """fn(row slice, column slice) for every band of `bands(box, rows)`.
 
     Bands run concurrently on the shared pool, so each call must write only
-    its own band of the outputs. One band, or one usable CPU, runs inline on
-    the caller's thread. Returns, or raises the error of the first failing
-    band in top-to-bottom order, as the serial loop would, only once no band
-    is running; bands not yet started when one fails are dropped.
+    its own band of the outputs. One band runs inline on the caller's
+    thread. Returns, or raises the error of the first failing band in
+    top-to-bottom order, as the serial loop would, only once no band is
+    running; bands not yet started when one fails are dropped.
     """
     if box is None or box[0] >= box[1]:
         return
@@ -273,19 +271,10 @@ def run_bands(fn: Callable[[slice, slice], None],
     if m1 - m0 <= rows:  # one band, as an update's window is: a direct call
         fn(slice(m0, m1), slice(n0, n1))
         return
-    if (workers := _cpus()) < 2:
-        for r, c in bands(box, rows):
-            fn(r, c)
-        return
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="voxflat-band")
-        pool = _pool
     futures = []
     try:
         for r, c in bands(box, rows):
-            futures.append(pool.submit(fn, r, c))
+            futures.append(_pool.submit(fn, r, c))
         for future in futures:
             future.result()
     finally:

@@ -10,9 +10,10 @@ computes this for any window of the map, and `update()` for the dirty columns
 grown by one cell. `build_uav_map` runs it on the bounding box of the
 present cells (`nonzero_box`) grown by one cell and pads the result with -1
 to the extent: no cell outside that box has a present neighbour. A window is
-computed in bands of _BAND_ROWS rows through `column_extraction.run_bands`,
-so a full build's bands run on its thread pool and an update's window, one
-band, on the caller's thread.
+computed in bands of whole rows holding about _BAND_CELLS cells through
+`column_extraction.run_bands`, so a fully observed map's bands run on its
+thread pool, and an explored map's box or an update's window, one band, on
+the caller's thread.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
@@ -32,9 +33,14 @@ NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1,
 # Row and column offsets of the 8-neighbours in a block padded by one cell.
 _DM, _DN = (1 + np.array(d)[:, None] for d in zip(*NEIGHBORS_8))
 
-# Output rows per kernel pass; bounds the gathered boundary columns and their
-# prefix sums to a few MB.
-_BAND_ROWS = 64
+# Output cells per kernel pass, as whole rows of the window; bounds the
+# gathered boundary columns and their prefix sums to a few MB. On a 2-core
+# VM a 512x512 box took 6.7-7.7 ms in 4 bands of this size on two threads,
+# 7.3-8.0 ms in 2, 8.0-8.9 ms in 8 and 10.3-11.0 ms in 16. An explored map's
+# box, such as 440x86, is one band, inline: split in 64-row bands on two
+# threads it took 4.8-5.0 ms against 2.4-2.9 ms, the threads waiting on the
+# interpreter lock between the kernel's many short numpy calls.
+_BAND_CELLS = 1 << 16
 
 # A plain int: numpy compares an array with an IntEnum member much slower.
 _OCCUPIED = int(VoxelState.OCCUPIED)
@@ -73,7 +79,7 @@ def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,
         values[r.start - m0:r.stop - m0] = _uav_block(
             vmap, height, r.start, r.stop, c.start, c.stop, min_occupancy)
 
-    run_bands(band, box, _BAND_ROWS)
+    run_bands(band, box, max(1, _BAND_CELLS // max(1, n1 - n0)))
     return values
 
 

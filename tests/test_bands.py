@@ -1,15 +1,16 @@
 """Full-build band loops on the shared thread pool (`column_extraction.run_bands`).
 
 The height, slope and UAV builds run their row bands through `run_bands`:
-concurrently on a pool of one thread per usable CPU, or inline with one band
-or one CPU. Each band writes only its own rows, so `init()`'s grids must be
-bit-identical whatever the worker count and the band size.
+concurrently on a pool of one thread per usable CPU, or inline with one band.
+Each band writes only its own rows, so `init()`'s grids must be bit-identical
+whatever the worker count and the band size.
 """
 import os
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,29 +25,30 @@ from voxflat.voxel_store import nonzero_box
 SRC = Path(column_extraction.__file__).resolve().parents[1]
 
 
+def pool_threads(prefix):
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
 def grids(vmap, params, workers, small):
-    """init()'s six grids with `run_bands` seeing `workers` usable CPUs, on a
-    pool of its own, and with bands of one to three rows when `small`."""
+    """init()'s six grids with `run_bands` on a pool of `workers` threads of
+    its own, and with bands of one to three rows when `small`."""
+    prefix = f"test-bands-{workers}"
+    pool = ThreadPoolExecutor(workers, thread_name_prefix=prefix)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(column_extraction, "_cpus", lambda: workers)
-        mp.setattr(column_extraction, "_pool", None)
+        mp.setattr(column_extraction, "_pool", pool)
         if small:
             mp.setattr(column_extraction, "_BAND_VOXELS", 1)  # one row per band
             mp.setattr(slope_map, "_BAND_ROWS", 3)
-            mp.setattr(occupancy_maps, "_BAND_ROWS", 2)
+            mp.setattr(occupancy_maps, "_BAND_CELLS", 1)  # one row per band
         try:
             state = init(vmap, params)
+            started = bool(pool_threads(prefix))
         finally:
-            pool = column_extraction._pool
-            if pool is not None:
-                pool.shutdown()
-        # one CPU or default bands on these small maps run inline; more than
-        # one observed row on more than one CPU runs on the pool
-        box = nonzero_box(vmap.states)
-        if workers == 1 or not small:
-            assert pool is None
-        elif box is not None and box[1] - box[0] > 1:
-            assert pool is not None
+            pool.shutdown()
+    # bands of one to three rows over more than one observed row run on the pool
+    box = nonzero_box(vmap.states)
+    if small and box is not None and box[1] - box[0] > 1:
+        assert started
     return {"floor": state.height.floor_k, "ceiling": state.height.ceil_k,
             "slope": state.slope.values, "degenerate": state.slope.degenerate,
             "uav": state.uav.values, "ugv": state.ugv.values}
@@ -85,10 +87,10 @@ def test_random_maps_build_the_same_bits_on_any_worker_count(M, N, K, seed, radi
     assert_same_bits_on_any_worker_count(vmap, params)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 8])
 def test_a_failing_band_raises_the_serial_error_once_no_band_runs(monkeypatch, workers):
-    monkeypatch.setattr(column_extraction, "_cpus", lambda: workers)
-    monkeypatch.setattr(column_extraction, "_pool", None)
+    pool = ThreadPoolExecutor(workers)
+    monkeypatch.setattr(column_extraction, "_pool", pool)
     lock = threading.Lock()
     running, started, finished = 0, [], []
 
@@ -98,7 +100,8 @@ def test_a_failing_band_raises_the_serial_error_once_no_band_runs(monkeypatch, w
             running += 1
             started.append(rows.start)
         try:
-            # band 5 fails first in time, band 2 first in band order
+            # band 2 fails first in band order; on 8 workers band 5 fails
+            # first in time
             time.sleep(0 if rows.start == 5 else 0.02)
             if rows.start in (2, 5):
                 raise ValueError(f"band {rows.start} failed")
@@ -112,51 +115,48 @@ def test_a_failing_band_raises_the_serial_error_once_no_band_runs(monkeypatch, w
             column_extraction.run_bands(band, (0, 8, 0, 4), 1)
         assert running == 0
         assert sorted(started) == sorted(finished)
-        if workers == 1:
-            assert finished == [0, 1, 2]  # the serial loop stops at the error
-        else:
-            assert threading.current_thread() is threading.main_thread()
-            assert {0, 1, 2, 5} <= set(finished)
+        assert {0, 1, 2} <= set(finished)
+        if workers > 1:  # every band started at once
+            assert 5 in finished
     finally:
-        if column_extraction._pool is not None:
-            column_extraction._pool.shutdown()
+        pool.shutdown()
 
 
-def test_one_band_or_one_cpu_runs_inline(monkeypatch):
-    monkeypatch.setattr(column_extraction, "_pool", None)
+def test_one_band_runs_inline(monkeypatch):
+    pool = ThreadPoolExecutor(2, thread_name_prefix="test-bands-inline")
+    monkeypatch.setattr(column_extraction, "_pool", pool)
     seen = []
 
     def band(rows, cols):
         seen.append((rows, cols, threading.current_thread()))
 
-    here = threading.current_thread()
-    monkeypatch.setattr(column_extraction, "_cpus", lambda: 4)
-    column_extraction.run_bands(band, (3, 5, 1, 7), 2)
-    column_extraction.run_bands(band, None, 2)
-    assert seen == [(slice(3, 5), slice(1, 7), here)]
-    monkeypatch.setattr(column_extraction, "_cpus", lambda: 1)
-    column_extraction.run_bands(band, (0, 9, 0, 2), 4)
-    assert [(r, t) for r, _, t in seen[1:]] == [(slice(0, 4), here), (slice(4, 8), here),
-                                                (slice(8, 9), here)]
-    assert column_extraction._pool is None
+    try:
+        column_extraction.run_bands(band, (3, 5, 1, 7), 2)
+        column_extraction.run_bands(band, None, 2)
+        column_extraction.run_bands(band, (4, 4, 0, 3), 2)
+        assert not pool_threads("test-bands-inline")
+    finally:
+        pool.shutdown()
+    assert seen == [(slice(3, 5), slice(1, 7), threading.current_thread())]
 
 
 FORK_CHECK = """
-import os, sys, time
+import os, sys, threading, time
 import numpy as np
 from voxflat import column_extraction, init
 from voxflat.scenes import SceneSpec, generate
 
-column_extraction._cpus = lambda: 2
 column_extraction._BAND_VOXELS = 1
 vmap, _ = generate(SceneSpec(kind="ramp"))
+inherited = column_extraction._pool
 before = init(vmap)
-assert column_extraction._pool is not None, "the parent built no pool"
+assert any(t.name.startswith("voxflat-band") for t in threading.enumerate()), \
+    "the parent started no pool thread"
 pid = os.fork()
 if pid == 0:
     code = 3
     try:
-        fresh = column_extraction._pool is None
+        fresh = column_extraction._pool is not inherited
         after = init(vmap)
         same = all(np.array_equal(a, b, equal_nan=True) for a, b in (
             (after.height.floor_k, before.height.floor_k),

@@ -8,6 +8,7 @@ traced run. The list is read from the source, without importing it.
 import ast
 import importlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -98,11 +99,11 @@ def test_update_that_keeps_every_floor_does_not_call_slope_at(calls):
 def test_wrapped_calls_stay_on_the_main_thread_while_bands_use_the_pool(calls, monkeypatch):
     # The tracer's span stack is not thread-safe: every wrapped call must run
     # on the caller's thread, while the bands inside them may not.
-    monkeypatch.setattr(column_extraction, "_cpus", lambda: 2)
-    monkeypatch.setattr(column_extraction, "_pool", None)
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(column_extraction, "_pool", pool)
     monkeypatch.setattr(column_extraction, "_BAND_VOXELS", 1)
     monkeypatch.setattr(slope_map, "_BAND_ROWS", 2)
-    monkeypatch.setattr(occupancy_maps, "_BAND_ROWS", 2)
+    monkeypatch.setattr(occupancy_maps, "_BAND_CELLS", 1)
     band_threads = set()
     kernel = column_extraction.convert_column
 
@@ -118,7 +119,7 @@ def test_wrapped_calls_stay_on_the_main_thread_while_bands_use_the_pool(calls, m
         floor = int(state.height.floor_k[M // 2, N // 2])
         update(state, [(m, N // 2, floor, VoxelState.OCCUPIED) for m in range(2, M - 2)])
     finally:
-        column_extraction._pool.shutdown()
+        pool.shutdown()
     assert {name for name in calls if calls[name] == 0} == set()
     assert calls.threads == {threading.main_thread()}
     assert band_threads - {threading.main_thread()}, "no band ran on the pool"
