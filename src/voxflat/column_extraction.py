@@ -8,7 +8,8 @@ indices; meters (`origin_z + k*res`) appear only in its output views and in
 `HeightMap.from_meters`, the one entry for outside heights. `convert_column`
 finds both indices for any (..., K) stack of columns by ANDing shifted slices
 of the boolean free mask, with no per-column loop, so `build_height_map`
-and `update()` (the written columns) run the same code.
+and `update()` (the written columns) run the same code. `check_positive_int`
+is the one rule for a run length or a slope-fit radius: an int >= 1.
 
 A full build reads only the box that can hold output: `build_height_map` the
 bounding box of the observed columns, in row bands of about _BAND_VOXELS
@@ -17,13 +18,14 @@ and UAV builds' boxes and the box a VXG file stores, with reductions along
 contiguous memory (each row's maximum, then one down the hit rows only),
 never along the short k axis.
 
-`run_bands` runs the bands of the height, slope and UAV builds on one shared
-thread pool, a thread per usable CPU: numpy releases the interpreter lock
-inside the band kernels, and each band writes only its own rows of the
-output, so the bits are those of the serial loop. One band runs inline on
-the caller's thread: an explored map's UAV box does, and so does `update()`
-while its windows span at most one band (64 rows for slopes, 2**16 cells
-for UAV), as edits of a few voxels and scan batches do.
+`run_bands` cuts a box into bands of whole rows and runs them, for the
+height, slope and UAV builds, on one shared thread pool, a thread per usable
+CPU: numpy releases the interpreter lock inside the band kernels, and each
+band writes only its own rows of the output, so the bits are those of the
+serial loop. One band runs inline on the caller's thread: an explored map's
+UAV box does, and so does `update()` while its windows span at most one band
+(64 rows for slopes, 2**16 cells for UAV), as edits of a few voxels and scan
+batches do.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +48,14 @@ _BAND_VOXELS = 1 << 18
 
 # A plain int: numpy compares an array with an IntEnum member much slower.
 _FREE = int(VoxelState.FREE)
+
+
+def check_positive_int(value, name: str) -> None:
+    """Raise ValueError naming `name` unless value is a Python or numpy int
+    >= 1. A bool is refused, although Python counts it as an int, and so is
+    a float, even a whole one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,9 +73,7 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
     apart, s the largest power of two <= min_run, cover one min_run window.
     That is floor(log2 min_run) + 1 passes of one-byte ANDs at most.
     """
-    if (not isinstance(min_run, (int, np.integer)) or isinstance(min_run, bool)
-            or min_run < 1):
-        raise ValueError(f"min_run must be an int >= 1, got {min_run!r}")
+    check_positive_int(min_run, "min_run")
     *lead, K = columns.shape
     if min_run > K:
         return np.full(lead, -1), np.full(lead, -1)
@@ -221,17 +229,6 @@ def grow(box: tuple[int, int, int, int], halo: int, M: int,
             slice(max(0, n0 - halo), min(N, n1 + halo)))
 
 
-def bands(box: tuple[int, int, int, int] | None,
-          rows: int) -> Iterator[tuple[slice, slice]]:
-    """(row, column) slices of blocks of at most `rows` whole rows that cover
-    the box (m0, m1, n0, n1), top to bottom; none if the box is None."""
-    if box is None:
-        return
-    m0, m1, n0, n1 = box
-    for b0 in range(m0, m1, rows):
-        yield slice(b0, min(b0 + rows, m1)), slice(n0, n1)
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -257,7 +254,9 @@ if hasattr(os, "register_at_fork"):
 
 def run_bands(fn: Callable[[slice, slice], None],
               box: tuple[int, int, int, int] | None, rows: int) -> None:
-    """fn(row slice, column slice) for every band of `bands(box, rows)`.
+    """fn(row slice, column slice) for every band of the box (m0, m1, n0, n1):
+    blocks of at most `rows` whole rows of the box, top to bottom; none if
+    the box is None or empty.
 
     Bands run concurrently on the shared pool, so each call must write only
     its own band of the outputs. One band runs inline on the caller's
@@ -273,8 +272,8 @@ def run_bands(fn: Callable[[slice, slice], None],
         return
     futures = []
     try:
-        for r, c in bands(box, rows):
-            futures.append(_pool.submit(fn, r, c))
+        for b0 in range(m0, m1, rows):
+            futures.append(_pool.submit(fn, slice(b0, min(b0 + rows, m1)), slice(n0, n1)))
         for future in futures:
             future.result()
     finally:

@@ -21,6 +21,7 @@ for the full build and for every update window.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +150,11 @@ def build_uav_map(vmap: VoxelMap, height: HeightMap,
 
 
 def build_ugv_map(uav: OccupancyGrid, slope: SlopeMap, max_slope: float) -> OccupancyGrid:
-    """ugv_values over the whole extent."""
+    """ugv_values over the whole extent; max_slope must be finite and
+    positive, or ValueError is raised."""
     if uav.kind != "uav":
         raise ValueError(f"expected a uav grid, got kind {uav.kind!r}")
-    if max_slope <= 0:
-        raise ValueError(f"max_slope must be positive, got {max_slope}")
+    if not 0 < max_slope < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"max_slope must be positive and finite, got {max_slope}")
     return OccupancyGrid("ugv", uav.resolution, uav.origin,
                          ugv_values(uav.values, slope.values, max_slope))

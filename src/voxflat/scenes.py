@@ -314,8 +314,8 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
     ix, K = s.column.shape
     iy = _cells(spec.size_y, res)
     M, N = ix + 2 * _BORDER, iy + 2 * _BORDER
-    vmap = VoxelMap(res, (0.0, 0.0, 0.0), (M, N, K))
-    voxels = vmap._voxels
+    origin = (0.0, 0.0, 0.0)
+    voxels = np.zeros((M, N, K), dtype=np.uint8)
     inner = (slice(_BORDER, M - _BORDER), slice(_BORDER, N - _BORDER))
     voxels[1:M - 1, 1:N - 1] = _OCC  # full height; the interior then leaves the wall ring
     voxels[inner] = s.column[:, None]
@@ -325,7 +325,7 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
         grid[inner] = per_slice[:, None]
         return grid
 
-    heights = HeightMap.empty(res, vmap.origin, (M, N))
+    heights = HeightMap.empty(res, origin, (M, N))
     heights.set_faces(inner, s.floor_k[:, None], s.ceil_k[:, None])
     slope = extrude(s.slope, np.nan)
     uav = extrude(s.uav, CLAIM_NONE)
@@ -363,9 +363,9 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
     gentle = _PARAMS.max_slope * (1 - _SLOPE_GUARD)
     ugv[free & (slope > steep)] = CLASS_OCCUPIED
     ugv[free & ~(slope < gentle) & ~(slope > steep)] = CLAIM_NONE
-    truth = SceneTruth(spec.kind, res, vmap.origin, vmap.extent, heights.floor,
+    truth = SceneTruth(spec.kind, res, origin, voxels.shape, heights.floor,
                        heights.ceiling, slope, uav, ugv, spec=asdict(spec))
-    return vmap, truth
+    return VoxelMap.from_states(res, origin, voxels), truth
 
 
 def _cells(meters: float, res: float) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, run_bands
+from .column_extraction import HeightMap, check_positive_int, run_bands
 from .voxel_store import nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
@@ -66,10 +66,10 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     Absent cells read NaN and unflagged; degenerate fits read 0.0 and
     flagged. The window's values equal the same cells of `build_slope_map`
     bit for bit, whatever the window. A radius beyond max(M, N) reads the
-    whole map from every cell, so it is read as max(M, N).
+    whole map from every cell, so it is read as max(M, N). A radius that is
+    not an int >= 1 (a bool or a float included) raises ValueError.
     """
-    if radius < 1:
-        raise ValueError(f"neighborhood radius must be >= 1, got {radius}")
+    check_positive_int(radius, "neighborhood radius")
     radius = min(radius, max(height.extent))
     m0, m1, n0, n1 = height.window(rows, cols)
     values = np.full((m1 - m0, n1 - n0), np.nan)

@@ -7,11 +7,14 @@ map per column, and a column is a contiguous row of that array, so there is
 no octree here. A batch of voxel writes, given as (i, j, k, state) tuples
 (packed by one struct call each) or as an integer (n, 4) array (copied by one
 cast), is validated as one int64 array and stored by one flat scatter; the
-columns it touched come back as sorted index arrays.
+columns it touched come back as sorted index arrays. A whole dense array of
+states becomes a map by `VoxelMap.from_states`, a checked copy; this module
+is the only code that writes the stored array.
 A VXG file holds the same bytes: one state per voxel over the bounding box
-of the observed columns, read straight into the map and written straight
-from it, so loading or saving needs the dense map and at most one slab of
-box rows besides.
+of the observed columns, read straight into the map and written from it in
+slabs of box rows, so loading or saving needs the dense map and at most one
+slab besides. `check_states` names a state outside 0-2 by its voxel, in the
+same words for an array given to `from_states` and for a VXG payload byte.
 """
 from __future__ import annotations
 
@@ -161,6 +164,29 @@ class VoxelMap:
         self.extent = ext
         self._voxels = np.zeros(ext, dtype=np.uint8)
 
+    @classmethod
+    def from_states(cls, resolution: float, origin: Sequence[float],
+                    states: np.ndarray) -> "VoxelMap":
+        """A new map holding a copy of an (M, N, K) integer array of states.
+
+        The extent is the array's shape, and the resolution and origin follow
+        the constructor's rules. A bool array acts as its integers, as in
+        apply_cells. An array of another ndim raises ValueError and one of a
+        non-integer dtype (float, complex, object, str) TypeError. A state
+        outside 0-2 raises ValueError naming the first such voxel in C order,
+        in the VXG reader's words (`check_states`). The map shares no memory
+        with `states`, so later writes to the array do not reach it.
+        """
+        a = np.asarray(states)
+        if a.ndim != 3:
+            raise ValueError(f"states must be an (M, N, K) array, got shape {a.shape}")
+        if a.dtype.kind not in "biu":
+            raise TypeError(f"states must be an integer array, got dtype {a.dtype}")
+        vmap = cls(resolution, origin, a.shape)
+        check_states(ValueError, a)
+        vmap._voxels[...] = a
+        return vmap
+
     # -- access ---------------------------------------------------------
 
     @property
@@ -301,7 +327,7 @@ def _runs_of(col: np.ndarray) -> tuple[tuple[int, int, VoxelState], ...]:
 # half-open; save_voxel_map writes the bounding box of the columns holding a
 # non-Unknown voxel (`nonzero_box`), or 0 0 0 0 when there are none.
 
-_SLAB_BYTES = 1 << 20  # box rows copied per write when the box is not contiguous
+_SLAB_BYTES = 1 << 20  # box rows per write; copied when the box is narrower than the map
 
 
 def nonzero_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -328,10 +354,10 @@ def nonzero_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
 def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
     """Write the canonical VXG encoding: equal maps give equal bytes.
 
-    A box of whole rows (or of one row) is contiguous in the map and goes
-    out in one write, with no copy; a narrower box is copied and written in
-    slabs of box rows of at most _SLAB_BYTES (or one row, if a row is
-    larger), so the memory beyond the map stays one slab.
+    The box goes out in slabs of box rows of at most _SLAB_BYTES (or one
+    row, if a row is larger). A slab of whole map rows is contiguous and
+    written with no copy; a narrower box's slab is copied, so the memory
+    beyond the map stays one slab.
     """
     voxels = vmap._voxels
     ox, oy, oz = vmap.origin
@@ -347,12 +373,9 @@ def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
     box = voxels[m0:m1, n0:n1]
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        if box.flags.c_contiguous:
-            f.write(box)
-        else:
-            rows = max(1, _SLAB_BYTES // box[0].nbytes)
-            for r in range(0, m1 - m0, rows):
-                f.write(box[r:r + rows].tobytes())
+        rows = max(1, _SLAB_BYTES // max(1, (n1 - n0) * K))
+        for r in range(0, m1 - m0, rows):
+            f.write(np.ascontiguousarray(box[r:r + rows]))
 
 
 def load_voxel_map(path: str | Path) -> VoxelMap:
@@ -423,11 +446,24 @@ def read_voxel_map(path: str | Path) -> tuple[VoxelMap, int]:
         for rows in (box,) if box.flags.c_contiguous else box:
             if f.readinto(rows) != rows.nbytes:
                 raise VxgTruncatedError("payload ended early")
-    if box.size and box.max() > 2:
-        i, j, k = map(int, np.unravel_index(np.argmax(box > 2), box.shape))
-        raise VxgRecordError(f"voxel ({m0 + i}, {n0 + j}, {k}): invalid state "
-                             f"{box[i, j, k]}")
+    check_states(VxgRecordError, box, m0, n0)
     return vmap, header_bytes + expected
+
+
+def check_states(error, states: np.ndarray, m0: int = 0, n0: int = 0) -> None:
+    """Raise error(message) for the first voxel, in C order, of an integer or
+    bool (M, N, K) array whose state is not 0, 1 or 2, as
+    `voxel (m0 + i, n0 + j, k): invalid state v`, the box offset (m0, n0)
+    naming the voxel in its map. `VoxelMap.from_states` and the VXG reader
+    share it.
+
+    Viewed as unsigned, a negative state wraps to a huge value, so one pass
+    (the maximum) checks an array whose states are all valid.
+    """
+    unsigned = states.view(f"{states.dtype.byteorder}u{states.dtype.itemsize}")
+    if unsigned.size and unsigned.max() > 2:
+        i, j, k = map(int, np.unravel_index(np.argmax(unsigned > 2), states.shape))
+        raise error(f"voxel ({m0 + i}, {n0 + j}, {k}): invalid state {states[i, j, k]}")
 
 
 def header_fields(line: str, tag: str, n: int, convert, error) -> tuple:

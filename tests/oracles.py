@@ -450,7 +450,7 @@ def enforce_clearance_reference(path, height: HeightMap, radius: float):
 def save_voxel_map_reference(vmap: VoxelMap, path) -> None:
     """The canonical VXG encoding in one piece: the box from a per-column
     `any`, and its voxels as one C-order byte string before the one write."""
-    observed = vmap._voxels.any(axis=2)
+    observed = vmap.states.any(axis=2)
     rows = np.flatnonzero(observed.any(axis=1))
     cols = np.flatnonzero(observed.any(axis=0))
     m0, m1, n0, n1 = ((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if rows.size
@@ -465,7 +465,7 @@ def save_voxel_map_reference(vmap: VoxelMap, path) -> None:
         f"box {m0} {m1} {n0} {n1}\n"
     )
     with open(path, "wb") as f:
-        f.write(header.encode("ascii") + vmap._voxels[m0:m1, n0:n1].tobytes())
+        f.write(header.encode("ascii") + vmap.states[m0:m1, n0:n1].tobytes())
 
 
 def load_voxel_map_reference(path) -> VoxelMap:
@@ -514,7 +514,7 @@ def load_voxel_map_reference(path) -> VoxelMap:
         raise VxgTruncatedError(f"expected {expected} payload bytes, found {len(payload)}")
 
     try:
-        vmap = VoxelMap(resolution, origin, extent)
+        voxels = np.zeros(extent, dtype=np.uint8)
     except (MemoryError, ValueError):
         raise VxgHeaderError(
             f"extent {M}x{N}x{K} is too large to allocate ({M * N * K} bytes)"
@@ -525,8 +525,8 @@ def load_voxel_map_reference(path) -> VoxelMap:
         i, j, k = np.unravel_index(bad[0], shape)
         raise VxgRecordError(f"voxel ({m0 + i}, {n0 + j}, {k}): invalid state "
                              f"{states[bad[0]]}")
-    vmap._voxels[m0:m1, n0:n1] = states.reshape(shape)
-    return vmap
+    voxels[m0:m1, n0:n1] = states.reshape(shape)
+    return VoxelMap.from_states(resolution, origin, voxels)
 
 
 def load_outcome(load, path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
                      build_height_map, convert_column, init)
-from voxflat.column_extraction import bands, nonzero_box
+from voxflat.column_extraction import nonzero_box, run_bands
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -274,14 +274,23 @@ def test_height_block_pads_with_absent_faces():
     assert height.window(slice(-1, None), slice(5, 0)) == (1, 2, 2, 2)
 
 
+def bands_run(box, rows):
+    """The (row, column) slices run_bands passes to fn, top to bottom."""
+    seen = []
+    run_bands(lambda r, c: seen.append((r, c)), box, rows)
+    return sorted(seen, key=lambda band: band[0].start)
+
+
 def test_bands_cover_the_bounding_box_of_the_mask_in_row_blocks():
     mask = np.zeros((9, 7), dtype=bool)
     mask[[1, 6], [5, 2]] = True
     box = nonzero_box(mask)
-    assert list(bands(box, 2)) == [(slice(1, 3), slice(2, 6)), (slice(3, 5), slice(2, 6)),
-                                   (slice(5, 7), slice(2, 6))]
-    assert list(bands(box, 64)) == [(slice(1, 7), slice(2, 6))]
-    assert list(bands(None, 1)) == []
+    assert bands_run(box, 2) == [(slice(1, 3), slice(2, 6)), (slice(3, 5), slice(2, 6)),
+                                 (slice(5, 7), slice(2, 6))]
+    assert bands_run(box, 4) == [(slice(1, 5), slice(2, 6)), (slice(5, 7), slice(2, 6))]
+    assert bands_run(box, 64) == [(slice(1, 7), slice(2, 6))]
+    assert bands_run(None, 1) == []
+    assert bands_run((3, 3, 0, 4), 1) == []
 
 
 def test_nonzero_box_bounds_the_columns_holding_a_nonzero_entry():

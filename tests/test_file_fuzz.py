@@ -65,8 +65,9 @@ def small_map() -> VoxelMap:
 @given(mutations=st.lists(mutation, min_size=1, max_size=3))
 def test_mutated_vxg_files_raise_only_vxg_errors(tmp_path_factory, mutations):
     # small_map in a larger extent: the box is rows 1-3, columns 2-3.
-    vmap = VoxelMap(0.1, (0.0, 0.0, 0.0), (5, 4, 12))
-    vmap._voxels[1:4, 2:4] = small_map().states
+    states = np.zeros((5, 4, 12), np.uint8)
+    states[1:4, 2:4] = small_map().states
+    vmap = VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), states)
     path = tmp_path_factory.mktemp("vxg") / "map.vxg"
     save_voxel_map(vmap, path)
     assert b"\nbox 1 4 2 4\n" in path.read_bytes()

@@ -288,6 +288,11 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
                              build_slope_map(h, 1), 0.0), "max_slope must be positive"),
     (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
                              build_slope_map(h, 1), -1.0), "max_slope must be positive"),
+    # NaN and inf once passed, and no cell counted as steep.
+    (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
+                             build_slope_map(h, 1), np.nan), "max_slope must be positive"),
+    (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
+                             build_slope_map(h, 1), np.inf), "max_slope must be positive"),
 ])
 def test_grid_builders_reject_bad_arguments(build, message):
     with pytest.raises(ValueError, match=message):

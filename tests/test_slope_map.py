@@ -163,11 +163,14 @@ def test_slope_invariant_under_horizontal_translation():
 
 
 def test_radius_validation():
+    # True once read as 1, and a float was read as a radius (on a wider map
+    # numpy then raised an untyped TypeError).
     height = make_height_map([[0.0]])
-    with pytest.raises(ValueError):
-        slope_at(height, slice(0, 1), slice(0, 1), 0)
-    with pytest.raises(ValueError):
-        build_slope_map(height, 0)
+    for radius in (0, True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="neighborhood radius must be an int >= 1"):
+            slope_at(height, slice(0, 1), slice(0, 1), radius)
+        with pytest.raises(ValueError, match="neighborhood radius must be an int >= 1"):
+            build_slope_map(height, radius)
 
 
 @pytest.mark.parametrize("r", [28, 30, 35, 60])

@@ -377,6 +377,81 @@ def test_constructor_validation():
         VoxelMap(0.1, (0, 0), (1, 1, 1))
 
 
+@settings(max_examples=150, deadline=None)
+@given(dtype=st.sampled_from([np.uint8, np.int8, np.int16, np.dtype(">i2"), np.int64,
+                              np.bool_]),
+       shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6)),
+       flip=st.booleans(), data=st.data())
+def test_from_states_is_a_checked_copy_of_the_array(tmp_path_factory, dtype, shape,
+                                                     flip, data):
+    elements = st.booleans() if dtype == np.bool_ else st.integers(0, 2)
+    states = data.draw(hnp.arrays(dtype, shape, elements=elements))
+    if flip:  # a strided view reads the same way
+        states = states[::-1, :, ::-1]
+    want = states.astype(np.uint8)  # a bool array acts as its integers
+    vm = VoxelMap.from_states(0.1, (0.5, -1.0, 0.0), states)
+    assert vm.extent == shape and vm.states.dtype == np.uint8
+    assert np.array_equal(vm.states, want)
+    assert not np.shares_memory(vm.states, states)
+    states[...] = 1  # later writes to the array do not reach the map
+    assert np.array_equal(vm.states, want)
+    path = tmp_path_factory.mktemp("vxg") / "map.vxg"
+    save_voxel_map(vm, path)
+    assert load_voxel_map(path) == vm
+    # the same map, written voxel by voxel from the array's nonzero voxels
+    ref = VoxelMap(0.1, (0.5, -1.0, 0.0), shape)
+    i, j, k = np.nonzero(want)
+    ref.apply_cells(np.column_stack((i, j, k, want[i, j, k])))
+    assert ref == vm
+
+
+@pytest.mark.parametrize("value", [-1, 3, 255])
+def test_from_states_names_a_bad_state_as_the_vxg_reader_does(tmp_path, value):
+    # The observed box is rows 1-2, columns 2-3; its first bad voxel in C
+    # order is (2, 3, 0), and a second one follows it.
+    states = np.zeros((4, 5, 2), np.int16)
+    states[1:3, 2:4] = 1
+    states[2, 3] = value, 7
+    with pytest.raises(ValueError, match=rf"^voxel \(2, 3, 0\): invalid state {value}$"):
+        VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), states)
+    # The same box as a VXG payload and as a uint8 array: the same words.
+    as_bytes = states.astype(np.uint8)
+    path = tmp_path / "rec.vxg"
+    path.write_bytes(b"VXG 2\nres 0.1\norigin 0.0 0.0 0.0\nextent 4 5 2\nbox 1 3 2 4\n"
+                     + as_bytes[1:3, 2:4].tobytes())
+    with pytest.raises(VxgRecordError) as from_file:
+        voxel_store.read_voxel_map(path)
+    with pytest.raises(ValueError) as from_array:
+        VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), as_bytes)
+    assert type(from_array.value) is ValueError
+    assert str(from_file.value) == str(from_array.value) == (
+        f"voxel (2, 3, 0): invalid state {value & 0xFF}")
+
+
+@pytest.mark.parametrize("states, error, message", [
+    (np.zeros((2, 3), np.uint8), ValueError,
+     r"states must be an \(M, N, K\) array, got shape \(2, 3\)"),
+    (np.zeros((1, 2, 3, 1), np.uint8), ValueError, r"got shape \(1, 2, 3, 1\)"),
+    (np.uint8(1), ValueError, r"got shape \(\)"),
+    (np.zeros((2, 2, 2)), TypeError, "states must be an integer array, got dtype float64"),
+    (np.ones((2, 2, 2), np.float32), TypeError, "got dtype float32"),
+    (np.zeros((2, 2, 2), object), TypeError, "got dtype object"),
+    (np.full((2, 2, 2), "1"), TypeError, "got dtype <U1"),
+    (np.zeros((0, 2, 2), np.uint8), ValueError, "extent components must be >= 1"),
+], ids=["2d", "4d", "0d", "float64", "float32", "object", "str", "empty"])
+def test_from_states_refuses_other_arrays(states, error, message):
+    with pytest.raises(error, match=message):
+        VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), states)
+
+
+def test_from_states_checks_the_geometry():
+    states = np.zeros((2, 2, 2), np.uint8)
+    with pytest.raises(ValueError, match="resolution must be finite and positive"):
+        VoxelMap.from_states(0.0, (0.0, 0.0, 0.0), states)
+    with pytest.raises(ValueError, match="origin must have three coordinates"):
+        VoxelMap.from_states(0.1, (0.0, 0.0), states)
+
+
 @st.composite
 def voxel_scripts(draw):
     """An extent plus a list of apply_cells batches and fill_box calls."""
@@ -466,12 +541,11 @@ def batch_forms(batch):
             yield np.array(batch, dtype).reshape(-1, 4)
 
 
-def apply_outcome(extent, prior, batch):
+def apply_outcome(prior, batch):
     """(states, rows dtype, rows, cols dtype, cols) after apply_cells on a map
     holding prior, or (error type, message, states) if it raised. An array
     batch must come back unchanged and unshared by the dirty arrays."""
-    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), extent)
-    vm._voxels[...] = prior
+    vm = VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), prior)
     given = batch.copy() if isinstance(batch, np.ndarray) else None
     try:
         rows, cols = vm.apply_cells(batch)
@@ -489,7 +563,7 @@ def test_apply_cells_matches_a_per_voxel_loop(case):
     extent, prior, batch, bad = case
     # Tuples and integer arrays of the same batch give the same states and
     # dirty columns, or the same error with the same message.
-    outcome, *others = [apply_outcome(extent, prior, form) for form in batch_forms(batch)]
+    outcome, *others = [apply_outcome(prior, form) for form in batch_forms(batch)]
     assert all(other == outcome for other in others)
     if bad is not None:
         error, pos = bad
@@ -523,8 +597,8 @@ def test_apply_cells_bool_array_acts_as_its_integers():
     batch = np.array([(True, False, True, True), (False, True, False, False),
                       (True, True, True, True)])
     as_tuples = [tuple(r) for r in batch.tolist()]
-    assert (apply_outcome((2, 2, 2), np.zeros((2, 2, 2), np.uint8), batch)
-            == apply_outcome((2, 2, 2), np.zeros((2, 2, 2), np.uint8), as_tuples))
+    assert (apply_outcome(np.zeros((2, 2, 2), np.uint8), batch)
+            == apply_outcome(np.zeros((2, 2, 2), np.uint8), as_tuples))
     vm = VoxelMap(0.1, (0, 0, 0), (2, 2, 2))
     assert cells(vm.apply_cells(batch)) == {(0, 1), (1, 0), (1, 1)}
     assert vm.states[1, 1, 1] == O and vm.states[0, 1, 0] == U
@@ -546,8 +620,8 @@ def test_apply_cells_bool_array_acts_as_its_integers():
 def test_apply_cells_other_arrays_follow_the_tuple_rules(batch, error, message):
     as_tuples = [tuple(r) for r in batch.tolist()] if batch.ndim == 2 else batch.tolist()
     prior = np.zeros((2, 2, 2), np.uint8)
-    outcome = apply_outcome((2, 2, 2), prior, batch)
-    assert outcome == apply_outcome((2, 2, 2), prior, as_tuples)
+    outcome = apply_outcome(prior, batch)
+    assert outcome == apply_outcome(prior, as_tuples)
     assert outcome == (error, message, prior.tolist())
 
 
@@ -659,9 +733,9 @@ def assert_codec_matches_the_reference(vm, folder):
 def test_blocked_codec_matches_the_reference(tmp_path_factory, extent, density,
                                              slab, seed):
     rng = np.random.default_rng(seed)
-    vm = VoxelMap(0.1, (0.5, -1.0, 0.0), extent)
     present = rng.random(extent) < density
-    vm._voxels[present] = rng.integers(1, 3, extent, dtype=np.uint8)[present]
+    states = np.where(present, rng.integers(1, 3, extent, dtype=np.uint8), 0)
+    vm = VoxelMap.from_states(0.1, (0.5, -1.0, 0.0), states)
     with vxg_slabs_of(slab):
         assert_codec_matches_the_reference(vm, tmp_path_factory.mktemp("vxg"))
 
@@ -673,15 +747,14 @@ def embedded_maps(draw):
     extent and blocks filling the whole extent are drawn on purpose."""
     M, N, K = extent = draw(st.tuples(st.integers(1, 7), st.integers(1, 7),
                                       st.integers(1, 5)))
-    vm = VoxelMap(0.2, (-0.5, 0.25, 1.0), extent)
+    states = np.zeros(extent, np.uint8)
     kind = draw(st.sampled_from(["empty", "corner", "full", "block"]))
     if kind == "empty":
-        return vm, None
+        return VoxelMap.from_states(0.2, (-0.5, 0.25, 1.0), states), None
     if kind == "corner":
         i, j = draw(st.sampled_from([0, M - 1])), draw(st.sampled_from([0, N - 1]))
-        k, state = draw(st.integers(0, K - 1)), draw(st.integers(1, 2))
-        vm.apply_cells([(i, j, k, state)])
-        return vm, (i, i + 1, j, j + 1)
+        states[i, j, draw(st.integers(0, K - 1))] = draw(st.integers(1, 2))
+        return VoxelMap.from_states(0.2, (-0.5, 0.25, 1.0), states), (i, i + 1, j, j + 1)
     m0, n0 = (0, 0) if kind == "full" else (draw(st.integers(0, M - 1)),
                                            draw(st.integers(0, N - 1)))
     m1, n1 = (M, N) if kind == "full" else (draw(st.integers(m0 + 1, M)),
@@ -691,8 +764,8 @@ def embedded_maps(draw):
     rows, cols = st.integers(0, m1 - m0 - 1), st.integers(0, n1 - n0 - 1)
     for i, j in ((0, draw(cols)), (-1, draw(cols)), (draw(rows), 0), (draw(rows), -1)):
         block[i, j, draw(st.integers(0, K - 1))] = draw(st.integers(1, 2))
-    vm._voxels[m0:m1, n0:n1] = block
-    return vm, (m0, m1, n0, n1)
+    states[m0:m1, n0:n1] = block
+    return VoxelMap.from_states(0.2, (-0.5, 0.25, 1.0), states), (m0, m1, n0, n1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -710,8 +783,9 @@ def test_codec_matches_the_reference_beyond_one_default_block(tmp_path):
     # A box one column narrower than the extent on each side is not
     # contiguous in the map, and at 1.47 MB it spans two default slabs.
     rng = np.random.default_rng(5)
-    vm = VoxelMap(0.05, (0.0, 0.0, -1.0), (120, 130, 96))
-    vm._voxels[:, 1:129] = rng.integers(0, 3, (120, 128, 96), dtype=np.uint8)
+    states = np.zeros((120, 130, 96), np.uint8)
+    states[:, 1:129] = rng.integers(0, 3, (120, 128, 96), dtype=np.uint8)
+    vm = VoxelMap.from_states(0.05, (0.0, 0.0, -1.0), states)
     box = vm.states[:, 1:129]
     assert not box.flags.c_contiguous and box.nbytes > voxel_store._SLAB_BYTES
     data = assert_codec_matches_the_reference(vm, tmp_path)
@@ -783,9 +857,10 @@ def test_load_and_save_peak_memory_is_the_map_plus_one_block(tmp_path):
     # map itself. A box narrower than the extent is written in slabs, read
     # row by row into the map: the map plus one slab.
     for N, cols in ((256, slice(0, 256)), (258, slice(1, 257))):
-        vm = VoxelMap(0.1, (0.0, 0.0, 0.0), (256, N, 32))
-        vm._voxels[:, cols, :16] = O
-        vm._voxels[:, cols, 16:] = F
+        states = np.zeros((256, N, 32), np.uint8)
+        states[:, cols, :16] = O
+        states[:, cols, 16:] = F
+        vm = VoxelMap.from_states(0.1, (0.0, 0.0, 0.0), states)
         path = tmp_path / "full.vxg"
         tracemalloc.start()
         try:
