@@ -1,10 +1,12 @@
 """Compact on-disk formats for the 2D products, plus size accounting.
 
-Grid files share one layout: a short ASCII header that fully determines the
-payload length, then raw row-major cell data. Occupancy cells are one byte
-each (255 = unknown, otherwise round(p * 254)); height and slope cells are
-little-endian float32 with NaN marking absent cells. No compression: the
-formats are meant to be raw and composable with external compressors.
+A G2D grid file has the VXG file layout and shares its reader and writer
+(`voxel_store`): ASCII header lines, `G2D 1` first, then the raw row-major
+cells of each plane. Occupancy cells are one byte each (255 = unknown,
+otherwise round(p * 254)); height and slope cells are little-endian float32
+with NaN marking absent cells. `_KINDS` holds all that differs by kind. No
+compression: the formats are meant to be raw and composable with external
+compressors.
 """
 from __future__ import annotations
 
@@ -13,14 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .column_extraction import HeightMap
+from .column_extraction import HeightMap, check_positive_int
 from .occupancy_maps import OccupancyGrid
 from .slope_map import SlopeMap
-from .voxel_store import check_geometry, fmt_float, header_fields
-
-_MAGIC = "G2D"
-_VERSION = 1
-GRID_KINDS = ("occupancy", "height-floor", "height-floor-ceiling", "slope")
+from .voxel_store import (check_geometry, fmt_float, header_fields, payload,
+                          read_header, write_file)
 
 
 class GridFormatError(ValueError):
@@ -36,76 +35,27 @@ class GridFileHeader:
     robot: str | None = None  # occupancy files: which map ("uav"/"ugv")
     window: int | None = None  # slope files: fit neighborhood radius, cells
 
-    def payload_bytes(self) -> int:
-        M, N = self.extent
-        per_cell = {"occupancy": 1, "height-floor": 4,
-                    "height-floor-ceiling": 8, "slope": 4}[self.kind]
-        return M * N * per_cell
+
+# kind: (dtype of a cell on disk, planes, tag of the extra header line,
+# which names a GridFileHeader field)
+_KINDS = {
+    "occupancy": (np.dtype(np.uint8), 1, "robot"),
+    "height-floor": (np.dtype("<f4"), 1, None),
+    "height-floor-ceiling": (np.dtype("<f4"), 2, None),
+    "slope": (np.dtype("<f4"), 1, "window"),
+}
 
 
-def _header_bytes(hdr: GridFileHeader) -> bytes:
-    M, N = hdr.extent
-    ox, oy, oz = hdr.origin
-    lines = [
-        f"{_MAGIC} {_VERSION}",
-        f"kind {hdr.kind}",
-        f"extent {M} {N}",
-        f"res {fmt_float(hdr.resolution)}",
-        f"origin {fmt_float(ox)} {fmt_float(oy)} {fmt_float(oz)}",
-    ]
-    if hdr.kind == "occupancy":
-        lines.append(f"robot {hdr.robot}")
-    elif hdr.kind == "slope":
-        lines.append(f"window {hdr.window}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _parse_header(data: bytes, path) -> tuple[GridFileHeader, int]:
-    def bad(message: str) -> GridFormatError:
-        return GridFormatError(f"{path}: {message}")
-
-    offset = 0
-    lines = []
-    for _ in range(5):
-        nl = data.find(b"\n", offset)
-        if nl < 0:
-            raise bad("incomplete grid header")
-        lines.append(data[offset:nl].decode("ascii", errors="replace"))
-        offset = nl + 1
-    magic = lines[0].split()
-    if len(magic) != 2 or magic[0] != _MAGIC:
-        raise bad(f"bad magic line {lines[0]!r}")
-    if magic[1] != str(_VERSION):
-        raise bad(f"unsupported grid format version {magic[1]}")
-    kind, = header_fields(lines[1], "kind", 1, str, bad)
-    if kind not in GRID_KINDS:
-        raise bad(f"unknown grid kind {kind!r}")
-    extent = header_fields(lines[2], "extent", 2, int, bad)
-    check_geometry(bad, extent=extent)
-    res, = header_fields(lines[3], "res", 1, float, bad)
-    check_geometry(bad, resolution=res)
-    origin = header_fields(lines[4], "origin", 3, float, bad)
-    check_geometry(bad, origin=origin)
-    robot = None
-    window = None
-    if kind in ("occupancy", "slope"):
-        nl = data.find(b"\n", offset)
-        if nl < 0:
-            raise bad("incomplete grid header")
-        extra = data[offset:nl].decode("ascii", errors="replace")
-        offset = nl + 1
-        if kind == "occupancy":
-            robot, = header_fields(extra, "robot", 1, str, bad)
-            if robot not in ("uav", "ugv"):
-                raise bad(f"unknown robot tag {robot!r}")
-        else:
-            window, = header_fields(extra, "window", 1, int, bad)
-            if window < 1:
-                raise bad(f"slope window must be >= 1, got {window}")
-    hdr = GridFileHeader(kind, extent, res, origin, robot, window)
-    if len(data) - offset != hdr.payload_bytes():
-        raise bad(f"expected {hdr.payload_bytes()} payload bytes, found {len(data) - offset}")
-    return hdr, offset
+def _write(path: str | Path, hdr: GridFileHeader, *planes: np.ndarray) -> None:
+    """Write a grid file, refusing first (ValueError) a geometry read_grid refuses."""
+    check_geometry(ValueError, hdr.resolution, hdr.origin, hdr.extent)
+    dtype, _, tag = _KINDS[hdr.kind]
+    lines = ["G2D 1", f"kind {hdr.kind}", "extent {} {}".format(*hdr.extent),
+             f"res {fmt_float(hdr.resolution)}",
+             f"origin {' '.join(map(fmt_float, hdr.origin))}"]
+    if tag:
+        lines.append(f"{tag} {getattr(hdr, tag)}")
+    write_file(path, lines, (p.astype(dtype, copy=False) for p in planes))
 
 
 # -- occupancy ------------------------------------------------------------
@@ -128,16 +78,15 @@ def write_occupancy(grid: OccupancyGrid, path: str | Path) -> None:
     A value neither -1 nor in [0, 1] raises ValueError naming its cell.
     """
     values = _occupancy_values(grid)
-    hdr = GridFileHeader("occupancy", grid.extent, grid.resolution,
-                         grid.origin, robot=grid.kind)
     quantized = np.full(grid.extent, 255, dtype=np.uint8)
     known = values >= 0.0
     quantized[known] = np.rint(values[known] * 254.0).astype(np.uint8)
-    Path(path).write_bytes(_header_bytes(hdr) + quantized.tobytes())
+    _write(path, GridFileHeader("occupancy", grid.extent, grid.resolution,
+                                grid.origin, robot=grid.kind), quantized)
 
 
 def read_occupancy(path: str | Path) -> OccupancyGrid:
-    hdr, (values,) = _read_kind(path, "occupancy")
+    hdr, (values,) = _read_kind(path, ("occupancy",))
     return OccupancyGrid(hdr.robot, hdr.resolution, hdr.origin, values)
 
 
@@ -147,11 +96,9 @@ def read_occupancy(path: str | Path) -> OccupancyGrid:
 def write_height(height: HeightMap, include_ceiling: bool, path: str | Path) -> None:
     """Row-major float32 floor plane, then the ceiling plane if included."""
     kind = "height-floor-ceiling" if include_ceiling else "height-floor"
-    hdr = GridFileHeader(kind, height.extent, height.resolution, height.origin)
-    payload = height.floor.astype("<f4").tobytes()
-    if include_ceiling:
-        payload += height.ceiling.astype("<f4").tobytes()
-    Path(path).write_bytes(_header_bytes(hdr) + payload)
+    planes = (height.floor, height.ceiling) if include_ceiling else (height.floor,)
+    _write(path, GridFileHeader(kind, height.extent, height.resolution,
+                                height.origin), *planes)
 
 
 def read_height(path: str | Path) -> HeightMap:
@@ -169,14 +116,22 @@ def read_height(path: str | Path) -> HeightMap:
 
 
 def write_slope(slope: SlopeMap, path: str | Path) -> None:
-    """Row-major float32 slope magnitudes; the degeneracy flags stay in memory."""
-    hdr = GridFileHeader("slope", slope.extent, slope.resolution, slope.origin,
-                         window=slope.neighborhood_cells)
-    Path(path).write_bytes(_header_bytes(hdr) + slope.values.astype("<f4").tobytes())
+    """Row-major float32 slope magnitudes; the degeneracy flags stay in memory.
+    A window that is not an int >= 1 raises ValueError, as read_slope would."""
+    check_positive_int(slope.neighborhood_cells, "slope window")
+    _write(path, GridFileHeader("slope", slope.extent, slope.resolution, slope.origin,
+                                window=slope.neighborhood_cells), slope.values)
 
 
 def read_slope(path: str | Path) -> SlopeMap:
-    hdr, (values,) = _read_kind(path, "slope")
+    """A slope magnitude is finite and >= 0, or NaN for an absent cell; any
+    other raises GridFormatError naming the first such cell."""
+    hdr, (values,) = _read_kind(path, ("slope",))
+    bad = (values < 0.0) | np.isinf(values)
+    if bad.any():
+        m, n = np.argwhere(bad)[0].tolist()
+        raise GridFormatError(f"{path}: slope cell ({m}, {n}) holds {values[m, n]}, "
+                              "neither NaN (absent) nor finite and >= 0")
     return SlopeMap(hdr.resolution, hdr.origin, values,
                     np.zeros(hdr.extent, dtype=bool), hdr.window)
 
@@ -186,21 +141,44 @@ def read_slope(path: str | Path) -> SlopeMap:
 
 def read_grid(path: str | Path) -> tuple[GridFileHeader, list[np.ndarray]]:
     """Read any grid file into float64 planes (occupancy decoded to values)."""
-    data = Path(path).read_bytes()
-    hdr, offset = _parse_header(data, path)
-    payload = data[offset:]
-    if hdr.kind == "occupancy":
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(hdr.extent)
-        return hdr, [np.where(raw == 255, -1.0, raw / 254.0)]
-    # A signalling NaN in the payload reads as an absent cell, quietly.
+    def bad(message: str) -> GridFormatError:
+        return GridFormatError(f"{path}: {message}")
+
+    with open(path, "rb") as f:
+        lines = read_header(f, "G2D", 1, 5, bad, bad)
+        kind, = header_fields(lines[1], "kind", 1, str, bad)
+        if kind not in _KINDS:
+            raise bad(f"unknown grid kind {kind!r}")
+        dtype, count, tag = _KINDS[kind]
+        extent = header_fields(lines[2], "extent", 2, int, bad)
+        check_geometry(bad, extent=extent)
+        res, = header_fields(lines[3], "res", 1, float, bad)
+        check_geometry(bad, resolution=res)
+        origin = header_fields(lines[4], "origin", 3, float, bad)
+        check_geometry(bad, origin=origin)
+        extra = {}
+        if tag:
+            # A line cut short by the end of the file leaves no payload.
+            line = f.readline().decode("ascii", errors="replace").removesuffix("\n")
+            value, = header_fields(line, tag, 1, int if tag == "window" else str, bad)
+            if tag == "robot" and value not in ("uav", "ugv"):
+                raise bad(f"unknown robot tag {value!r}")
+            if tag == "window" and value < 1:
+                raise bad(f"slope window must be >= 1, got {value}")
+            extra[tag] = value
+        f = payload(f, count * extent[0] * extent[1] * dtype.itemsize, bad)
+        raw = np.empty((count, *extent), dtype)
+        if f.readinto(raw) != raw.nbytes:
+            raise bad("payload ended early")
+    # Occupancy byte q reads as q / 254, 255 as -1 (unknown); a signalling
+    # NaN in a float payload reads as an absent cell, quietly.
     with np.errstate(invalid="ignore"):
-        planes = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return hdr, list(planes.reshape(-1, *hdr.extent))
+        planes = (np.where(raw == 255, -1.0, raw / 254.0) if raw.dtype == np.uint8
+                  else raw.astype(np.float64))
+    return GridFileHeader(kind, extent, res, origin, **extra), list(planes)
 
 
-def _read_kind(path, kinds) -> tuple[GridFileHeader, list[np.ndarray]]:
-    if isinstance(kinds, str):
-        kinds = (kinds,)
+def _read_kind(path, kinds: tuple[str, ...]) -> tuple[GridFileHeader, list[np.ndarray]]:
     hdr, planes = read_grid(path)
     if hdr.kind not in kinds:
         raise GridFormatError(

@@ -270,8 +270,8 @@ def read_path_3d(file: str | Path) -> list[Waypoint3D]:
 
 
 def _read_path(file: str | Path, number, fields: str, what: str) -> list[tuple]:
-    """One tuple of `number`s per line, one per name in `fields`; blank lines
-    and '#' comments are skipped."""
+    """One tuple of finite `number`s per line, one per name in `fields`;
+    blank lines and '#' comments are skipped."""
     out = []
     for lineno, raw in enumerate(Path(file).read_text(encoding="ascii").splitlines(), 1):
         parts = raw.split()
@@ -280,7 +280,10 @@ def _read_path(file: str | Path, number, fields: str, what: str) -> list[tuple]:
         if len(parts) != len(fields.split()):
             raise ValueError(f"{file}:{lineno}: expected '{fields}', got {' '.join(parts)!r}")
         try:
-            out.append(tuple(map(number, parts)))
+            values = tuple(map(number, parts))
         except ValueError:
             raise ValueError(f"{file}:{lineno}: unreadable {what}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{file}:{lineno}: non-finite {what} {' '.join(parts)!r}")
+        out.append(values)
     return out

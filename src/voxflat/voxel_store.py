@@ -13,8 +13,11 @@ is the only code that writes the stored array.
 A VXG file holds the same bytes: one state per voxel over the bounding box
 of the observed columns, read straight into the map and written from it in
 slabs of box rows, so loading or saving needs the dense map and at most one
-slab besides. `check_states` names a state outside 0-2 by its voxel, in the
-same words for an array given to `from_states` and for a VXG payload byte.
+slab besides. Its layout, ASCII header lines that fix the payload length and
+then the raw payload, is the G2D grid files' too, and three helpers serve
+both: `read_header`, `payload` (a pipe is read whole) and `write_file`.
+`check_states` names a state outside 0-2 by its voxel, in the same words for
+an array given to `from_states` and for a VXG payload byte.
 """
 from __future__ import annotations
 
@@ -359,23 +362,16 @@ def save_voxel_map(vmap: VoxelMap, path: str | Path) -> None:
     written with no copy; a narrower box's slab is copied, so the memory
     beyond the map stays one slab.
     """
-    voxels = vmap._voxels
-    ox, oy, oz = vmap.origin
     M, N, K = vmap.extent
-    m0, m1, n0, n1 = nonzero_box(voxels) or (0, 0, 0, 0)
-    header = (
-        f"VXG 2\n"
-        f"res {fmt_float(vmap.resolution)}\n"
-        f"origin {fmt_float(ox)} {fmt_float(oy)} {fmt_float(oz)}\n"
-        f"extent {M} {N} {K}\n"
-        f"box {m0} {m1} {n0} {n1}\n"
-    )
-    box = voxels[m0:m1, n0:n1]
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        rows = max(1, _SLAB_BYTES // max(1, (n1 - n0) * K))
-        for r in range(0, m1 - m0, rows):
-            f.write(np.ascontiguousarray(box[r:r + rows]))
+    m0, m1, n0, n1 = nonzero_box(vmap._voxels) or (0, 0, 0, 0)
+    box = vmap._voxels[m0:m1, n0:n1]
+    rows = max(1, _SLAB_BYTES // max(1, (n1 - n0) * K))
+    write_file(path, ["VXG 2",
+                      f"res {fmt_float(vmap.resolution)}",
+                      f"origin {' '.join(map(fmt_float, vmap.origin))}",
+                      f"extent {M} {N} {K}",
+                      f"box {m0} {m1} {n0} {n1}"],
+               (box[r:r + rows] for r in range(0, m1 - m0, rows)))
 
 
 def load_voxel_map(path: str | Path) -> VoxelMap:
@@ -395,24 +391,7 @@ def read_voxel_map(path: str | Path) -> tuple[VoxelMap, int]:
     """load_voxel_map, plus the bytes read: header and payload, the whole
     file, also when it is a pipe, whose size no stat reports."""
     with open(path, "rb") as f:
-        lines, header_bytes = [], 0
-        for _ in range(5):
-            line = f.readline()
-            if not line.endswith(b"\n"):
-                raise VxgHeaderError("incomplete header: expected 5 header lines")
-            lines.append(line[:-1].decode("ascii", errors="replace"))
-            header_bytes += len(line)
-
-        magic = lines[0].split()
-        if len(magic) != 2 or magic[0] != "VXG":
-            raise VxgHeaderError(f"bad magic line {lines[0]!r}")
-        try:
-            version = int(magic[1])
-        except ValueError:
-            raise VxgHeaderError(f"unreadable version in {lines[0]!r}") from None
-        if version != 2:
-            raise VxgVersionError(f"unsupported VXG version {version}")
-
+        lines = read_header(f, "VXG", 2, 5, VxgHeaderError, VxgVersionError)
         # Each field is checked as it is parsed, so the first defect is named.
         resolution, = header_fields(lines[1], "res", 1, float, VxgHeaderError)
         check_geometry(VxgHeaderError, resolution=resolution)
@@ -426,16 +405,8 @@ def read_voxel_map(path: str | Path) -> tuple[VoxelMap, int]:
             raise VxgHeaderError(f"box [{m0},{m1})x[{n0},{n1}) is not a box "
                                  f"inside extent {M}x{N}")
 
-        if f.seekable():
-            offset = f.tell()
-        else:  # a pipe: its length is known only once read
-            f, offset = io.BytesIO(f.read()), 0
-        found = f.seek(0, os.SEEK_END) - offset
-        f.seek(offset)
         expected = (m1 - m0) * (n1 - n0) * K
-        if found != expected:
-            raise VxgTruncatedError(f"expected {expected} payload bytes, found {found}")
-
+        f = payload(f, expected, VxgTruncatedError)
         try:
             vmap = VoxelMap(resolution, origin, extent)
         except (MemoryError, ValueError):
@@ -447,7 +418,8 @@ def read_voxel_map(path: str | Path) -> tuple[VoxelMap, int]:
             if f.readinto(rows) != rows.nbytes:
                 raise VxgTruncatedError("payload ended early")
     check_states(VxgRecordError, box, m0, n0)
-    return vmap, header_bytes + expected
+    # ASCII decoding keeps one character per byte, an undecodable one too.
+    return vmap, sum(map(len, lines)) + len(lines) + expected
 
 
 def check_states(error, states: np.ndarray, m0: int = 0, n0: int = 0) -> None:
@@ -479,6 +451,49 @@ def header_fields(line: str, tag: str, n: int, convert, error) -> tuple:
         return tuple(convert(p) for p in parts[1:])
     except ValueError:
         raise error(f"unreadable value in {tag!r} line: {line!r}") from None
+
+
+def read_header(f, magic: str, version: int, n: int, error, version_error) -> list[str]:
+    """The first n lines of binary file f, as ASCII without their newlines;
+    a file cut short, a first line other than `magic version` or an unreadable
+    version raise error(message), another version version_error(message)."""
+    raw = [f.readline() for _ in range(n)]
+    if not all(line.endswith(b"\n") for line in raw):
+        raise error(f"incomplete header: expected {n} header lines")
+    lines = [line[:-1].decode("ascii", errors="replace") for line in raw]
+    parts = lines[0].split()
+    if len(parts) != 2 or parts[0] != magic:
+        raise error(f"bad magic line {lines[0]!r}")
+    try:
+        found = int(parts[1])
+    except ValueError:
+        raise error(f"unreadable version in {lines[0]!r}") from None
+    if found != version:
+        raise version_error(f"unsupported {magic} version {found}")
+    return lines
+
+
+def payload(f, expected: int, error):
+    """Binary file f, positioned after its header, checked to hold exactly
+    `expected` more bytes (else error(message)) and returned at that point.
+    A pipe, whose length is known only once read, is read whole first."""
+    if not f.seekable():
+        f = io.BytesIO(f.read())
+    offset = f.tell()
+    found = f.seek(0, os.SEEK_END) - offset
+    f.seek(offset)
+    if found != expected:
+        raise error(f"expected {expected} payload bytes, found {found}")
+    return f
+
+
+def write_file(path: str | Path, header_lines: Sequence[str], arrays) -> None:
+    """Write the header lines, each ended by a newline, then the bytes of
+    each array in C order; a C-contiguous array is written with no copy."""
+    with open(path, "wb") as f:
+        f.write("".join(line + "\n" for line in header_lines).encode("ascii"))
+        for a in arrays:
+            f.write(np.ascontiguousarray(a))
 
 
 def _real(value) -> bool:

@@ -8,7 +8,8 @@ extraction by painting voxels, the plane search is exhaustive, the grid
 planner cost check is a plain Dijkstra and its path check the same A* over
 (m, n) tuple keys, path lifting and clearance are per-waypoint loops, and
 the VXG codec reads and writes the whole file at once, finding its box
-by a per-column `any` and its payload by `np.frombuffer`.
+by a per-column `any` and its payload by `np.frombuffer`, and the G2D reader
+reads the whole file at once, finding its header lines by `bytes.find`.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from voxflat import (ColumnView, HeightMap, VoxelMap, VoxelState, VxgError,
-                     VxgHeaderError, VxgRecordError, VxgTruncatedError, VxgVersionError)
+from voxflat import (ColumnView, GridFileHeader, GridFormatError, HeightMap, VoxelMap,
+                     VoxelState, VxgError, VxgHeaderError, VxgRecordError,
+                     VxgTruncatedError, VxgVersionError)
 from voxflat.occupancy_maps import NEIGHBORS_8
 from voxflat.voxel_store import Cell, cell_center, fmt_float, header_fields
 
@@ -530,9 +532,91 @@ def load_voxel_map_reference(path) -> VoxelMap:
 
 
 def load_outcome(load, path):
-    """What a VXG reader makes of a file: the map, or its error's class and
-    message, so two readers' outcomes compare with ==."""
+    """What a VXG or G2D reader makes of a file: its value, or its error's
+    class and message, so two readers' outcomes compare with ==."""
     try:
         return load(path)
-    except VxgError as e:
+    except (VxgError, GridFormatError) as e:
         return type(e), str(e)
+
+
+# -- G2D reader: whole-file reference -------------------------------------------
+
+_G2D_CELL_BYTES = {"occupancy": 1, "height-floor": 4, "height-floor-ceiling": 8,
+                   "slope": 4}
+
+
+def read_grid_reference(path) -> tuple[GridFileHeader, list[np.ndarray]]:
+    """G2D parse of the whole file at once, the header lines found by
+    `bytes.find` and the payload sliced off, with read_grid's checks in its
+    order and its messages."""
+    def bad(message: str) -> GridFormatError:
+        return GridFormatError(f"{path}: {message}")
+
+    data = Path(path).read_bytes()
+    offset = 0
+    lines = []
+    for _ in range(5):
+        nl = data.find(b"\n", offset)
+        if nl < 0:
+            raise bad("incomplete header: expected 5 header lines")
+        lines.append(data[offset:nl].decode("ascii", errors="replace"))
+        offset = nl + 1
+    magic = lines[0].split()
+    if len(magic) != 2 or magic[0] != "G2D":
+        raise bad(f"bad magic line {lines[0]!r}")
+    try:
+        version = int(magic[1])
+    except ValueError:
+        raise bad(f"unreadable version in {lines[0]!r}") from None
+    if version != 1:
+        raise bad(f"unsupported G2D version {version}")
+    kind, = header_fields(lines[1], "kind", 1, str, bad)
+    if kind not in _G2D_CELL_BYTES:
+        raise bad(f"unknown grid kind {kind!r}")
+    extent = header_fields(lines[2], "extent", 2, int, bad)
+    if any(e < 1 for e in extent):
+        raise bad(f"extent components must be >= 1, got {extent}")
+    res, = header_fields(lines[3], "res", 1, float, bad)
+    if not (math.isfinite(res) and res > 0):
+        raise bad(f"resolution must be finite and positive, got {res}")
+    origin = header_fields(lines[4], "origin", 3, float, bad)
+    if not all(map(math.isfinite, origin)):
+        raise bad(f"non-finite origin {origin}")
+    robot = window = None
+    if kind in ("occupancy", "slope"):
+        # The last line may lack its newline; then no payload follows it.
+        nl = data.find(b"\n", offset)
+        end = len(data) if nl < 0 else nl
+        extra = data[offset:end].decode("ascii", errors="replace")
+        offset = end + 1
+        if kind == "occupancy":
+            robot, = header_fields(extra, "robot", 1, str, bad)
+            if robot not in ("uav", "ugv"):
+                raise bad(f"unknown robot tag {robot!r}")
+        else:
+            window, = header_fields(extra, "window", 1, int, bad)
+            if window < 1:
+                raise bad(f"slope window must be >= 1, got {window}")
+    M, N = extent
+    payload = data[offset:]
+    expected = M * N * _G2D_CELL_BYTES[kind]
+    if len(payload) != expected:
+        raise bad(f"expected {expected} payload bytes, found {len(payload)}")
+    hdr = GridFileHeader(kind, extent, res, origin, robot, window)
+    if kind == "occupancy":
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(extent)
+        return hdr, [np.where(raw == 255, -1.0, raw / 254.0)]
+    with np.errstate(invalid="ignore"):
+        planes = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    return hdr, list(planes.reshape(-1, M, N))
+
+
+def grid_outcome(read, path):
+    """load_outcome of a G2D reader, each plane as its dtype, shape and bytes,
+    so two readers' outcomes compare with == bit for bit."""
+    got = load_outcome(read, path)
+    if isinstance(got[0], GridFileHeader):
+        hdr, planes = got
+        return hdr, [(p.dtype, p.shape, p.tobytes()) for p in planes]
+    return got

@@ -3,9 +3,10 @@
 Valid files are mutated by Hypothesis (byte flips, overwrites, insertions,
 deletions and truncation); a reader must then either return a value or
 raise its typed error. Any other exception escaping is a reader bug. The VXG
-reader must also agree with the whole-file reference reader: the same map,
-or the same error class and message. Its file is a VXG 2 box narrower than
-the extent, so mutations reach the box line and every payload row.
+reader and the generic G2D reader must also agree with their whole-file
+reference readers: the same map or planes, or the same error class and
+message. The VXG file is a box narrower than the extent, so mutations reach
+the box line and every payload row.
 Extents stay tiny, and an insertion adds at most three bytes, so a mutated
 extent cannot ask for much memory.
 """
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import load_outcome, load_voxel_map_reference
+from oracles import grid_outcome, load_outcome, load_voxel_map_reference, read_grid_reference
 from voxflat import (ConversionParams, GridFormatError, VoxelMap, VoxelState, init,
                      load_voxel_map, read_grid, read_height, read_occupancy,
                      read_slope, save_voxel_map, write_height,
@@ -90,7 +91,8 @@ def test_mutated_g2d_files_raise_only_grid_format_errors(tmp_path_factory, which
     else:
         write_slope(state.slope, path)
     path.write_bytes(mutate(path.read_bytes(), mutations))
-    for reader in (read_grid, read_occupancy, read_height, read_slope):
+    assert grid_outcome(read_grid, path) == grid_outcome(read_grid_reference, path)
+    for reader in (read_occupancy, read_height, read_slope):
         try:
             reader(path)
         except GridFormatError:

@@ -1,3 +1,7 @@
+import os
+import re
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from voxflat import (GridFormatError, HeightMap, OccupancyGrid, SlopeMap,
                      size_report, write_height, write_occupancy,
                      write_occupancy_pgm, write_slope)
 
-from oracles import make_height_map
+from oracles import grid_outcome, make_height_map
 
 
 def occupancy_grid(values, kind="uav"):
@@ -276,7 +280,7 @@ def test_height_file_payload_arithmetic(tmp_path):
 
 
 @pytest.mark.parametrize("line, replacement, message", [
-    (b"G2D 1", b"G2D 2", "unsupported grid format version 2"),
+    (b"G2D 1", b"G2D 2", "unsupported G2D version 2"),
     (b"extent 2 1", b"extent 0 1", "extent components must be >= 1"),
     (b"extent 2 1", b"extent 2 -1", "extent components must be >= 1"),
 ])
@@ -297,4 +301,134 @@ def test_occupancy_writers_reject_values_outside_the_occupancy_domain(tmp_path, 
     path = tmp_path / "g.out"
     with pytest.raises(ValueError, match=rf"occupancy cell \(1, 1\) holds {value}"):
         writer(grid, path)
+    assert not path.exists()
+
+
+# One small grid of each kind, with an origin and resolution whose shortest
+# decimals are not trivial, and the bytes the writers gave for them before
+# they moved onto the codec shared with VXG: header text, then payload.
+_ORIGIN = (-1.5, 2.25, -0.3)
+_HEIGHT = HeightMap(0.05, _ORIGIN, np.array([[0, -1], [6, 2]]),
+                    np.array([[40, -1], [7, 3]]))
+_GOLDEN = {
+    "occupancy": (
+        lambda path: write_occupancy(OccupancyGrid(
+            "ugv", 0.05, _ORIGIN, np.array([[-1.0, 0.0, 0.5], [1.0, 0.3, 0.002]])), path),
+        b"G2D 1\nkind occupancy\nextent 2 3\nres 0.05\norigin -1.5 2.25 -0.3\n"
+        b"robot ugv\n" + bytes.fromhex("ff007ffe4c01")),
+    "height-floor": (
+        lambda path: write_height(_HEIGHT, False, path),
+        b"G2D 1\nkind height-floor\nextent 2 2\nres 0.05\norigin -1.5 2.25 -0.3\n"
+        + bytes.fromhex("9a9999be 0000c07f 00008024 cdcc4cbe")),
+    "height-floor-ceiling": (
+        lambda path: write_height(_HEIGHT, True, path),
+        b"G2D 1\nkind height-floor-ceiling\nextent 2 2\nres 0.05\n"
+        b"origin -1.5 2.25 -0.3\n"
+        + bytes.fromhex("9a9999be 0000c07f 00008024 cdcc4cbe"
+                        "9a99d93f 0000c07f cdcc4c3d 9a9919be")),
+    "slope": (
+        lambda path: write_slope(SlopeMap(
+            0.05, _ORIGIN, np.array([[0.0, np.nan], [0.25, 1.5]]),
+            np.zeros((2, 2), bool), 3), path),
+        b"G2D 1\nkind slope\nextent 2 2\nres 0.05\norigin -1.5 2.25 -0.3\nwindow 3\n"
+        + bytes.fromhex("00000000 0000c07f 0000803e 0000c03f")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_GOLDEN))
+def test_grid_writers_golden_bytes(tmp_path, kind):
+    write, golden = _GOLDEN[kind]
+    path = tmp_path / "g.g2d"
+    write(path)
+    assert path.read_bytes() == golden
+    hdr, _ = read_grid(path)
+    assert (hdr.kind, hdr.resolution, hdr.origin) == (kind, 0.05, _ORIGIN)
+
+
+def read_through_a_pipe(tmp_path, data: bytes):
+    """grid_outcome of read_grid on data written into a fifo by another thread."""
+    fifo = tmp_path / "fifo"
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
+    writer.start()
+    try:
+        return grid_outcome(read_grid, fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def unnamed(outcome):
+    """An outcome with the file name dropped from its error message."""
+    if isinstance(outcome[0], type):
+        return outcome[0], outcome[1].split(": ", 1)[1]
+    return outcome
+
+
+@pytest.mark.parametrize("kind", list(_GOLDEN))
+def test_grid_reader_reads_a_pipe_as_it_reads_a_file(tmp_path, kind):
+    _, golden = _GOLDEN[kind]
+    path = tmp_path / "g.g2d"
+    for data in (golden, golden[:-1], golden + b"\x00"):
+        path.write_bytes(data)
+        want = unnamed(grid_outcome(read_grid, path))
+        assert unnamed(read_through_a_pipe(tmp_path, data)) == want
+        assert isinstance(want[0], type) == (data != golden)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.inf, -np.inf, -0.5])
+def test_slope_reader_rejects_cells_no_slope_can_hold(tmp_path, bad):
+    values = np.array([[0.0, 0.5], [np.nan, bad]])
+    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), values, np.zeros((2, 2), bool), 2)
+    path = tmp_path / "s.g2d"
+    write_slope(smap, path)
+    with pytest.raises(GridFormatError, match=rf"slope cell \(1, 1\) holds {bad}, "
+                                              r"neither NaN \(absent\) nor finite and >= 0"):
+        read_slope(path)
+    # the generic reader returns the planes as stored
+    assert read_grid(path)[1][0][1, 1] == np.float32(bad)
+    # the first bad cell in row-major order is named
+    smap.values[0, 1] = -2.0
+    write_slope(smap, path)
+    with pytest.raises(GridFormatError, match=r"slope cell \(0, 1\) holds -2.0"):
+        read_slope(path)
+
+
+_WRITERS = {
+    "occupancy": lambda res, origin, extent, path: write_occupancy(
+        OccupancyGrid("uav", res, origin, np.zeros(extent)), path),
+    "height": lambda res, origin, extent, path: write_height(
+        HeightMap.empty(res, origin, extent), True, path),
+    "slope": lambda res, origin, extent, path: write_slope(
+        SlopeMap(res, origin, np.zeros(extent), np.zeros(extent, bool), 2), path),
+}
+
+
+@pytest.mark.parametrize("which", list(_WRITERS))
+@pytest.mark.parametrize("resolution, origin, extent, message", [
+    (np.nan, (0.0, 0.0, 0.0), (2, 3), "resolution must be finite and positive, got nan"),
+    (0.0, (0.0, 0.0, 0.0), (2, 3), "resolution must be finite and positive, got 0.0"),
+    (-0.1, (0.0, 0.0, 0.0), (2, 3), "resolution must be finite and positive, got -0.1"),
+    (np.inf, (0.0, 0.0, 0.0), (2, 3), "resolution must be finite and positive, got inf"),
+    (0.1, (0.0, np.nan, 0.0), (2, 3), "non-finite origin"),
+    (0.1, (0.0, 0.0, -np.inf), (2, 3), "non-finite origin"),
+    (0.1, (0.0, 0.0, 0.0), (0, 3), "extent components must be >= 1, got (0, 3)"),
+    (0.1, (0.0, 0.0, 0.0), (2, 0), "extent components must be >= 1, got (2, 0)"),
+])
+def test_grid_writers_refuse_a_geometry_the_reader_refuses(tmp_path, which, resolution,
+                                                           origin, extent, message):
+    path = tmp_path / "g.g2d"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _WRITERS[which](resolution, origin, extent, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("window", [0, -3, 2.0, True])
+def test_slope_writer_refuses_a_window_the_reader_refuses(tmp_path, window):
+    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), np.zeros((1, 1)), np.zeros((1, 1), bool), window)
+    path = tmp_path / "s.g2d"
+    with pytest.raises(ValueError, match=re.escape(f"slope window must be an int >= 1, "
+                                                   f"got {window!r}")):
+        write_slope(smap, path)
     assert not path.exists()

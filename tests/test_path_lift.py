@@ -588,9 +588,14 @@ def test_clearance_rejects_waypoints_that_are_not_triples(path):
     (read_path_2d, "1.5 2\n", ":1: unreadable grid indices"),
     (read_path_3d, "0 0 1\n0.1 0.2 z\n", ":2: unreadable coordinates"),
     (read_path_3d, "0 0\n", ":1: expected 'x y z'"),
+    (read_path_3d, "# lifted\n0 0 1\nnan 0 inf\n", r":3: non-finite coordinates 'nan 0 inf'$"),
+    (read_path_3d, "0 0 -inf\n", r":1: non-finite coordinates '0 0 -inf'$"),
+    (read_path_3d, "0.1 1e999 0\n", r":1: non-finite coordinates '0.1 1e999 0'$"),
+    (read_path_3d, "NaN 0.2 1\n", r":1: non-finite coordinates 'NaN 0.2 1'$"),
 ])
 def test_path_files_reject_unreadable_lines(tmp_path, read, text, message):
     path = tmp_path / "path.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read(path)
+
