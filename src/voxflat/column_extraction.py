@@ -7,9 +7,10 @@ highest, as voxel-face indices (floor_k, ceil_k). The map stores those
 indices; meters (`origin_z + k*res`) appear only in its output views and in
 `HeightMap.from_meters`, the one entry for outside heights. `convert_column`
 finds both indices for any (..., K) stack of columns by ANDing shifted slices
-of the boolean free mask, with no per-column loop, so `build_height_map`
-and `update()` (the written columns) run the same code. `check_positive_int`
-is the one rule for a run length or a slope-fit radius: an int >= 1.
+of the boolean free mask, laid out flat, with no per-column loop, so
+`build_height_map` and `update()` (the written columns) run the same code.
+`check_positive_int` is the one rule for a run length or a slope-fit radius:
+an int >= 1.
 
 A full build reads only the box that can hold output: `build_height_map` the
 bounding box of the observed columns, in row bands of about _BAND_VOXELS
@@ -72,21 +73,31 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
     by s gives the 2s-voxel windows, and two s-voxel windows min_run - s
     apart, s the largest power of two <= min_run, cover one min_run window.
     That is floor(log2 min_run) + 1 passes of one-byte ANDs at most.
+
+    The free mask is written into one flat bool buffer, column after column
+    and followed by min_run - 1 zeros, and the ANDs run over the whole buffer
+    at once, leaving one entry per voxel. A window that starts at
+    k >= K - min_run + 1 runs into the next column or the zeros; the
+    (..., K - min_run + 1) view of the result drops it.
     """
     check_positive_int(min_run, "min_run")
-    *lead, K = columns.shape
+    shape = columns.shape
+    K = shape[-1]
     if min_run > K:
-        return np.full(lead, -1), np.full(lead, -1)
-    run, s = columns == _FREE, 1  # run[..., k]: voxels k .. k+s-1 all free
+        return np.full(shape[:-1], -1), np.full(shape[:-1], -1)
+    size = columns.size
+    run, s = np.zeros(size + min_run - 1, dtype=bool), 1  # run[i]: voxels i .. i+s-1 all free
+    np.equal(columns, _FREE, run[:size].reshape(shape))
     while 2 * s <= min_run:
-        run = run[..., :-s] & run[..., s:]
+        run = run[:-s] & run[s:]
         s *= 2
-    window = run if s == min_run else run[..., :s - min_run] & run[..., min_run - s:]
-    first = window.argmax(axis=-1)
-    found = window[..., 0] | (first > 0)  # argmax reads 0 where no window is free
-    floor_k = np.where(found, first, -1)
-    ceil_k = np.where(found, K - window[..., ::-1].argmax(axis=-1), -1)
-    return floor_k, ceil_k
+    if s < min_run:
+        run = run[:s - min_run] & run[min_run - s:]
+    window = run.reshape(shape)[..., :K - min_run + 1]
+    first = window.argmax(-1)
+    found = np.logical_or(window[..., 0], first)  # argmax reads 0 where no window is free
+    faces = np.where(found, (first, K - window[..., ::-1].argmax(-1)), -1)
+    return faces[0, ...], faces[1, ...]  # arrays, 0-d for one column
 
 
 @dataclass

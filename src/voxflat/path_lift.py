@@ -13,6 +13,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -239,12 +240,16 @@ def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap
     return [(wx, wy, wz) for (wx, wy, _), wz in zip(path, z.tolist())]
 
 
+@lru_cache(maxsize=16)
 def _disc(radius: float, res: float, reach: int) -> tuple[np.ndarray, np.ndarray]:
     """(dm, dn) offsets of the cells within reach whose centers lie within
-    radius of the center cell's, in row-major order."""
+    radius of the center cell's, in row-major order. Cached, as a replan
+    asks for the same disc each time, so both arrays are read-only."""
     dm, dn = np.mgrid[-reach:reach + 1, -reach:reach + 1]
     inside = np.hypot(dm, dn) * res <= radius * (1.0 + 1e-12)
-    return dm[inside], dn[inside]
+    dm, dn = dm[inside], dn[inside]
+    dm.flags.writeable = dn.flags.writeable = False
+    return dm, dn
 
 
 # -- path files -----------------------------------------------------------

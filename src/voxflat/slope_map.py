@@ -8,8 +8,11 @@ the gradient in meters per meter equals the gradient of k over (m, n) and the
 resolution cancels.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
-Σnk) are int64 box sums taken from summed-area tables (Crow, SIGGRAPH 1984),
-and the count-scaled centered moments are formed exactly in integers. Their
+Σnk) are taken by doubling, first along n and then along m, over one flat
+buffer of the nine moment planes: no summed-area table, and every
+intermediate is a partial window sum, so nothing wraps. The sums and the
+count-scaled centered moments formed from them are exact integers, in int32
+where the bound in `_kernel` allows and in int64 otherwise. The moments'
 products (the determinant and the two numerators of the gradient), the
 final division, `hypot` and the degeneracy test run in float64, elementwise:
 the products are exact while each stays below 2**53, as at the default
@@ -85,43 +88,74 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     return values, degenerate
 
 
+def _window_sums(a: np.ndarray, d: int, step: int) -> np.ndarray:
+    """Sums of the d entries a[i], a[i + step], ..., a[i + (d-1)*step] of a
+    flat array, for every i < a.size - (d-1)*step, by doubling: a sum of 2w
+    entries is two sums of w entries w*step apart, and a sum of d entries
+    adds, end to end, the sums of the powers of two that make up d."""
+    n = a.size - (d - 1) * step
+    total, start, w = None, 0, 1
+    while True:
+        if d & w:
+            part = a[start * step:start * step + n]
+            total = part if total is None else total + part
+            start += w
+        if 2 * w > d:
+            return total
+        a = a[:-w * step] + a[w * step:]
+        w *= 2
+
+
 def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
             r: int) -> tuple[np.ndarray, np.ndarray]:
     """Slope and degeneracy of the output block [m0, m1) x [n0, n1).
 
-    The block's floor faces, grown by r on every side by `HeightMap.block`,
-    feed nine summed-area tables; each (2r+1)² box sum is four table reads.
-    Absent cells contribute 0 to every moment. Coordinates are local to the
-    grown block: the centered moments are translation invariant and exact,
-    so the origin changes no bit. Table entries may wrap in int64, but box
-    sums and centered moments are exact modulo 2**64, so every one whose true
-    value fits in int64 is exact. The centered moments' products can leave
-    int64 from radius 28, so they are taken in float64.
+    The block's floor faces, grown by r on every side by `HeightMap.block`
+    to H x W cells, give nine moment planes, laid one after another in one
+    flat buffer; absent cells contribute 0 to every moment. Coordinates are
+    local to the grown block: the centered moments are translation
+    invariant and exact, so the origin changes no bit. `_window_sums` runs
+    over the flat buffer with steps of 1 (along n) and W (along m), so a sum
+    that crosses into the next row or plane lands past column W - d or row
+    H - d, which the output drops; those of the last plane run into the
+    buffer's zeroed tail, which the two passes use up.
+
+    With d = 2r+1 and X = max(H, W, max face + 1), every coordinate is below
+    X, so each window sum and each product of two of them, such as c * Σm²,
+    is below d**4 * X**2. The integer work runs in int32 when that is below
+    2**31 and in int64 otherwise; either way it is exact. The centered
+    moments' products can leave int64 from radius 28, so they are taken in
+    float64.
     """
-    faces = height.block(m0, m1, n0, n1, r)
-    present = faces[0] >= 0
-    H, W = present.shape
-    p = present.astype(np.int64)
-    kk = faces[0] * p
-    mm = np.arange(H, dtype=np.int64)[:, None] * p
-    nn = np.arange(W, dtype=np.int64)[None, :] * p
-    # Summed-area tables of the nine moments, with a leading row and column
-    # of zeros so that every box sum is four plain slices.
-    table = np.zeros((9, H + 1, W + 1), dtype=np.int64)
-    for i, moment in enumerate((p, mm, nn, kk, mm * mm, mm * nn, nn * nn,
-                                mm * kk, nn * kk)):
-        table[i, 1:, 1:] = moment
-    np.cumsum(table, axis=1, out=table)
-    np.cumsum(table, axis=2, out=table)
+    fk = height.block(m0, m1, n0, n1, r)[0]
+    H, W = fk.shape
     d = 2 * r + 1
-    s = (table[:, d:, d:] - table[:, :-d, d:]
-         - table[:, d:, :-d] + table[:, :-d, :-d])
-    c, sm, sn, sk, smm, smn, snn, smk, snk = s
-    cxx = (c * smm - sm * sm).astype(np.float64)
-    cxy = (c * smn - sm * sn).astype(np.float64)
-    cyy = (c * snn - sn * sn).astype(np.float64)
-    cxz = (c * smk - sm * sk).astype(np.float64)
-    cyz = (c * snk - sn * sk).astype(np.float64)
+    X = max(H, W, int(fk.max()) + 1)
+    dtype = np.int32 if d ** 4 * X ** 2 < 2 ** 31 else np.int64
+    size = 9 * H * W
+    flat = np.empty(size + (d - 1) * (W + 1), dtype=dtype)
+    flat[size:] = 0
+    # The planes p, m·p, n·p, k·p, m·m·p, m·n·p, m·k·p, n·n·p, n·k·p, with p
+    # 1 at present cells and 0 at absent ones.
+    moments = flat[:size].reshape(9, H, W)
+    present = fk >= 0
+    moments[0] = present
+    m = np.arange(H, dtype=dtype)[:, None]
+    n = np.arange(W, dtype=dtype)
+    np.multiply(m, moments[0], out=moments[1])
+    np.multiply(n, moments[0], out=moments[2])
+    np.multiply(fk, moments[0], out=moments[3])
+    np.multiply(m, moments[1:4], out=moments[4:7])
+    np.multiply(n, moments[2:4], out=moments[7:9])
+    sums = _window_sums(_window_sums(flat, d, 1), d, W).reshape(9, H, W)
+    sums = sums[:, :H - 2 * r, :W - 2 * r]
+    c, sm, sn = sums[:3]
+    # Count-scaled centered moments c*Σm² - (Σm)², c*Σmn - ΣmΣn, ..., in the
+    # order of the last five planes.
+    centered = c * sums[4:9]
+    centered[:3] -= sm * sums[1:4]
+    centered[3:] -= sn * sums[2:4]
+    cxx, cxy, cxz, cyy, cyz = centered.astype(np.float64)
     det = cxx * cyy - cxy * cxy
     num_a = cyy * cxz - cxy * cyz
     num_b = cxx * cyz - cxy * cxz

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own computation paths:
 the column, occupancy and plane-fit rules are stated on float world-meter
 ranges and samples, one column or cell at a time, where the library's kernels
-work on integer voxel indices over whole windows; rasterization inverts range
-extraction by painting voxels, the plane search is exhaustive, the grid
-planner cost check is a plain Dijkstra and its path check the same A* over
-(m, n) tuple keys, path lifting and clearance are per-waypoint loops, and
-the VXG codec reads and writes the whole file at once, finding its box
-by a per-column `any` and its payload by `np.frombuffer`, and the G2D reader
-reads the whole file at once, finding its header lines by `bytes.find`.
+work on integer voxel indices over whole windows; the integer slope kernel
+takes its window sums from summed-area tables, where the library's doubles
+them along each axis; rasterization inverts range extraction by painting
+voxels, the plane search is exhaustive, the grid planner cost check is a
+plain Dijkstra and its path check the same A* over (m, n) tuple keys, path
+lifting and clearance are per-waypoint loops, and the VXG codec reads and
+writes the whole file at once, finding its box by a per-column `any` and its
+payload by `np.frombuffer`, and the G2D reader reads the whole file at once,
+finding its header lines by `bytes.find`.
 """
 from __future__ import annotations
 
@@ -181,6 +183,52 @@ def fit_plane(samples: Sequence[tuple[float, float, float]]) -> PlaneFit | None:
     a = (cyy * cxz - cxy * cyz) / det
     b = (cxx * cyz - cxy * cxz) / det
     return PlaneFit(a, b, mz - a * mx - b * my)
+
+
+def slope_kernel_reference(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
+                           r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and degeneracy flags of the cells [m0, m1) x [n0, n1) at radius
+    r, from int64 summed-area tables (Crow, SIGGRAPH 1984).
+
+    The nine moment planes of the block grown by r are cumulated along both
+    axes, and each (2r+1)² box sum is four table reads. Table entries may
+    wrap in int64, but box sums and centered moments are exact modulo 2**64,
+    so every one whose true value fits in int64 is exact. The float64 tail is
+    the library's, so the bits must match `slope_at`'s wherever both are
+    exact.
+    """
+    faces = height.block(m0, m1, n0, n1, r)
+    present = faces[0] >= 0
+    H, W = present.shape
+    p = present.astype(np.int64)
+    kk = faces[0] * p
+    mm = np.arange(H, dtype=np.int64)[:, None] * p
+    nn = np.arange(W, dtype=np.int64)[None, :] * p
+    table = np.zeros((9, H + 1, W + 1), dtype=np.int64)
+    for i, moment in enumerate((p, mm, nn, kk, mm * mm, mm * nn, nn * nn,
+                                mm * kk, nn * kk)):
+        table[i, 1:, 1:] = moment
+    np.cumsum(table, axis=1, out=table)
+    np.cumsum(table, axis=2, out=table)
+    d = 2 * r + 1
+    s = (table[:, d:, d:] - table[:, :-d, d:]
+         - table[:, d:, :-d] + table[:, :-d, :-d])
+    c, sm, sn, sk, smm, smn, snn, smk, snk = s
+    cxx = (c * smm - sm * sm).astype(np.float64)
+    cxy = (c * smn - sm * sn).astype(np.float64)
+    cyy = (c * snn - sn * sn).astype(np.float64)
+    cxz = (c * smk - sm * sk).astype(np.float64)
+    cyz = (c * snk - sn * sk).astype(np.float64)
+    det = cxx * cyy - cxy * cxy
+    num_a = cyy * cxz - cxy * cyz
+    num_b = cxx * cyz - cxy * cxz
+    lam_max = ((cxx + cyy) + np.sqrt((cxx - cyy) ** 2 + 4 * cxy * cxy)) / 2.0
+    degenerate = (c < 3) | (det == 0) | (lam_max * lam_max > 1e12 * det)
+    safe = np.where(degenerate, 1, det)
+    slope = np.hypot(num_a / safe, num_b / safe)
+    present = present[r:H - r, r:W - r]
+    values = np.where(present, np.where(degenerate, 0.0, slope), np.nan)
+    return values, present & degenerate
 
 
 # -- builders and other oracles ---------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import threading
@@ -28,6 +29,40 @@ def convert(tmp_path, vxg, name="out", *extra):
     out_dir = tmp_path / name
     assert run("convert", "--in", vxg, "--out-dir", out_dir, *extra) == 0
     return out_dir
+
+
+# SHA-256 of the four grids `convert` writes for each default scene, taken
+# with the slope fit's earlier summed-area-table kernel (now
+# `oracles.slope_kernel_reference`): a kernel change that moves any bit of
+# any stage shows here.
+GOLDEN_GRIDS = {
+    "flat-room": {
+        "height.g2d": "2ebc67387a60c8a920699fa02ced79ae8bbff1ad43f772b88a7aed55d0e2e340",
+        "slope.g2d": "681baeacb9fca9e0454474faf6875dd172a8fb5fb031bd916296df53c92e142c",
+        "uav_map.g2d": "be2c81875d4a2bbba82092c4686e3dcebcafd369c6883e6efa0f182c5aa85b4d",
+        "ugv_map.g2d": "164a7083e27a337a071f0254f2c7b70a8803eb0a883b2c38b5e9314c776a82c2",
+    },
+    "ramp": {
+        "height.g2d": "2568a3dda0d25b52b313fca7fc1831fc85bcde38a1eb9f9813253d17f666e798",
+        "slope.g2d": "4d89229d0985b730c8d996a847aaddffbfc218dfcdcddb48b2edbccb40eed71c",
+        "uav_map.g2d": "be2c81875d4a2bbba82092c4686e3dcebcafd369c6883e6efa0f182c5aa85b4d",
+        "ugv_map.g2d": "164a7083e27a337a071f0254f2c7b70a8803eb0a883b2c38b5e9314c776a82c2",
+    },
+    "composite": {
+        "height.g2d": "c8cf4134d6ba25c8e9c2315245047d4bfdc0c3d2bd9829f819bdba464d8b169a",
+        "slope.g2d": "72aa03fd32b00e89b76acd88b760868877e4a6ce5d070671763bbb564630e855",
+        "uav_map.g2d": "3793da246fd16564029cb694808932d0d72bd8644c185a84958c24e6560d3ac7",
+        "ugv_map.g2d": "ae5d0fa6f0f13af287f0a74f834c7d92e38f8d5eec2f024165ee0997b281e87e",
+    },
+}
+
+
+@pytest.mark.parametrize("scene", sorted(GOLDEN_GRIDS))
+def test_convert_writes_the_golden_grids(tmp_path, scene):
+    out = convert(tmp_path, synth(tmp_path, scene, "--no-sidecar"))
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_GRIDS[scene]}
+    assert got == GOLDEN_GRIDS[scene]
 
 
 def test_synth_convert_produces_all_grids(tmp_path, capsys):

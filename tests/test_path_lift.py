@@ -491,6 +491,30 @@ def test_clearance_disc_is_the_per_offset_rule(res):
         assert list(zip(dm.tolist(), dn.tolist())) == disc_offsets_reference(radius, res)
 
 
+def test_clearance_disc_is_cached_read_only_and_paths_are_unchanged():
+    # enforce_clearance once rebuilt the disc on every call; the cached one
+    # is shared by every later call, so no caller may write to it.
+    vmap, _ = generate(SceneSpec(kind="overhang"))
+    height = init(vmap).height
+    M, N, _ = vmap.extent
+    lifted = lift_path([(m, N // 2) for m in range(2, M - 2)], height,
+                       LiftParams(2, 1.0, 0.5))
+    want = enforce_clearance_reference(lifted, height, 0.5)
+    assert want != lifted  # the beam moves some waypoints
+    path_lift._disc.cache_clear()
+    assert enforce_clearance(lifted, height, 0.5) == want
+    assert enforce_clearance(np.array(lifted), height, 0.5) == want
+    info = path_lift._disc.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    dm, dn = path_lift._disc(0.5, height.resolution, 5)
+    assert path_lift._disc(0.5, height.resolution, 5)[0] is dm
+    for offsets in (dm, dn):
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 0
+    assert enforce_clearance(lifted, height, 0.5) == want
+
+
 def test_clearance_disc_is_clipped_to_the_map():
     # the disc was built over (2 * ceil(radius / res) + 1)**2 cells however
     # small the map: about 10**14 for this radius

@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 from voxflat import ConversionParams, HeightMap, build_slope_map, init, slope_at
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import best_grid_residual, fit_plane, make_height_map, plane_residual
+from oracles import (best_grid_residual, fit_plane, make_height_map, plane_residual,
+                     slope_kernel_reference)
 
 
 def plane_samples(a, b, c, positions):
@@ -267,3 +268,66 @@ def test_kernel_windows_equal_the_full_map_and_the_float_fit(grid, data):
         else:
             assert abs(full.values[m, n] - np.hypot(fit.a, fit.b)) <= 1e-9
     assert np.array_equal(np.isnan(full.values), np.isnan(height.floor))
+
+
+def reference_slopes(height, m0, m1, n0, n1, radius):
+    """The summed-area-table kernel on the window, at slope_at's radius."""
+    return slope_kernel_reference(height, m0, m1, n0, n1, min(radius, max(height.extent)))
+
+
+def assert_same_bits(got, want):
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    assert np.array_equal(got[1], want[1])
+
+
+@st.composite
+def face_maps(draw):
+    """A height map of random present cells whose floors spread over up to
+    60 or 2**20 faces: at the wide spread the centered moments of a large
+    radius leave int32."""
+    M, N = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    top = draw(st.sampled_from([60, 2**20]))
+    k = draw(arrays(np.int32, (M, N), elements=st.integers(0, top)))
+    present = draw(arrays(np.bool_, (M, N)))
+    return HeightMap(0.1, (0.0, 0.0, 0.0), np.where(present, k, -1),
+                     np.where(present, k + 1, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_maps(), st.integers(1, 8), st.data())
+def test_slope_at_equals_the_summed_area_reference_bit_for_bit(height, radius, data):
+    M, N = height.extent
+    (m0, m1), (n0, n1) = data.draw(spans(M)), data.draw(spans(N))
+    got = slope_at(height, slice(m0, m1), slice(n0, n1), radius)
+    assert_same_bits(got, reference_slopes(height, m0, m1, n0, n1, radius))
+
+
+@pytest.mark.parametrize("radius", [1, 8])
+def test_faces_near_2_pow_20_match_the_reference(radius):
+    # d**4 * X**2 is far past 2**31 here, so the sums run in int64; at
+    # radius 8 the centered moments of these floors would not fit int32.
+    rng = np.random.default_rng(31)
+    k = rng.integers(2**19, 2**20, (30, 30)).astype(np.int32)
+    k[rng.random((30, 30)) < 0.2] = -1
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), k, np.where(k < 0, -1, k + 30))
+    got = slope_at(height, slice(0, 30), slice(0, 30), radius)
+    assert_same_bits(got, reference_slopes(height, 0, 30, 0, 30, radius))
+    assert not np.isnan(got[0][k >= 0]).any()
+
+
+@pytest.mark.parametrize("width", [5146, 5147, 5160])
+def test_either_side_of_the_int32_bound_matches_the_reference(width):
+    # At radius 1 one band is 3 rows grown to 5 and the map's width grown by
+    # 2, so X is width + 2: 81 * 5148**2 < 2**31 <= 81 * 5149**2. The widest
+    # int32 map, the narrowest int64 one, and one whose window sums' products
+    # would pass 2**31 in int32.
+    assert 81 * 5148**2 < 2**31 <= 81 * 5149**2
+    rng = np.random.default_rng(width)
+    k = rng.integers(0, 40, (3, width)).astype(np.int32)
+    gaps = rng.random(width) < 0.1
+    gaps[[0, -1]] = False  # the present cells' box spans the whole width
+    k[:, gaps] = -1
+    height = HeightMap(0.1, (0.0, 0.0, 0.0), k, np.where(k < 0, -1, k + 30))
+    got = slope_at(height, slice(0, 3), slice(0, width), 1)
+    assert_same_bits(got, reference_slopes(height, 0, 3, 0, width, 1))
