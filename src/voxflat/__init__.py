@@ -18,10 +18,9 @@ height map's output views, the G2D files, and `HeightMap.from_meters`.
 """
 from .column_extraction import HeightMap, build_height_map, convert_column
 from .incremental import ConversionState, DirtyReport, init, update
-from .io_formats import (GridFileHeader, GridFormatError, SizeReport,
-                         read_grid, read_height, read_occupancy, read_slope,
-                         size_report, write_height, write_occupancy,
-                         write_occupancy_pgm, write_slope)
+from .io_formats import (GridFileHeader, GridFormatError, read_grid,
+                         read_height, read_occupancy, read_slope, write_height,
+                         write_occupancy, write_occupancy_pgm, write_slope)
 from .occupancy_maps import (OccupancyGrid, build_ugv_map, build_uav_map,
                              uav_cell_value, ugv_values)
 from .params import ConversionParams

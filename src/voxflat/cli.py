@@ -26,8 +26,8 @@ from .params import ConversionParams
 from .path_lift import (LiftParams, enforce_clearance, lift_path, plan_2d,
                         read_path_2d, write_path_3d)
 from .scenes import SCENE_KINDS, SceneSpec, generate
-from .voxel_store import (VoxelState, VxgError, load_voxel_map, read_voxel_map,
-                          save_voxel_map)
+from .voxel_store import (VoxelState, VxgError, load_voxel_map, read_ascii,
+                          read_voxel_map, save_voxel_map)
 
 # (paper flag, ConversionParams field, help); the manifest's parameter names
 _CONVERSION_FLAGS = (
@@ -171,8 +171,10 @@ def _cmd_convert(args) -> int:
         outputs["uav_pgm"] = "uav_map.pgm"
         outputs["ugv_pgm"] = "ugv_map.pgm"
     write_time = time.perf_counter() - t0
-    sizes = io_formats.size_report(
-        args.input, {label: out_dir / name for label, name in outputs.items()})
+    # The input's size is what the reader read: its path may be a pipe, or
+    # gone by now.
+    sizes = {"input": input_bytes,
+             **{label: (out_dir / name).stat().st_size for label, name in outputs.items()}}
     M, N, K = vmap.extent
     manifest = {
         "input": str(args.input),
@@ -183,7 +185,7 @@ def _cmd_convert(args) -> int:
             "s_a_cells": params.slope_radius_cells(vmap.resolution),
         },
         "outputs": outputs,
-        "bytes": {"input": input_bytes, **dict(sizes.entries)},
+        "bytes": sizes,
         "wall_time_s": round(elapsed, 6),
         "load_time_s": round(load_time, 6),
         "write_time_s": round(write_time, 6),
@@ -297,7 +299,7 @@ def _read_trace(path) -> list[np.ndarray]:
     """The trace's batches, each one int64 (n, 4) array of i, j, k, state."""
     batches: list[np.ndarray] = []
     current: list = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, raw in enumerate(read_ascii(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             if current:

@@ -211,17 +211,6 @@ class HeightMap:
             raise ValueError(f"window slices must have step 1, got {rows} and {cols}")
         return m0, max(m0, m1), n0, max(n0, n1)
 
-    def block(self, m0: int, m1: int, n0: int, n1: int, halo: int) -> np.ndarray:
-        """Floor and ceiling faces, int32 (2, h, w), of [m0, m1) x [n0, n1)
-        grown by halo cells on every side; cells past the edge read -1."""
-        M, N = self.extent
-        i0, j0 = m0 - halo, n0 - halo  # the grown block's first row and column
-        a0, a1, b0, b1 = max(0, i0), min(M, m1 + halo), max(0, j0), min(N, n1 + halo)
-        k = np.full((2, m1 + halo - i0, n1 + halo - j0), -1, dtype=np.int32)
-        k[0, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.floor_k[a0:a1, b0:b1]
-        k[1, a0 - i0:a1 - i0, b0 - j0:b1 - j0] = self.ceil_k[a0:a1, b0:b1]
-        return k
-
     def faces_at(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Floor and ceiling faces at integer cell arrays of one shape; a cell
         off the map reads -1 in both, as an absent cell does."""
@@ -230,6 +219,21 @@ class HeightMap:
         m, n = np.where(inside, m, 0), np.where(inside, n, 0)
         return (np.where(inside, self.floor_k[m, n], -1),
                 np.where(inside, self.ceil_k[m, n], -1))
+
+
+def pad_block(m0: int, m1: int, n0: int, n1: int, halo: int,
+              *planes: np.ndarray) -> np.ndarray:
+    """The cells [m0, m1) x [n0, n1), grown by halo cells on every side, of
+    each of the M x N face planes given, as one int32 (planes, h, w) array;
+    cells past the edge read -1, as absent faces do."""
+    M, N = planes[0].shape
+    i0, j0 = m0 - halo, n0 - halo  # the grown block's first row and column
+    a0, a1, b0, b1 = max(0, i0), min(M, m1 + halo), max(0, j0), min(N, n1 + halo)
+    k = np.full((len(planes), m1 + halo - i0, n1 + halo - j0), -1, dtype=np.int32)
+    inside = k[:, a0 - i0:a1 - i0, b0 - j0:b1 - j0]
+    for i, plane in enumerate(planes):
+        inside[i] = plane[a0:a1, b0:b1]
+    return k
 
 
 def grow(box: tuple[int, int, int, int], halo: int, M: int,

@@ -1,4 +1,4 @@
-"""Compact on-disk formats for the 2D products, plus size accounting.
+"""Compact on-disk formats for the 2D products.
 
 A G2D grid file has the VXG file layout and shares its reader and writer
 (`voxel_store`): ASCII header lines, `G2D 1` first, then the raw row-major
@@ -205,49 +205,3 @@ def write_occupancy_pgm(grid: OccupancyGrid, path: str | Path) -> None:
     gray[values < 0.0] = 127
     rows = "".join(" ".join(map(str, row)) + "\n" for row in gray.T[::-1].tolist())
     Path(path).write_text(f"P2\n{M} {N}\n255\n" + rows, encoding="ascii")
-
-
-# -- size accounting --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SizeReport:
-    """Raw byte counts of 2D artifacts relative to the source voxel file."""
-
-    voxel_label: str
-    voxel_bytes: int
-    entries: tuple[tuple[str, int], ...]
-
-    def percent(self, size: int) -> float:
-        return round(size / self.voxel_bytes * 100.0, 1)
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        rows = [(self.voxel_label, self.voxel_bytes, 100.0)]
-        rows.extend((label, size, self.percent(size)) for label, size in self.entries)
-        return rows
-
-    def to_csv(self) -> str:
-        out = ["artifact,bytes,percent_of_voxel_map"]
-        out.extend(f"{label},{size},{pct:.1f}" for label, size, pct in self.rows())
-        return "\n".join(out) + "\n"
-
-
-def size_report(voxel_path: str | Path, grid_paths: dict | list) -> SizeReport:
-    """Compare raw file sizes; an artifact may group several files.
-
-    grid_paths is either a list of paths (labelled by file name) or a mapping
-    of label to path or list of paths whose sizes are summed, which covers
-    map-plus-height style artifacts.
-    """
-    voxel_path = Path(voxel_path)
-    voxel_bytes = voxel_path.stat().st_size
-    if isinstance(grid_paths, dict):
-        items = grid_paths.items()
-    else:
-        items = ((Path(p).name, p) for p in grid_paths)
-    entries = []
-    for label, paths in items:
-        if isinstance(paths, (str, Path)):
-            paths = [paths]
-        entries.append((label, sum(Path(p).stat().st_size for p in paths)))
-    return SizeReport(voxel_path.name, voxel_bytes, tuple(entries))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, grow, run_bands
+from .column_extraction import HeightMap, grow, pad_block, run_bands
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState, nonzero_box
 
@@ -88,13 +88,13 @@ def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
                n1: int, min_occupancy: float) -> np.ndarray:
     """Aerial values of the block [m0, m1) x [n0, n1).
 
-    The block's floor and ceiling faces, grown by one cell by
-    `HeightMap.block`, give every boundary cell's eight neighbour spans at
-    once. A span's length is taken as given; the part of it outside [0, K)
-    counts no occupied voxels (voxels there are Unknown).
+    The block's floor and ceiling faces, grown by one cell by `pad_block`,
+    give every boundary cell's eight neighbour spans at once. A span's
+    length is taken as given; the part of it outside [0, K) counts no
+    occupied voxels (voxels there are Unknown).
     """
     K = vmap.extent[2]
-    k = height.block(m0, m1, n0, n1, 1)
+    k = pad_block(m0, m1, n0, n1, 1, height.floor_k, height.ceil_k)
     present = k[0] >= 0
     here = present[1:-1, 1:-1]
     near = present[:-2] | present[1:-1] | present[2:]

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
 from .params import check_fields
-from .voxel_store import Cell, cell_center, int_records
+from .voxel_store import Cell, cell_center, int_records, read_ascii
 
 Waypoint3D = tuple[float, float, float]
 
@@ -278,7 +278,7 @@ def _read_path(file: str | Path, number, fields: str, what: str) -> list[tuple]:
     """One tuple of finite `number`s per line, one per name in `fields`;
     blank lines and '#' comments are skipped."""
     out = []
-    for lineno, raw in enumerate(Path(file).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, raw in enumerate(read_ascii(file).splitlines(), 1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue

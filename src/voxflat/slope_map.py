@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, check_positive_int, run_bands
+from .column_extraction import HeightMap, check_positive_int, pad_block, run_bands
 from .voxel_store import nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
@@ -110,8 +110,8 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
             r: int) -> tuple[np.ndarray, np.ndarray]:
     """Slope and degeneracy of the output block [m0, m1) x [n0, n1).
 
-    The block's floor faces, grown by r on every side by `HeightMap.block`
-    to H x W cells, give nine moment planes, laid one after another in one
+    The block's floor faces, grown by r on every side by `pad_block` to
+    H x W cells, give nine moment planes, laid one after another in one
     flat buffer; absent cells contribute 0 to every moment. Coordinates are
     local to the grown block: the centered moments are translation
     invariant and exact, so the origin changes no bit. `_window_sums` runs
@@ -127,7 +127,7 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     moments' products can leave int64 from radius 28, so they are taken in
     float64.
     """
-    fk = height.block(m0, m1, n0, n1, r)[0]
+    fk, = pad_block(m0, m1, n0, n1, r, height.floor_k)
     H, W = fk.shape
     d = 2 * r + 1
     X = max(H, W, int(fk.max()) + 1)

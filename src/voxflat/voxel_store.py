@@ -72,6 +72,18 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
+def read_ascii(path: str | Path) -> str:
+    """The text of an ASCII file, such as a trace or a path file; a byte
+    above 0x7f raises ValueError naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        # The bytes before the first bad one decode; the bad one ends the last line.
+        lineno = len((data[:e.start] + b".").decode("ascii").splitlines())
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[e.start]:02x}") from None
+
+
 def cell_center(origin: Sequence[float], resolution: float, m: int, n: int) -> tuple[float, float]:
     """World (x, y) of the center of grid cell (m, n)."""
     return (origin[0] + (m + 0.5) * resolution, origin[1] + (n + 0.5) * resolution)

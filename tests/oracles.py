@@ -26,6 +26,7 @@ import numpy as np
 from voxflat import (ColumnView, GridFileHeader, GridFormatError, HeightMap, VoxelMap,
                      VoxelState, VxgError, VxgHeaderError, VxgRecordError,
                      VxgTruncatedError, VxgVersionError)
+from voxflat.column_extraction import pad_block
 from voxflat.occupancy_maps import NEIGHBORS_8
 from voxflat.voxel_store import Cell, cell_center, fmt_float, header_fields
 
@@ -197,11 +198,11 @@ def slope_kernel_reference(height: HeightMap, m0: int, m1: int, n0: int, n1: int
     the library's, so the bits must match `slope_at`'s wherever both are
     exact.
     """
-    faces = height.block(m0, m1, n0, n1, r)
-    present = faces[0] >= 0
+    floor, = pad_block(m0, m1, n0, n1, r, height.floor_k)
+    present = floor >= 0
     H, W = present.shape
     p = present.astype(np.int64)
-    kk = faces[0] * p
+    kk = floor * p
     mm = np.arange(H, dtype=np.int64)[:, None] * p
     nn = np.arange(W, dtype=np.int64)[None, :] * p
     table = np.zeros((9, H + 1, W + 1), dtype=np.int64)

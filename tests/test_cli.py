@@ -149,6 +149,30 @@ def test_convert_manifest_counts_the_bytes_read_from_a_pipe(tmp_path):
     assert manifest["bytes"]["input"] == len(data) > 0
 
 
+def test_convert_reads_an_input_whose_path_is_gone(tmp_path):
+    # the writer unlinks the FIFO once both ends are open; the manifest's
+    # input size comes from the reader, and the input path is not read again
+    data = synth(tmp_path, "ramp").read_bytes()
+    fifo = tmp_path / "gone.vxg"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as f:
+            fifo.unlink()
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        out = convert(tmp_path, fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert not fifo.exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["bytes"]["input"] == len(data) > 0
+
+
 def test_convert_refuses_a_vxg_1_file(tmp_path, capsys):
     old = tmp_path / "old.vxg"
     old.write_bytes(b"VXG 1\nres 0.1\norigin 0.0 0.0 0.0\nextent 64 48 8\ncount 0\n")
@@ -573,6 +597,10 @@ def test_trace_parse_errors(tmp_path, capsys):
     assert run("bench", "--in", vxg, "--trace", trace,
                "--out", tmp_path / "b.csv") == 2
     assert "trace.txt:3: voxel index beyond int64" in capsys.readouterr().err
+    trace.write_bytes(b"1 2 3 free\n\xff\n")
+    assert run("bench", "--in", vxg, "--trace", trace,
+               "--out", tmp_path / "b.csv") == 2
+    assert capsys.readouterr().err.endswith("trace.txt:2: non-ASCII byte 0xff\n")
     trace.write_text("1 2 3 free\n1 -2 3 occupied\n")
     assert run("bench", "--in", vxg, "--trace", trace,
                "--out", tmp_path / "b.csv") == 2

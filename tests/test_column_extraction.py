@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
                      build_height_map, convert_column, init)
-from voxflat.column_extraction import nonzero_box, run_bands
+from voxflat.column_extraction import nonzero_box, pad_block, run_bands
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -264,10 +264,13 @@ def test_height_block_pads_with_absent_faces():
     # read -1, and presence is floor_k >= 0.
     height = HeightMap(0.5, (0.0, 0.0, 1.0), np.array([[0, 1], [-1, 2]], np.int32),
                        np.array([[4, 5], [-1, 6]], np.int32))
-    faces = height.block(0, 2, 1, 2, 1)
+    faces = pad_block(0, 2, 1, 2, 1, height.floor_k, height.ceil_k)
     assert faces.dtype == np.int32 and faces.shape == (2, 4, 3)
     assert faces[0].tolist() == [[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [-1, -1, -1]]
     assert faces[1].tolist() == [[-1, -1, -1], [4, 5, -1], [-1, 6, -1], [-1, -1, -1]]
+    # One plane given, one plane padded: the slope fit reads the floor only.
+    floor = pad_block(0, 2, 1, 2, 1, height.floor_k)
+    assert floor.shape == (1, 4, 3) and (floor[0] == faces[0]).all()
     assert (height.floor_k >= 0).tolist() == [[True, True], [False, True]]
     assert nonzero_box(height.floor_k[1:2, 0:2] >= 0) == (0, 1, 1, 2)
     assert nonzero_box(height.floor_k[1:2, 0:1] >= 0) is None

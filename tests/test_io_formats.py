@@ -7,8 +7,8 @@ import pytest
 
 from voxflat import (GridFormatError, HeightMap, OccupancyGrid, SlopeMap,
                      read_grid, read_height, read_occupancy, read_slope,
-                     size_report, write_height, write_occupancy,
-                     write_occupancy_pgm, write_slope)
+                     write_height, write_occupancy, write_occupancy_pgm,
+                     write_slope)
 
 from oracles import grid_outcome, make_height_map
 
@@ -221,37 +221,6 @@ def test_slope_header_rejects_unreadable_window(tmp_path):
         path.write_bytes(path.read_bytes().replace(b"window 2", window))
         with pytest.raises(GridFormatError, match=message):
             read_slope(path)
-
-
-def test_size_report_self_comparison(tmp_path):
-    path = tmp_path / "v.vxg"
-    path.write_bytes(b"x" * 1000)
-    report = size_report(path, {"itself": path})
-    rows = report.rows()
-    assert rows[0] == ("v.vxg", 1000, 100.0)
-    assert rows[1] == ("itself", 1000, 100.0)
-
-
-def test_size_report_grouping_and_percentages(tmp_path):
-    voxel = tmp_path / "v.vxg"
-    voxel.write_bytes(b"x" * 10_000)
-    a = tmp_path / "map.g2d"
-    a.write_bytes(b"y" * 450)
-    b = tmp_path / "height.g2d"
-    b.write_bytes(b"z" * 1_000)
-    report = size_report(voxel, {"2d-map": a, "2d-map+height": [a, b]})
-    rows = {label: (size, pct) for label, size, pct in report.rows()}
-    assert rows["2d-map"] == (450, 4.5)
-    assert rows["2d-map+height"] == (1450, 14.5)
-    csv = report.to_csv()
-    assert "2d-map,450,4.5" in csv
-
-
-def test_size_report_missing_file(tmp_path):
-    voxel = tmp_path / "v.vxg"
-    voxel.write_bytes(b"x")
-    with pytest.raises(FileNotFoundError):
-        size_report(voxel, [tmp_path / "nope.g2d"])
 
 
 def test_occupancy_file_smaller_than_voxel_file_when_columns_are_busy(tmp_path):

@@ -616,10 +616,12 @@ def test_clearance_rejects_waypoints_that_are_not_triples(path):
     (read_path_3d, "0 0 -inf\n", r":1: non-finite coordinates '0 0 -inf'$"),
     (read_path_3d, "0.1 1e999 0\n", r":1: non-finite coordinates '0.1 1e999 0'$"),
     (read_path_3d, "NaN 0.2 1\n", r":1: non-finite coordinates 'NaN 0.2 1'$"),
+    (read_path_2d, "0 0\n\xff 1\n", r":2: non-ASCII byte 0xff$"),
+    (read_path_2d, "0 0\r1 1\r\n2 \x80\n", r":3: non-ASCII byte 0x80$"),
 ])
 def test_path_files_reject_unreadable_lines(tmp_path, read, text, message):
     path = tmp_path / "path.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")  # one byte per character
     with pytest.raises(ValueError, match=message):
         read(path)
 
