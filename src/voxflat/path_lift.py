@@ -1,11 +1,13 @@
 """2D grid planning, 2D-to-3D path lifting, and spherical clearance for UAVs.
 
-The planner is an 8-connected A* over the occupancy grid. It keys cells by
-flat index and reads freeness through a view of the grid's buffer, so a plan
-costs work in proportion to the cells it expands, not to the map. Lifting
-gives each waypoint a windowed maximum of nearby floor heights plus an
-offset, and aerial paths get an additional sphere check against every height
-cell within the safety radius.
+The planner is an 8-connected A* over the occupancy grid, on exact integer
+path costs: 2**121 a straight step, sqrt(2) * 2**121 rounded a diagonal one.
+Its heap orders cells by (f, h, m, n), so equal f breaks toward the goal, and
+a closed cell is final. It keys cells by flat index and reads freeness
+through a view of the grid's buffer, so a plan costs work in proportion to
+the cells it expands, not to the map. Lifting gives each waypoint a windowed
+maximum of nearby floor heights plus an offset, and aerial paths get an
+additional sphere check against every height cell within the safety radius.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
@@ -31,9 +32,15 @@ Waypoint3D = tuple[float, float, float]
 # which bounds its memory on long paths with large radii
 _GATHER_CELLS = 1 << 16
 
-_SQRT2 = math.sqrt(2.0)
-_STEPS = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
-          (0, 1, 1.0), (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
+# plan_2d's integer step costs: 2**121 straight, sqrt(2) * 2**121 rounded to
+# the nearest integer diagonal (isqrt gives floor(2 * sqrt(2) * 2**121)); see
+# plan_2d for why 121 bits. _NEVER exceeds any path cost (< 2**182) on any grid.
+_UNIT = 1 << 121
+_DIAG = (math.isqrt(8 * _UNIT * _UNIT) + 1) // 2
+_EXTRA = _DIAG - _UNIT
+_NEVER = 1 << 192
+_STEPS = ((-1, -1, _DIAG), (-1, 0, _UNIT), (-1, 1, _DIAG), (0, -1, _UNIT),
+          (0, 1, _UNIT), (1, -1, _DIAG), (1, 0, _UNIT), (1, 1, _DIAG))
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,25 @@ class LiftParams:
 def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     """Shortest 8-connected path through free cells, or None if disconnected.
 
-    Straight steps cost 1 and diagonal steps sqrt(2). The A* search keys
-    cells by their flat index m*N + n, whose order is (m, n) order, so equal
-    f values still break ties on (m, n) and results are deterministic.
+    Path costs are integers: a straight step costs U = 2**121 and a diagonal
+    step D = round(sqrt(2) * U), and the octile heuristic U*max(a, b) +
+    (D - U)*min(a, b) uses the same two constants. Sums are exact, so routes
+    of equal cost tie exactly whatever order their steps come in. The
+    heuristic is the cost of the same route on an all-free grid, so it is
+    consistent: a closed cell's cost is final, and closed cells are skipped.
+    The A* heap orders cells by (f, h, m, n): equal f breaks toward the goal
+    (smaller h), then on (m, n), so results are deterministic.
+
+    The integer order keeps the order of true costs s + d*sqrt(2) (s straight
+    and d diagonal steps) among routes of at most L steps when U > (1 +
+    sqrt(2)) * L**2 / 2. D is off by at most 1/2, so the rounding terms
+    d * (D - sqrt(2)*U) of two such routes differ by at most L/2, while
+    distinct true costs differ by at least 1/((1 + sqrt(2)) * L), since
+    |x + y*sqrt(2)| * |x - y*sqrt(2)| = |x**2 - 2*y**2| >= 1 for their
+    differences x, y. A shortest route visits no cell twice, so L < M*N, and
+    a float64 grid numpy can hold has M*N < 2**60 cells (2**63 bytes), which
+    U = 2**121 covers. The path is thus shortest by true cost too.
+
     Endpoints are (m, n) integer pairs (bool acts as its integer); another
     field raises TypeError and another length ValueError. A start or goal
     that is off the map or not free (value exactly 0) is a ValueError.
@@ -94,14 +117,16 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     target = gm * N + gn
     steps = [(dm, dn, dm * N + dn, cost) for dm, dn, cost in _STEPS]
     a, b = abs(sm - gm), abs(sn - gn)
-    heap = [(abs(a - b) + _SQRT2 * min(a, b), source)]
-    best_g = {source: 0.0}
+    h = _UNIT * a + _EXTRA * b if a > b else _UNIT * b + _EXTRA * a
+    heap = [(h, h, source)]
+    # g of each reached cell; a closed cell's is -1, below any route's cost
+    best_g = {source: 0}
     parent: dict[int, int] = {}
-    done: set[int] = set()
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        c = pop(heap)[1]
-        if c in done:
+        c = pop(heap)[2]
+        g = best_g[c]
+        if g < 0:
             continue
         if c == target:
             path = [c]
@@ -109,10 +134,10 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
                 c = parent[c]
                 path.append(c)
             return [divmod(c, N) for c in reversed(path)]
-        done.add(c)
-        g = best_g[c]
+        best_g[c] = -1
         m, n = divmod(c, N)
         border = m == 0 or n == 0 or m == M - 1 or n == N - 1
+        am, an = m - gm, n - gn
         for dm, dn, dc, cost in steps:
             if border and not (0 <= m + dm < M and 0 <= n + dn < N):
                 continue
@@ -120,14 +145,13 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
             if cells[nc]:  # any nonzero value, NaN included, is not free
                 continue
             ng = g + cost
-            # A closed cell reopens on a strictly lower g, which float rounding
-            # can give; that decides which of two equal-cost parents wins.
-            if ng < best_g.get(nc, math.inf):
+            if ng < best_g.get(nc, _NEVER):
                 best_g[nc] = ng
                 parent[nc] = c
-                a = abs(m + dm - gm)
-                b = abs(n + dn - gn)
-                push(heap, (ng + (abs(a - b) + _SQRT2 * min(a, b)), nc))
+                a = abs(am + dm)
+                b = abs(an + dn)
+                h = _UNIT * a + _EXTRA * b if a > b else _UNIT * b + _EXTRA * a
+                push(heap, (ng + h, h, nc))
     return None
 
 
@@ -154,8 +178,16 @@ def lift_path(path: Sequence[Cell] | np.ndarray, height: HeightMap,
     # Windows are clipped to the path, so a wider one reads nothing more.
     w = min(params.lookahead, len(path))
     # oz + k*res is monotone in k, so the highest face gives the highest floor.
+    # By doubling, top[i] becomes the highest of the `span` faces from i. With
+    # span <= d < 2 * span, the runs from i and from i + d - span overlap and
+    # cover the d faces of window i.
     pad = np.full(w, -1, dtype=floor_k.dtype)
-    top = sliding_window_view(np.concatenate((pad, floor_k, pad)), 2 * w + 1).max(axis=1)
+    top = np.concatenate((pad, floor_k, pad))
+    d, span = 2 * w + 1, 1
+    while 2 * span <= d:
+        top = np.maximum(top[:-span], top[span:])
+        span *= 2
+    top = np.maximum(top[:len(path)], top[d - span:])
     z = height.meters(top) + params.height_offset
     x, y = cell_center(height.origin, height.resolution, m, n)
     return list(zip(x.tolist(), y.tolist(), z.tolist()))

@@ -15,6 +15,7 @@ finding its header lines by `bytes.find`.
 """
 from __future__ import annotations
 
+import decimal
 import heapq
 import math
 from dataclasses import dataclass
@@ -271,15 +272,30 @@ def best_grid_residual(samples, coeff_span: float = 2.0, c_span: float = 2.0,
     return float((resid * resid).sum(axis=1).min())
 
 
-_SQRT2 = math.sqrt(2.0)
-_STEPS = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
-          (0, 1, 1.0), (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
+# Integer step costs: 2**121 straight, and sqrt(2) * 2**121 rounded to the
+# nearest integer diagonal, worked out here in 80-digit decimal arithmetic.
+_UNIT = 2**121
+_CONTEXT = decimal.Context(prec=80)
+_DIAG = int(_CONTEXT.multiply(_CONTEXT.sqrt(2), _UNIT).to_integral_value(
+    rounding=decimal.ROUND_HALF_EVEN))
+_STEPS = ((-1, -1, _DIAG), (-1, 0, _UNIT), (-1, 1, _DIAG), (0, -1, _UNIT),
+          (0, 1, _UNIT), (1, -1, _DIAG), (1, 0, _UNIT), (1, 1, _DIAG))
+
+
+def integer_path_cost(path) -> int:
+    """The integer cost plan_2d minimises: _UNIT per straight step and _DIAG
+    per diagonal one."""
+    return sum(_DIAG if a[0] != b[0] and a[1] != b[1] else _UNIT
+               for a, b in zip(path, path[1:]))
 
 
 def plan_2d_reference(grid, start, goal):
     """plan_2d's search over (m, n) tuple keys, reading each neighbour's value
-    from the 2D array and the heuristic through a function call. The library
-    must return exactly this path, or None, for valid endpoints."""
+    from the 2D array and the heuristic through a function call. Path costs
+    are integers (the octile heuristic uses the same two step costs), heap
+    entries are (f, h, m, n), so equal f breaks toward the goal and then on
+    (m, n), and a closed cell is final. The library must return exactly this
+    path, or None, for valid endpoints."""
     values = grid.values
     M, N = values.shape
     for name, (m, n) in (("start", start), ("goal", goal)):
@@ -290,17 +306,18 @@ def plan_2d_reference(grid, start, goal):
     if start == goal:
         return [start]
 
-    def heuristic(cell) -> float:
+    def heuristic(cell) -> int:
         dm = abs(cell[0] - goal[0])
         dn = abs(cell[1] - goal[1])
-        return abs(dm - dn) + _SQRT2 * min(dm, dn)
+        return _UNIT * abs(dm - dn) + _DIAG * min(dm, dn)
 
-    best_g = {start: 0.0}
+    best_g = {start: 0}
     parent = {}
-    heap = [(heuristic(start), *start)]
+    h = heuristic(start)
+    heap = [(h, h, *start)]
     done = set()
     while heap:
-        f, m, n = heapq.heappop(heap)
+        f, h, m, n = heapq.heappop(heap)
         cell = (m, n)
         if cell in done:
             continue
@@ -316,14 +333,16 @@ def plan_2d_reference(grid, start, goal):
         for dm, dn, cost in _STEPS:
             mm = m + dm
             nn = n + dn
-            if not (0 <= mm < M and 0 <= nn < N) or values[mm, nn] != 0.0:
-                continue
             nxt = (mm, nn)
+            if (not (0 <= mm < M and 0 <= nn < N) or values[mm, nn] != 0.0
+                    or nxt in done):
+                continue
             ng = g + cost
             if nxt not in best_g or ng < best_g[nxt]:
                 best_g[nxt] = ng
                 parent[nxt] = cell
-                heapq.heappush(heap, (ng + heuristic(nxt), mm, nn))
+                h = heuristic(nxt)
+                heapq.heappush(heap, (ng + h, h, mm, nn))
     return None
 
 

@@ -13,8 +13,8 @@ from voxflat import path_lift
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (bfs_hops, dijkstra_cost, disc_offsets_reference,
-                     enforce_clearance_reference, lift_path_reference,
-                     make_height_map, plan_2d_reference)
+                     enforce_clearance_reference, integer_path_cost,
+                     lift_path_reference, make_height_map, plan_2d_reference)
 
 
 def grid_from_rows(rows):
@@ -158,17 +158,69 @@ def test_planner_breaks_ties_like_the_reference_on_free_grids(M, N, data):
     assert plan_2d(grid, start, goal) == plan_2d_reference(grid, start, goal)
 
 
-def test_planner_reopens_a_closed_cell_on_a_rounding_better_cost():
-    # Routes that sum the same unit and diagonal steps in another order differ
-    # in the last bit of their cost. Here a closed cell is reached again at a
-    # cost one rounding lower; reopening it, as the reference does, is what
-    # decides the returned path.
+def test_planner_ties_routes_that_float_sums_split_by_one_rounding():
+    # Two routes to (1, 5) take the same three diagonal and two straight steps
+    # in another order. Summed in floats they differ in the last bit, which
+    # once decided the path here; in integers they tie, so (f, h, m, n)
+    # decides it.
     rows = [[0.0] * 10 for _ in range(5)]
     rows[0][7] = rows[4][1] = 1.0
     grid = grid_from_rows(rows)
-    want = [(4, 0), (3, 1), (3, 2), (2, 3), (2, 4), (2, 5), (1, 6), (1, 7), (0, 8), (0, 9)]
+    upper = [(4, 0), (3, 1), (2, 2), (1, 3), (1, 4), (1, 5)]
+    lower = [(4, 0), (3, 1), (2, 2), (2, 3), (2, 4), (1, 5)]
+    assert path_cost(upper) != path_cost(lower)
+    assert integer_path_cost(upper) == integer_path_cost(lower)
+    want = upper + [(1, 6), (1, 7), (0, 8), (0, 9)]
     assert plan_2d_reference(grid, (4, 0), (0, 9)) == want
     assert plan_2d(grid, (4, 0), (0, 9)) == want
+
+
+def test_step_costs_keep_the_true_order_on_any_grid_numpy_can_hold():
+    # plan_2d's bound: D is sqrt(2) * U rounded to the nearest integer, and
+    # U > (1 + sqrt(2)) * L**2 / 2 for routes of L < 2**60 steps.
+    U, D = path_lift._UNIT, path_lift._DIAG
+    assert (2 * D - 1) ** 2 < 8 * U * U < (2 * D + 1) ** 2
+    L = 2**60
+    assert 2 * U - L * L > 0 and (2 * U - L * L) ** 2 > 2 * L**4
+
+
+@settings(max_examples=400, deadline=None)
+@given(planner_cases())
+def test_planner_is_shortest_by_dijkstra_cost(case):
+    grid, start, goal = case
+    values = grid.values
+    if values[start] != 0.0 or values[goal] != 0.0:
+        with pytest.raises(ValueError):
+            plan_2d(grid, start, goal)
+        return
+    path = plan_2d(grid, start, goal)
+    expected = dijkstra_cost(values, start, goal)
+    if expected is None:
+        assert path is None
+        return
+    assert path[0] == start and path[-1] == goal
+    assert path_cost(path) == pytest.approx(expected, abs=1e-9)
+    for (m0, n0), (m1, n1) in zip(path, path[1:]):
+        assert max(abs(m1 - m0), abs(n1 - n0)) == 1
+        assert values[m1, n1] == 0.0
+
+
+def test_planner_closes_one_cell_per_waypoint_on_a_free_grid(monkeypatch):
+    # Ties broken toward the goal follow one optimal route: every pop closes
+    # a cell of the path. Ties on (m, n) alone popped 7,925 entries here.
+    grid = OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), np.zeros((200, 200)))
+    pops = 0
+    heappop = path_lift.heapq.heappop
+
+    def counting(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(path_lift.heapq, "heappop", counting)
+    path = plan_2d(grid, (0, 0), (150, 199))
+    assert len(path) == 200
+    assert pops == len(path)
 
 
 @pytest.mark.parametrize("spec", [SceneSpec(kind="flat-room", clutter=6),
@@ -298,6 +350,18 @@ def test_lift_matches_the_scalar_window_on_random_2d_paths():
             assert str(got.value) == str(want.value)
             assert str(got.value).startswith("waypoint 5 ")
     assert lift_path([], height, LiftParams(2, 0.25)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=12), st.data())
+def test_lift_window_max_matches_a_per_waypoint_loop(faces, data):
+    # windows from a single waypoint to wider than the whole path
+    height = make_height_map([[0.1 * k] for k in faces])
+    cells = st.integers(0, len(faces) - 1).map(lambda m: (m, 0))
+    path = data.draw(st.lists(cells, min_size=1, max_size=40))
+    lookahead = data.draw(st.integers(0, len(path) + 2))
+    assert lift_path(path, height, LiftParams(lookahead, 0.5)) == lift_path_reference(
+        path, height, lookahead, 0.5)
 
 
 def test_lift_is_idempotent_on_its_own_projection():
