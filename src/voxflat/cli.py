@@ -210,6 +210,11 @@ def _cmd_lift(args) -> int:
             f"{args.grid} is a {grid.kind} map but --mode is {args.mode}"
         )
     height = io_formats.read_height(args.height)
+    geometry = [(name, *m.extent, m.resolution, *m.origin[:2])
+                for name, m in ((args.grid, grid), (args.height, height))]
+    if geometry[0][1:] != geometry[1][1:]:
+        raise ValueError("grid and height files differ in geometry: " + " vs ".join(
+            "{} extent {}x{} res {} origin ({}, {})".format(*g) for g in geometry))
     if (height.ceil_k < 0).all() and args.mode == "uav":
         raise ValueError("uav lifting needs a floor+ceiling height file")
 

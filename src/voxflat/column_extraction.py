@@ -6,8 +6,9 @@ bottom face of its lowest kept run and its ceiling the top face of its
 highest, as voxel-face indices (floor_k, ceil_k). The map stores those
 indices; meters (`origin_z + k*res`) appear only in its output views and in
 `HeightMap.from_meters`, the one entry for outside heights. `convert_column`
-finds both indices for any (..., K) stack of columns by ANDing shifted slices
-of the boolean free mask, laid out flat, with no per-column loop, so
+finds both indices for any (..., K) stack of columns with one AND over the
+boolean free mask, laid out flat, by `window_reduce`, the one sliding-window
+kernel (the slope sums and the lift's window maximum use it too), so
 `build_height_map` and `update()` (the written columns) run the same code.
 `check_positive_int` is the one rule for a run length or a slope-fit radius:
 an int >= 1.
@@ -30,6 +31,7 @@ batches do.
 """
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -59,6 +61,29 @@ def check_positive_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
+def window_reduce(a: np.ndarray, d: int, op: Callable, step: int = 1) -> np.ndarray:
+    """op, associative and commutative (operator.and_, operator.add,
+    np.maximum), over the d entries a[i], a[i + step], ..., a[i + (d-1)*step]
+    of a flat array, for every i < a.size - (d-1)*step; maybe a view of a.
+
+    By doubling: op of two w-entry windows w*step apart is the 2w-entry one,
+    and a d-entry window joins, end to end, those of the powers of two that
+    make up d: floor(log2 d) passes, and an op per further set bit of d. Each
+    intermediate covers part of one window, so no sum of non-negative
+    entries exceeds its window's."""
+    n = a.size - (d - 1) * step
+    total, start, w = None, 0, 1
+    while True:
+        if d & w:
+            part = a[start * step:start * step + n]
+            total = part if total is None else op(total, part)
+            start += w
+        if 2 * w > d:
+            return total
+        a = op(a[:-w * step], a[w * step:])
+        w *= 2
+
+
 def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.ndarray]:
     """Floor and ceiling face indices of every column of a (..., K) stack.
 
@@ -68,32 +93,20 @@ def convert_column(columns: np.ndarray, min_run: int) -> tuple[np.ndarray, np.nd
 
     A run is kept exactly when some window of min_run voxels inside it is
     all free, so the lowest all-free window starts at the floor and the
-    highest ends at the ceiling. The windows come from the free mask by
-    doubling: ANDing a mask of all-free s-voxel windows with itself shifted
-    by s gives the 2s-voxel windows, and two s-voxel windows min_run - s
-    apart, s the largest power of two <= min_run, cover one min_run window.
-    That is floor(log2 min_run) + 1 passes of one-byte ANDs at most.
-
-    The free mask is written into one flat bool buffer, column after column
-    and followed by min_run - 1 zeros, and the ANDs run over the whole buffer
-    at once, leaving one entry per voxel. A window that starts at
-    k >= K - min_run + 1 runs into the next column or the zeros; the
-    (..., K - min_run + 1) view of the result drops it.
+    highest ends at the ceiling. `window_reduce` ANDs every window at once
+    over one flat bool buffer holding the free mask, column after column,
+    and min_run - 1 zeros. A window that starts at k >= K - min_run + 1 runs
+    into the next column or the zeros; the (..., K - min_run + 1) view of
+    the result drops it.
     """
     check_positive_int(min_run, "min_run")
     shape = columns.shape
     K = shape[-1]
     if min_run > K:
         return np.full(shape[:-1], -1), np.full(shape[:-1], -1)
-    size = columns.size
-    run, s = np.zeros(size + min_run - 1, dtype=bool), 1  # run[i]: voxels i .. i+s-1 all free
-    np.equal(columns, _FREE, run[:size].reshape(shape))
-    while 2 * s <= min_run:
-        run = run[:-s] & run[s:]
-        s *= 2
-    if s < min_run:
-        run = run[:s - min_run] & run[min_run - s:]
-    window = run.reshape(shape)[..., :K - min_run + 1]
+    free = np.zeros(columns.size + min_run - 1, dtype=bool)
+    np.equal(columns, _FREE, free[:columns.size].reshape(shape))
+    window = window_reduce(free, min_run, operator.and_).reshape(shape)[..., :K - min_run + 1]
     first = window.argmax(-1)
     found = np.logical_or(window[..., 0], first)  # argmax reads 0 where no window is free
     faces = np.where(found, (first, K - window[..., ::-1].argmax(-1)), -1)

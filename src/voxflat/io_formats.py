@@ -117,10 +117,19 @@ def read_height(path: str | Path) -> HeightMap:
 
 def write_slope(slope: SlopeMap, path: str | Path) -> None:
     """Row-major float32 slope magnitudes; the degeneracy flags stay in memory.
-    A window that is not an int >= 1 raises ValueError, as read_slope would."""
+    What read_slope would refuse raises ValueError before the file is opened:
+    a window that is not an int >= 1, or a cell, named, that is negative or
+    whose float32 value is infinite."""
     check_positive_int(slope.neighborhood_cells, "slope window")
+    with np.errstate(over="ignore"):
+        cells = slope.values.astype(_KINDS["slope"][0])
+    bad = (slope.values < 0.0) | np.isinf(cells)
+    if bad.any():
+        m, n = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"slope cell ({m}, {n}) holds {slope.values[m, n]}, "
+                         "neither NaN (absent) nor a finite float32 >= 0")
     _write(path, GridFileHeader("slope", slope.extent, slope.resolution, slope.origin,
-                                window=slope.neighborhood_cells), slope.values)
+                                window=slope.neighborhood_cells), cells)
 
 
 def read_slope(path: str | Path) -> SlopeMap:

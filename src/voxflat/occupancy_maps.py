@@ -150,10 +150,13 @@ def build_uav_map(vmap: VoxelMap, height: HeightMap,
 
 
 def build_ugv_map(uav: OccupancyGrid, slope: SlopeMap, max_slope: float) -> OccupancyGrid:
-    """ugv_values over the whole extent; max_slope must be finite and
-    positive, or ValueError is raised."""
+    """ugv_values over the whole extent; a slope map of another extent, or a
+    max_slope that is not finite and positive, raises ValueError."""
     if uav.kind != "uav":
         raise ValueError(f"expected a uav grid, got kind {uav.kind!r}")
+    if slope.extent != uav.extent:
+        raise ValueError(f"slope extent {slope.extent} does not match uav "
+                         f"extent {uav.extent}")
     if not 0 < max_slope < math.inf:  # NaN fails both comparisons
         raise ValueError(f"max_slope must be positive and finite, got {max_slope}")
     return OccupancyGrid("ugv", uav.resolution, uav.origin,

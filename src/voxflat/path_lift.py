@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .column_extraction import HeightMap
+from .column_extraction import HeightMap, window_reduce
 from .occupancy_maps import OccupancyGrid
 from .params import check_fields
 from .voxel_store import Cell, cell_center, int_records, read_ascii
@@ -178,16 +178,8 @@ def lift_path(path: Sequence[Cell] | np.ndarray, height: HeightMap,
     # Windows are clipped to the path, so a wider one reads nothing more.
     w = min(params.lookahead, len(path))
     # oz + k*res is monotone in k, so the highest face gives the highest floor.
-    # By doubling, top[i] becomes the highest of the `span` faces from i. With
-    # span <= d < 2 * span, the runs from i and from i + d - span overlap and
-    # cover the d faces of window i.
     pad = np.full(w, -1, dtype=floor_k.dtype)
-    top = np.concatenate((pad, floor_k, pad))
-    d, span = 2 * w + 1, 1
-    while 2 * span <= d:
-        top = np.maximum(top[:-span], top[span:])
-        span *= 2
-    top = np.maximum(top[:len(path)], top[d - span:])
+    top = window_reduce(np.concatenate((pad, floor_k, pad)), 2 * w + 1, np.maximum)
     z = height.meters(top) + params.height_offset
     x, y = cell_center(height.origin, height.resolution, m, n)
     return list(zip(x.tolist(), y.tolist(), z.tolist()))

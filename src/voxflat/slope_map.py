@@ -8,9 +8,9 @@ the gradient in meters per meter equals the gradient of k over (m, n) and the
 resolution cancels.
 
 The nine window sums the fit needs (count, Σm, Σn, Σk, Σm², Σmn, Σn², Σmk,
-Σnk) are taken by doubling, first along n and then along m, over one flat
-buffer of the nine moment planes: no summed-area table, and every
-intermediate is a partial window sum, so nothing wraps. The sums and the
+Σnk) are `column_extraction.window_reduce` additions, first along n and then
+along m, over one flat buffer of the nine moment planes: no summed-area
+table, and no intermediate exceeds its window's sum. The sums and the
 count-scaled centered moments formed from them are exact integers, in int32
 where the bound in `_kernel` allows and in int64 otherwise. The moments'
 products (the determinant and the two numerators of the gradient), the
@@ -28,11 +28,12 @@ thread pool, and an update's window, one band, runs on the caller's thread.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .column_extraction import HeightMap, check_positive_int, pad_block, run_bands
+from .column_extraction import HeightMap, check_positive_int, pad_block, run_bands, window_reduce
 from .voxel_store import nonzero_box
 
 # A normal system whose condition estimate exceeds this is treated as
@@ -88,24 +89,6 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     return values, degenerate
 
 
-def _window_sums(a: np.ndarray, d: int, step: int) -> np.ndarray:
-    """Sums of the d entries a[i], a[i + step], ..., a[i + (d-1)*step] of a
-    flat array, for every i < a.size - (d-1)*step, by doubling: a sum of 2w
-    entries is two sums of w entries w*step apart, and a sum of d entries
-    adds, end to end, the sums of the powers of two that make up d."""
-    n = a.size - (d - 1) * step
-    total, start, w = None, 0, 1
-    while True:
-        if d & w:
-            part = a[start * step:start * step + n]
-            total = part if total is None else total + part
-            start += w
-        if 2 * w > d:
-            return total
-        a = a[:-w * step] + a[w * step:]
-        w *= 2
-
-
 def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
             r: int) -> tuple[np.ndarray, np.ndarray]:
     """Slope and degeneracy of the output block [m0, m1) x [n0, n1).
@@ -114,7 +97,7 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     H x W cells, give nine moment planes, laid one after another in one
     flat buffer; absent cells contribute 0 to every moment. Coordinates are
     local to the grown block: the centered moments are translation
-    invariant and exact, so the origin changes no bit. `_window_sums` runs
+    invariant and exact, so the origin changes no bit. `window_reduce` adds
     over the flat buffer with steps of 1 (along n) and W (along m), so a sum
     that crosses into the next row or plane lands past column W - d or row
     H - d, which the output drops; those of the last plane run into the
@@ -147,8 +130,8 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
     np.multiply(fk, moments[0], out=moments[3])
     np.multiply(m, moments[1:4], out=moments[4:7])
     np.multiply(n, moments[2:4], out=moments[7:9])
-    sums = _window_sums(_window_sums(flat, d, 1), d, W).reshape(9, H, W)
-    sums = sums[:, :H - 2 * r, :W - 2 * r]
+    sums = window_reduce(window_reduce(flat, d, operator.add), d, operator.add, W)
+    sums = sums.reshape(9, H, W)[:, :H - 2 * r, :W - 2 * r]
     c, sm, sn = sums[:3]
     # Count-scaled centered moments c*Σm² - (Σm)², c*Σmn - ΣmΣn, ..., in the
     # order of the last five planes.

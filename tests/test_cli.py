@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import voxflat.cli as cli
-from voxflat import (ConversionParams, LiftParams, enforce_clearance, init, lift_path,
-                     load_voxel_map, plan_2d, read_height, read_occupancy, read_path_3d,
-                     write_height, write_path_2d)
+from voxflat import (ConversionParams, HeightMap, LiftParams, enforce_clearance, init,
+                     lift_path, load_voxel_map, plan_2d, read_height, read_occupancy,
+                     read_path_3d, write_height, write_path_2d)
 from voxflat.cli import main
 from voxflat.scenes import SCENE_KINDS, SceneSpec, SceneTruth
 
@@ -404,6 +404,26 @@ def test_lift_mode_mismatch_is_an_error(tmp_path, capsys):
     assert run("lift", "--grid", out / "uav_map.g2d", "--height",
                out / "height.g2d", "--mode", "ugv", "--start", 5, 5,
                "--goal", 6, 5, "--out", tmp_path / "p.txt") == 2
+
+
+def test_lift_refuses_a_height_file_of_another_geometry(tmp_path, capsys):
+    flat = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0",
+                                   "--size-y", "2.0"), "flat")
+    ramp = convert(tmp_path, synth(tmp_path, "ramp"), "ramp")
+    height = read_height(flat / "height.g2d")
+    moved = tmp_path / "moved.g2d"
+    write_height(HeightMap(0.2, (5.0, 5.0, 0.0), height.floor_k, height.ceil_k), True, moved)
+    for heights, geometry in (
+            (ramp / "height.g2d", "extent 64x44 res 0.1 origin (0.0, 0.0)"),
+            (moved, "extent 24x24 res 0.2 origin (5.0, 5.0)")):
+        capsys.readouterr()
+        assert run("lift", "--grid", flat / "uav_map.g2d", "--height", heights,
+                   "--mode", "uav", "--start", 5, 5, "--goal", 6, 5,
+                   "--out", tmp_path / "p.txt") == 2
+        assert capsys.readouterr().err == (
+            f"error: grid and height files differ in geometry: {flat / 'uav_map.g2d'} "
+            f"extent 24x24 res 0.1 origin (0.0, 0.0) vs {heights} {geometry}\n")
+        assert not (tmp_path / "p.txt").exists()
 
 
 def test_lift_requires_endpoints_or_file(tmp_path, capsys):

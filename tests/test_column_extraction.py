@@ -1,12 +1,15 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
                      build_height_map, convert_column, init)
-from voxflat.column_extraction import nonzero_box, pad_block, run_bands
+from voxflat.column_extraction import nonzero_box, pad_block, run_bands, window_reduce
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
@@ -257,6 +260,46 @@ def test_convert_column_validates_min_run():
     # a run threshold taller than the column keeps nothing
     floor_k, ceil_k = convert_column(np.full((2, 5), int(F), dtype=np.uint8), 6)
     assert floor_k.tolist() == ceil_k.tolist() == [-1, -1]
+
+
+# (dtype, op, entries) of the reductions the kernels run: the free-mask AND,
+# the lift's maximum over faces padded with -1, and the slope sums, kept small
+# enough that no window of 40 entries leaves the dtype.
+WINDOW_OPS = {
+    "and-bool": (np.bool_, operator.and_, st.booleans()),
+    "max-int32": (np.int32, np.maximum, st.integers(-1, 2**31 - 1)),
+    "add-int32": (np.int32, operator.add, st.integers(-2**25, 2**25)),
+    "add-int64": (np.int64, operator.add, st.integers(-2**57, 2**57)),
+}
+
+
+def reduce_each_window(a: np.ndarray, d: int, op, step: int) -> np.ndarray:
+    """op over a[i], a[i + step], ..., a[i + (d-1)*step] for every i, one
+    window at a time."""
+    n = a.size - (d - 1) * step
+    return np.array([functools.reduce(op, a[i:i + (d - 1) * step + 1:step])
+                     for i in range(n)], dtype=a.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), which=st.sampled_from(sorted(WINDOW_OPS)), d=st.integers(1, 40),
+       step=st.integers(1, 5), extra=st.integers(0, 12))
+def test_window_reduce_matches_a_reduce_of_each_window(data, which, d, step, extra):
+    dtype, op, entries = WINDOW_OPS[which]
+    # the shortest input, (d-1)*step + 1 entries, has exactly one window
+    a = data.draw(arrays(dtype, (d - 1) * step + 1 + extra, elements=entries))
+    got = window_reduce(a, d, op, step)
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, reduce_each_window(a, d, op, step))
+
+
+def test_window_reduce_reads_one_window_from_the_shortest_input():
+    for which, (dtype, op, _) in sorted(WINDOW_OPS.items()):
+        for d in range(1, 41):
+            for step in range(1, 6):
+                a = np.arange((d - 1) * step + 1).astype(dtype)
+                got = window_reduce(a, d, op, step)
+                assert np.array_equal(got, reduce_each_window(a, d, op, step)), (which, d)
 
 
 def test_height_block_pads_with_absent_faces():

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voxflat import (GridFormatError, HeightMap, OccupancyGrid, SlopeMap,
                      read_grid, read_height, read_occupancy, read_slope,
@@ -346,22 +348,69 @@ def test_grid_reader_reads_a_pipe_as_it_reads_a_file(tmp_path, kind):
         assert isinstance(want[0], type) == (data != golden)
 
 
+def write_raw_slope(values: np.ndarray, path) -> None:
+    """A 2 x 2 slope file holding any float32 cells, which write_slope refuses
+    to write when read_slope would refuse them."""
+    path.write_bytes(b"G2D 1\nkind slope\nextent 2 2\nres 0.1\norigin 0 0 0\nwindow 2\n"
+                     + values.astype("<f4").tobytes())
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.inf, -np.inf, -0.5])
 def test_slope_reader_rejects_cells_no_slope_can_hold(tmp_path, bad):
     values = np.array([[0.0, 0.5], [np.nan, bad]])
-    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), values, np.zeros((2, 2), bool), 2)
     path = tmp_path / "s.g2d"
-    write_slope(smap, path)
+    write_raw_slope(values, path)
     with pytest.raises(GridFormatError, match=rf"slope cell \(1, 1\) holds {bad}, "
                                               r"neither NaN \(absent\) nor finite and >= 0"):
         read_slope(path)
     # the generic reader returns the planes as stored
     assert read_grid(path)[1][0][1, 1] == np.float32(bad)
     # the first bad cell in row-major order is named
-    smap.values[0, 1] = -2.0
-    write_slope(smap, path)
+    values[0, 1] = -2.0
+    write_raw_slope(values, path)
     with pytest.raises(GridFormatError, match=r"slope cell \(0, 1\) holds -2.0"):
         read_slope(path)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.5, -1e-50, np.inf, -np.inf, 1e300,
+                                 2.0**128 - 2.0**103])
+def test_slope_writer_refuses_cells_the_reader_refuses(tmp_path, bad):
+    # 2**128 - 2**103 is the smallest float64 that float32 rounds to inf
+    values = np.array([[0.0, 0.5], [np.nan, bad]])
+    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), values, np.zeros((2, 2), bool), 2)
+    path = tmp_path / "s.g2d"
+    with pytest.raises(ValueError, match=re.escape(
+            f"slope cell (1, 1) holds {bad}, neither NaN (absent) nor a finite "
+            f"float32 >= 0")):
+        write_slope(smap, path)
+    assert not path.exists()
+    # the largest float64 that float32 rounds to a finite value is written
+    values[1, 1] = np.nextafter(2.0**128 - 2.0**103, 0.0)
+    write_slope(smap, path)
+    assert read_slope(path).values[1, 1] == np.finfo(np.float32).max
+
+
+SLOPE_CELLS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 1e300, 2.0**128 - 2.0**103, 3.4028235e38]),
+    st.floats(0.0, 1e39))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                     elements=SLOPE_CELLS))
+def test_every_slope_file_written_reads_back(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("slope") / "s.g2d"
+    smap = SlopeMap(0.1, (0.0, 0.0, 0.0), values, np.zeros(values.shape, bool), 2)
+    with np.errstate(over="ignore"):
+        cells = values.astype(np.float32)
+    try:
+        write_slope(smap, path)
+    except ValueError as e:
+        m, n = map(int, re.match(r"slope cell \((\d+), (\d+)\)", str(e)).groups())
+        assert values[m, n] < 0.0 or np.isinf(cells[m, n])
+        assert not path.exists()
+        return
+    assert np.array_equal(read_slope(path).values, cells, equal_nan=True)
 
 
 _WRITERS = {

@@ -293,6 +293,10 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
                              build_slope_map(h, 1), np.nan), "max_slope must be positive"),
     (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
                              build_slope_map(h, 1), np.inf), "max_slope must be positive"),
+    # A slope map of another extent once broadcast over the grid silently.
+    (lambda h: build_ugv_map(build_uav_map(no_voxels(h), h, 0.5),
+                             build_slope_map(make_height_map([[0.0] * 4]), 1), 2.0),
+     r"slope extent \(1, 4\) does not match uav extent \(1, 1\)"),
 ])
 def test_grid_builders_reject_bad_arguments(build, message):
     with pytest.raises(ValueError, match=message):
