@@ -6,7 +6,8 @@ paper's names r_max_z, o_min, s_a, r_ms), `SceneSpec` and `LiftParams`.
 Exit codes: 0 success, 1 usage error, 2 data error. Update traces for the
 bench command are text files with one "i j k state" voxel write per line
 (state by name or VXG code), '#' comments, and blank lines separating
-batches; each batch replays as one incremental update.
+batches; each batch replays as one incremental update. Two grid files that
+`io_formats.check_same_cells` refuses are a data error to `lift` and `diff`.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .params import ConversionParams
 from .path_lift import (LiftParams, enforce_clearance, lift_path, plan_2d,
                         read_path_2d, write_path_3d)
 from .scenes import SCENE_KINDS, SceneSpec, generate
-from .voxel_store import (VoxelState, VxgError, load_voxel_map, read_ascii,
+from .voxel_store import (VoxelState, VxgError, load_voxel_map, read_records,
                           read_voxel_map, save_voxel_map)
 
 # (paper flag, ConversionParams field, help); the manifest's parameter names
@@ -37,11 +38,8 @@ _CONVERSION_FLAGS = (
     ("r_ms", "max_slope", "max slope a ground robot traverses"),
 )
 
-_STATE_TOKENS = {
-    "unknown": VoxelState.UNKNOWN, "0": VoxelState.UNKNOWN,
-    "occupied": VoxelState.OCCUPIED, "1": VoxelState.OCCUPIED,
-    "free": VoxelState.FREE, "2": VoxelState.FREE,
-}
+# a trace's state field: a VoxelState name in any case, or its VXG code
+_STATE_TOKENS = {token: s for s in VoxelState for token in (s.name.lower(), str(int(s)))}
 
 
 class _UsageError(Exception):
@@ -202,19 +200,16 @@ def _cmd_convert(args) -> int:
 def _cmd_lift(args) -> int:
     if args.mode == "ugv" and (args.r_r is not None or args.r_max_z is not None):
         raise _UsageError("lift: --r-r and --r-max-z apply to --mode uav only")
-    if args.p_f is not None and not math.isfinite(args.p_f):
-        raise _UsageError(f"lift: --p-f must be finite, got {args.p_f}")
+    if args.p_f is not None and not (math.isfinite(args.p_f) and args.p_f >= 0):
+        raise _UsageError(f"lift: --p-f must be finite and >= 0, got {args.p_f}")
     grid = io_formats.read_occupancy(args.grid)
     if grid.kind != args.mode:
         raise ValueError(
             f"{args.grid} is a {grid.kind} map but --mode is {args.mode}"
         )
     height = io_formats.read_height(args.height)
-    geometry = [(name, *m.extent, m.resolution, *m.origin[:2])
-                for name, m in ((args.grid, grid), (args.height, height))]
-    if geometry[0][1:] != geometry[1][1:]:
-        raise ValueError("grid and height files differ in geometry: " + " vs ".join(
-            "{} extent {}x{} res {} origin ({}, {})".format(*g) for g in geometry))
+    io_formats.check_same_cells("grid and height files differ in geometry",
+                                (args.grid, grid), (args.height, height))
     if (height.ceil_k < 0).all() and args.mode == "uav":
         raise ValueError("uav lifting needs a floor+ceiling height file")
 
@@ -259,17 +254,12 @@ def _lift_params(args, resolution: float) -> LiftParams:
 
 
 def _validate_path(path2d, grid, name) -> None:
-    values = grid.values
-    M, N = values.shape
-    prev = None
+    M, N = grid.extent
     for idx, (m, n) in enumerate(path2d):
-        if not (0 <= m < M and 0 <= n < N) or values[m, n] != 0.0:
+        if not (0 <= m < M and 0 <= n < N) or grid.values[m, n] != 0.0:
             raise ValueError(f"{name}: waypoint {idx} at ({m}, {n}) is not free")
-        if prev is not None and max(abs(m - prev[0]), abs(n - prev[1])) > 1:
-            raise ValueError(
-                f"{name}: waypoints {idx - 1} and {idx} are not 8-neighbors"
-            )
-        prev = (m, n)
+        if idx and max(abs(m - path2d[idx - 1][0]), abs(n - path2d[idx - 1][1])) > 1:
+            raise ValueError(f"{name}: waypoints {idx - 1} and {idx} are not 8-neighbors")
 
 
 def _cmd_synth(args) -> int:
@@ -302,33 +292,21 @@ def _cmd_bench(args) -> int:
 
 def _read_trace(path) -> list[np.ndarray]:
     """The trace's batches, each one int64 (n, 4) array of i, j, k, state."""
-    batches: list[np.ndarray] = []
-    current: list = []
-    for lineno, raw in enumerate(read_ascii(path).splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            if current:
-                batches.append(np.array(current, np.int64))
-                current = []
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 'i j k state'")
-        try:
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unreadable voxel index") from None
-        if not -2**63 <= min(i, j, k) <= max(i, j, k) < 2**63:
-            raise ValueError(f"{path}:{lineno}: voxel index beyond int64")
-        state = _STATE_TOKENS.get(parts[3].lower())
-        if state is None:
-            raise ValueError(f"{path}:{lineno}: unknown state {parts[3]!r}")
-        current.append((i, j, k, state))
-    if current:
-        batches.append(np.array(current, np.int64))
-    return batches
+    return [np.array(batch, np.int64)
+            for batch in read_records(path, "i j k state", _trace_write)]
+
+
+def _trace_write(parts: list[str]) -> tuple[int, int, int, VoxelState]:
+    try:
+        i, j, k = map(int, parts[:3])
+    except ValueError:
+        raise ValueError("unreadable voxel index") from None
+    if not -2**63 <= min(i, j, k) <= max(i, j, k) < 2**63:
+        raise ValueError("voxel index beyond int64")
+    state = _STATE_TOKENS.get(parts[3].lower())
+    if state is None:
+        raise ValueError(f"unknown state {parts[3]!r}")
+    return i, j, k, state
 
 
 def _cmd_diff(args) -> int:
@@ -336,21 +314,14 @@ def _cmd_diff(args) -> int:
         raise _UsageError(f"diff: --tol must be finite and >= 0, got {args.tol}")
     hdr_a, planes_a = io_formats.read_grid(args.a)
     hdr_b, planes_b = io_formats.read_grid(args.b)
-    if hdr_a.kind != hdr_b.kind or hdr_a.extent != hdr_b.extent:
-        raise ValueError(
-            f"grids are not comparable: {hdr_a.kind} {hdr_a.extent} vs "
-            f"{hdr_b.kind} {hdr_b.extent}"
-        )
-    differing = 0
-    total = 0
-    for a, b in zip(planes_a, planes_b):
-        nan_a = np.isnan(a)
-        nan_b = np.isnan(b)
-        with np.errstate(invalid="ignore"):
-            mismatch = (nan_a != nan_b) | (~nan_a & ~nan_b & (np.abs(a - b) > args.tol))
-        differing += int(mismatch.sum())
-        total += a.size
-    print(f"{differing} differing cells of {total}")
+    io_formats.check_same_cells("grids are not comparable", (args.a, hdr_a),
+                                (args.b, hdr_b), tags=("kind", "robot"))
+    a, b = np.array(planes_a), np.array(planes_b)
+    # |a - b| > tol is False where either cell is NaN (absent), so an absent
+    # cell differs only from a present one.
+    with np.errstate(invalid="ignore"):
+        differing = int(((np.isnan(a) != np.isnan(b)) | (np.abs(a - b) > args.tol)).sum())
+    print(f"{differing} differing cells of {a.size}")
     return 0 if differing == 0 else 2
 
 

@@ -187,6 +187,20 @@ def read_grid(path: str | Path) -> tuple[GridFileHeader, list[np.ndarray]]:
     return GridFileHeader(kind, extent, res, origin, **extra), list(planes)
 
 
+def check_same_cells(message: str, *named: tuple[str, object], tags: tuple[str, ...] = ()
+                     ) -> None:
+    """Raise ValueError(f"{message}: ...") naming each (file name, grid) pair
+    and its geometry unless the grids cover the same cells (equal extent,
+    resolution and x/y origin) and agree on the header fields named in `tags`."""
+    keys = [(*(getattr(grid, t) for t in tags), *grid.extent, grid.resolution,
+             *grid.origin[:2]) for _, grid in named]
+    if len(set(keys)) > 1:
+        raise ValueError(f"{message}: " + " vs ".join(" ".join(
+            [name, *(f"{t} {v}" for t, v in zip(tags, key) if v is not None),
+             "extent {}x{} res {} origin ({}, {})".format(*key[len(tags):])])
+            for (name, _), key in zip(named, keys)))
+
+
 def _read_kind(path, kinds: tuple[str, ...]) -> tuple[GridFileHeader, list[np.ndarray]]:
     hdr, planes = read_grid(path)
     if hdr.kind not in kinds:

@@ -24,7 +24,7 @@ import numpy as np
 from .column_extraction import HeightMap, window_reduce
 from .occupancy_maps import OccupancyGrid
 from .params import check_fields
-from .voxel_store import Cell, cell_center, int_records, read_ascii
+from .voxel_store import Cell, cell_center, int_records, read_records
 
 Waypoint3D = tuple[float, float, float]
 
@@ -299,20 +299,14 @@ def read_path_3d(file: str | Path) -> list[Waypoint3D]:
 
 
 def _read_path(file: str | Path, number, fields: str, what: str) -> list[tuple]:
-    """One tuple of finite `number`s per line, one per name in `fields`;
-    blank lines and '#' comments are skipped."""
-    out = []
-    for lineno, raw in enumerate(read_ascii(file).splitlines(), 1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != len(fields.split()):
-            raise ValueError(f"{file}:{lineno}: expected '{fields}', got {' '.join(parts)!r}")
+    """One tuple of finite `number`s per line, one per name in `fields`."""
+    def parse(parts: list[str]) -> tuple:
         try:
             values = tuple(map(number, parts))
         except ValueError:
-            raise ValueError(f"{file}:{lineno}: unreadable {what}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{file}:{lineno}: non-finite {what} {' '.join(parts)!r}")
-        out.append(values)
-    return out
+            raise ValueError(f"unreadable {what}") from None
+        # An int is finite however large; math.isfinite would overflow on it.
+        if number is float and not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite {what} {' '.join(parts)!r}")
+        return values
+    return [record for group in read_records(file, fields, parse) for record in group]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from itertools import starmap
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,16 +72,33 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def read_ascii(path: str | Path) -> str:
-    """The text of an ASCII file, such as a trace or a path file; a byte
-    above 0x7f raises ValueError naming the file and its line."""
+def read_records(path: str | Path, fields: str,
+                 parse: Callable[[list[str]], object]) -> list[list]:
+    """The records of an ASCII file, such as a trace or a path file, in the
+    groups that blank lines end: `parse` of each line's whitespace-split
+    fields, '#' lines skipped. A byte above 0x7f, a line of another field
+    count than `fields` and a ValueError from `parse` each raise ValueError
+    prefixed with f"{path}:{line}: "."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as e:
         # The bytes before the first bad one decode; the bad one ends the last line.
         lineno = len((data[:e.start] + b".").decode("ascii").splitlines())
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[e.start]:02x}") from None
+    groups: list[list] = [[]]
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts:
+            groups.append([])
+        elif not parts[0].startswith("#"):
+            try:
+                if len(parts) != len(fields.split()):
+                    raise ValueError(f"expected '{fields}', got {' '.join(parts)!r}")
+                groups[-1].append(parse(parts))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    return [group for group in groups if group]
 
 
 def cell_center(origin: Sequence[float], resolution: float, m: int, n: int) -> tuple[float, float]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import decimal
 import heapq
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -597,6 +599,21 @@ def load_voxel_map_reference(path) -> VoxelMap:
                              f"{states[bad[0]]}")
     voxels[m0:m1, n0:n1] = states.reshape(shape)
     return VoxelMap.from_states(resolution, origin, voxels)
+
+
+def through_a_pipe(tmp_path: Path, data: bytes, outcome):
+    """outcome(fifo), a FIFO under tmp_path, while another thread writes data
+    into it."""
+    fifo = tmp_path / "fifo"
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
+    writer.start()
+    try:
+        return outcome(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def load_outcome(load, path):

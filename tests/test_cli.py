@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import voxflat.cli as cli
-from voxflat import (ConversionParams, HeightMap, LiftParams, enforce_clearance, init,
-                     lift_path, load_voxel_map, plan_2d, read_height, read_occupancy,
-                     read_path_3d, write_height, write_path_2d)
+from voxflat import (ConversionParams, HeightMap, LiftParams, OccupancyGrid,
+                     enforce_clearance, init, lift_path, load_voxel_map, plan_2d, read_height,
+                     read_occupancy, read_path_2d, read_path_3d, write_height,
+                     write_occupancy, write_path_2d)
 from voxflat.cli import main
 from voxflat.scenes import SCENE_KINDS, SceneSpec, SceneTruth
+
+from oracles import through_a_pipe
 
 
 def run(*argv):
@@ -136,15 +139,7 @@ def test_convert_manifest_records_file_sizes(tmp_path):
 def test_convert_manifest_counts_the_bytes_read_from_a_pipe(tmp_path):
     # a pipe's stat size is 0, so the count must come from the reader
     data = synth(tmp_path, "ramp").read_bytes()
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
-    writer.start()
-    try:
-        out = convert(tmp_path, fifo)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+    out = through_a_pipe(tmp_path, data, lambda fifo: convert(tmp_path, fifo))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["bytes"]["input"] == len(data) > 0
 
@@ -184,6 +179,30 @@ def test_diff_of_incomparable_grids_is_a_data_error(tmp_path, capsys):
     out = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6"))
     assert run("diff", out / "uav_map.g2d", out / "height.g2d") == 2
     assert "grids are not comparable" in capsys.readouterr().err
+
+
+def test_diff_refuses_grids_that_cover_other_cells(tmp_path, capsys):
+    # diff compared kind and extent only, and called each pair identical
+    free = np.zeros((4, 4))
+    base = tmp_path / "base.g2d"
+    write_occupancy(OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), free), base)
+    for name, grid, geometry in (
+            ("res", OccupancyGrid("uav", 0.2, (0.0, 0.0, 0.0), free),
+             "robot uav extent 4x4 res 0.2 origin (0.0, 0.0)"),
+            ("origin", OccupancyGrid("uav", 0.1, (5.0, 0.0, 0.0), free),
+             "robot uav extent 4x4 res 0.1 origin (5.0, 0.0)"),
+            ("robot", OccupancyGrid("ugv", 0.1, (0.0, 0.0, 0.0), free),
+             "robot ugv extent 4x4 res 0.1 origin (0.0, 0.0)")):
+        other = tmp_path / f"{name}.g2d"
+        write_occupancy(grid, other)
+        capsys.readouterr()
+        assert run("diff", base, other) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: grids are not comparable: {base} kind occupancy robot uav extent 4x4 "
+            f"res 0.1 origin (0.0, 0.0) vs {other} kind occupancy {geometry}\n"))
+    # the z origin is not compared: height planes already hold world meters
+    write_occupancy(OccupancyGrid("uav", 0.1, (0.0, 0.0, 3.0), free), tmp_path / "z.g2d")
+    assert run("diff", base, tmp_path / "z.g2d") == 0
 
 
 def test_missing_input_is_a_data_error(tmp_path, capsys):
@@ -636,9 +655,29 @@ def test_trace_batches_are_integer_arrays(tmp_path):
                                              [[11, 5, 3, 1]]]
 
 
-@pytest.mark.parametrize("p_f", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("text, error", [
+    # a line of another field count after '#' lines and blank lines
+    ("# a\n{ok}\n\n# b\n\n{ok} 9\n", "6: expected '{fields}', got '{ok} 9'"),
+    # a non-ASCII byte after \r and \r\n line breaks
+    ("{ok}\r{ok}\r\n{ok}\n{ok} \xff\n", "4: non-ASCII byte 0xff"),
+    # and a line of another field count after them
+    ("{ok}\r{ok}\r\n{ok} 9\n", "3: expected '{fields}', got '{ok} 9'"),
+], ids=["field-count", "non-ascii", "field-count-after-cr"])
+def test_trace_and_path_readers_name_the_same_line(tmp_path, text, error):
+    # one reader serves all three formats, so a defect reads the same in each
+    file = tmp_path / "records.txt"
+    for read, fields, ok in ((cli._read_trace, "i j k state", "1 2 3 free"),
+                             (read_path_2d, "m n", "1 2"), (read_path_3d, "x y z", "0.5 0.5 1.0")):
+        file.write_text(text.format(ok=ok), encoding="latin-1")  # one byte per character
+        with pytest.raises(ValueError) as raised:
+            read(file)
+        assert str(raised.value) == f"{file}:{error.format(fields=fields, ok=ok)}"
+
+
+@pytest.mark.parametrize("p_f", ["inf", "-inf", "nan", "-0.04", "-1"])
 def test_lift_refuses_a_non_finite_path_lookahead(tmp_path, capsys, p_f):
-    # inf ended in an OverflowError traceback, and nan did not name the flag
+    # inf ended in an OverflowError traceback, nan did not name the flag,
+    # -0.04 planned with lookahead 0 and -1 named a LiftParams field
     out = convert(tmp_path, synth(tmp_path, "flat-room"))
     path_out = tmp_path / "path.txt"
     capsys.readouterr()
@@ -646,5 +685,5 @@ def test_lift_refuses_a_non_finite_path_lookahead(tmp_path, capsys, p_f):
         assert run("lift", "--grid", out / f"{mode}_map.g2d", "--height", out / "height.g2d",
                    "--mode", mode, "--start", 5, 5, "--goal", 6, 5, "--out", path_out,
                    f"--p-f={p_f}") == 1
-        assert f"lift: --p-f must be finite, got {float(p_f)}" in capsys.readouterr().err
+        assert f"lift: --p-f must be finite and >= 0, got {float(p_f)}" in capsys.readouterr().err
     assert not path_out.exists()

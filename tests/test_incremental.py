@@ -376,12 +376,20 @@ class RebuildEquivalence(RuleBasedStateMachine):
         params = ConversionParams(min_clearance=0.3, slope_window_m=0.1 * radius)
         self.state = init(VoxelMap(0.1, (0.0, 0.0, 0.0), extent), params)
 
-    @rule(data=st.data())
-    def write_batch(self, data):
+    def draw_batch(self, data) -> list:
         M, N, K = self.state.voxels.extent
         voxel = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1),
                           st.integers(0, K - 1), st.sampled_from([U, O, F]))
-        update(self.state, data.draw(st.lists(voxel, max_size=20)))
+        return data.draw(st.lists(voxel, max_size=20))
+
+    @rule(data=st.data())
+    def write_batch(self, data):
+        update(self.state, self.draw_batch(data))
+
+    @rule(data=st.data(), dtype=st.sampled_from([np.int32, np.int64]))
+    def write_batch_as_array(self, data, dtype):
+        # the form `bench` replays a trace batch in: one integer (n, 4) array
+        update(self.state, np.array(self.draw_batch(data), dtype).reshape(-1, 4))
 
     @rule(data=st.data())
     def write_floors(self, data):

@@ -1,6 +1,5 @@
-import os
+import functools
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from voxflat import (GridFormatError, HeightMap, OccupancyGrid, SlopeMap,
                      write_height, write_occupancy, write_occupancy_pgm,
                      write_slope)
 
-from oracles import grid_outcome, make_height_map
+from oracles import grid_outcome, make_height_map, through_a_pipe
 
 
 def occupancy_grid(values, kind="uav"):
@@ -316,20 +315,6 @@ def test_grid_writers_golden_bytes(tmp_path, kind):
     assert (hdr.kind, hdr.resolution, hdr.origin) == (kind, 0.05, _ORIGIN)
 
 
-def read_through_a_pipe(tmp_path, data: bytes):
-    """grid_outcome of read_grid on data written into a fifo by another thread."""
-    fifo = tmp_path / "fifo"
-    if not fifo.exists():
-        os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
-    writer.start()
-    try:
-        return grid_outcome(read_grid, fifo)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-
-
 def unnamed(outcome):
     """An outcome with the file name dropped from its error message."""
     if isinstance(outcome[0], type):
@@ -341,10 +326,11 @@ def unnamed(outcome):
 def test_grid_reader_reads_a_pipe_as_it_reads_a_file(tmp_path, kind):
     _, golden = _GOLDEN[kind]
     path = tmp_path / "g.g2d"
+    read = functools.partial(grid_outcome, read_grid)
     for data in (golden, golden[:-1], golden + b"\x00"):
         path.write_bytes(data)
-        want = unnamed(grid_outcome(read_grid, path))
-        assert unnamed(read_through_a_pipe(tmp_path, data)) == want
+        want = unnamed(read(path))
+        assert unnamed(through_a_pipe(tmp_path, data, read)) == want
         assert isinstance(want[0], type) == (data != golden)
 
 

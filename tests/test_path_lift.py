@@ -671,6 +671,13 @@ def test_clearance_rejects_waypoints_that_are_not_triples(path):
         enforce_clearance(path, make_height_map([[0.0] * 4 for _ in range(4)]), 0.5)
 
 
+def test_path_reader_takes_an_index_beyond_a_float(tmp_path):
+    # the finiteness check once converted each index to float: OverflowError
+    f = tmp_path / "p.txt"
+    f.write_text(f"{10**400} 2\n")
+    assert read_path_2d(f) == [(10**400, 2)]
+
+
 @pytest.mark.parametrize("read, text, message", [
     (read_path_2d, "0 0\n1 x\n", ":2: unreadable grid indices"),
     (read_path_2d, "1.5 2\n", ":1: unreadable grid indices"),

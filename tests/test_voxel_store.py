@@ -1,9 +1,8 @@
 import contextlib
 import copy
+import functools
 import operator
-import os
 import re
-import threading
 import tracemalloc
 from enum import IntEnum
 from unittest import mock
@@ -13,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import load_outcome, load_voxel_map_reference, save_voxel_map_reference
+from oracles import (load_outcome, load_voxel_map_reference, save_voxel_map_reference,
+                     through_a_pipe)
 from voxflat import (VoxelMap, VoxelState, VxgError, VxgHeaderError, VxgRecordError,
                      VxgTruncatedError, VxgVersionError, load_voxel_map,
                      save_voxel_map, voxel_store)
@@ -74,31 +74,18 @@ def test_round_trip_random_maps(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
-def load_through_a_pipe(tmp_path, data: bytes):
-    """load_outcome of data written into a fifo by another thread."""
-    fifo = tmp_path / "fifo"
-    if not fifo.exists():
-        os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, daemon=True, args=(data,))
-    writer.start()
-    try:
-        return load_outcome(load_voxel_map, fifo)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-
-
 def test_load_reads_a_pipe(tmp_path):
     vm = random_map(np.random.default_rng(3))
     save_voxel_map(vm, tmp_path / "map.vxg")
     data = (tmp_path / "map.vxg").read_bytes()
-    assert load_through_a_pipe(tmp_path, data) == vm
+    load = functools.partial(load_outcome, load_voxel_map)
+    assert through_a_pipe(tmp_path, data, load) == vm
     # A defect read through a pipe is named as in the file.
     header, payload = data.rsplit(b"\n", 1)
     for bad in (data[:-1], data + b"\x00", header + b"\n" + b"\x03" + payload[1:]):
         (tmp_path / "bad.vxg").write_bytes(bad)
-        got = load_through_a_pipe(tmp_path, bad)
-        assert got == load_outcome(load_voxel_map, tmp_path / "bad.vxg")
+        got = through_a_pipe(tmp_path, bad, load)
+        assert got == load(tmp_path / "bad.vxg")
         assert isinstance(got, tuple) and issubclass(got[0], VxgError)
 
 
