@@ -153,12 +153,8 @@ def _cmd_convert(args) -> int:
     state = incremental.init(vmap, params)
     elapsed = time.perf_counter() - t0
     t0 = time.perf_counter()
-    outputs = {
-        "uav_map": "uav_map.g2d",
-        "ugv_map": "ugv_map.g2d",
-        "height": "height.g2d",
-        "slope": "slope.g2d",
-    }
+    outputs = {"uav_map": "uav_map.g2d", "ugv_map": "ugv_map.g2d",
+               "height": "height.g2d", "slope": "slope.g2d"}
     io_formats.write_occupancy(state.uav, out_dir / outputs["uav_map"])
     io_formats.write_occupancy(state.ugv, out_dir / outputs["ugv_map"])
     io_formats.write_height(state.height, True, out_dir / outputs["height"])
@@ -204,9 +200,8 @@ def _cmd_lift(args) -> int:
         raise _UsageError(f"lift: --p-f must be finite and >= 0, got {args.p_f}")
     grid = io_formats.read_occupancy(args.grid)
     if grid.kind != args.mode:
-        raise ValueError(
-            f"{args.grid} is a {grid.kind} map but --mode is {args.mode}"
-        )
+        raise ValueError(f"{args.grid} is a {grid.kind} map but --mode is {args.mode}")
+    params = _lift_params(args, grid.resolution)
     height = io_formats.read_height(args.height)
     io_formats.check_same_cells("grid and height files differ in geometry",
                                 (args.grid, grid), (args.height, height))
@@ -219,13 +214,10 @@ def _cmd_lift(args) -> int:
     elif args.start and args.goal:
         path2d = plan_2d(grid, tuple(args.start), tuple(args.goal))
         if path2d is None:
-            raise ValueError(
-                f"no path from {tuple(args.start)} to {tuple(args.goal)}"
-            )
+            raise ValueError(f"no path from {tuple(args.start)} to {tuple(args.goal)}")
     else:
         raise _UsageError("lift: provide --path-in or both --start and --goal")
 
-    params = _lift_params(args, grid.resolution)
     path3d = lift_path(path2d, height, params)
     if args.mode == "uav":
         lifted = path3d
@@ -239,15 +231,24 @@ def _cmd_lift(args) -> int:
 
 
 def _lift_params(args, resolution: float) -> LiftParams:
-    """The mode's LiftParams defaults, with the flags given in their place."""
-    uav = args.mode == "uav"
-    given = {"lookahead": None if args.p_f is None else round(args.p_f / resolution),
-             "height_offset": args.r_off, "safety_radius": args.r_r}
-    params = dataclasses.replace(
-        (LiftParams.uav_defaults if uav else LiftParams.ugv_defaults)(resolution),
-        **{k: v for k, v in given.items() if v is not None})
-    r_max_z = ConversionParams.min_clearance if args.r_max_z is None else args.r_max_z
-    if uav and not params.safety_radius <= r_max_z / 2:
+    """The mode's LiftParams defaults with each given flag put in its field, one
+    at a time, and --r-max-z checked as ConversionParams.min_clearance; a
+    value that a dataclass refuses is a usage error naming the flag."""
+    def given(flag, params, **field):
+        try:
+            return dataclasses.replace(params, **field)
+        except (TypeError, ValueError) as e:
+            raise _UsageError(f"lift: {flag}: {e}") from None
+
+    params = getattr(LiftParams, f"{args.mode}_defaults")(resolution)
+    for flag, name, value in (
+            ("--p-f", "lookahead", None if args.p_f is None else round(args.p_f / resolution)),
+            ("--r-off", "height_offset", args.r_off), ("--r-r", "safety_radius", args.r_r)):
+        if value is not None:
+            params = given(flag, params, **{name: value})
+    r_max_z = ConversionParams.min_clearance if args.r_max_z is None else given(
+        "--r-max-z", ConversionParams(), min_clearance=args.r_max_z).min_clearance
+    if args.mode == "uav" and not params.safety_radius <= r_max_z / 2:
         raise ValueError(f"clearance radius {params.safety_radius} outside "
                          f"(0, r_max_z/2] with r_max_z {r_max_z}")
     return params

@@ -11,7 +11,7 @@ boolean free mask, laid out flat, by `window_reduce`, the one sliding-window
 kernel (the slope sums and the lift's window maximum use it too), so
 `build_height_map` and `update()` (the written columns) run the same code.
 `check_positive_int` is the one rule for a run length or a slope-fit radius:
-an int >= 1.
+a count (`params.is_count`, as for a `VoxelMap` extent) >= 1.
 
 A full build reads only the box that can hold output: `build_height_map` the
 bounding box of the observed columns, in row bands of about _BAND_VOXELS
@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from .params import is_count
 from .voxel_store import VoxelMap, VoxelState, check_geometry, nonzero_box
 
 # Voxels per convert_column pass in build_height_map, as whole rows of the
@@ -54,10 +55,8 @@ _FREE = int(VoxelState.FREE)
 
 
 def check_positive_int(value, name: str) -> None:
-    """Raise ValueError naming `name` unless value is a Python or numpy int
-    >= 1. A bool is refused, although Python counts it as an int, and so is
-    a float, even a whole one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+    """Raise ValueError naming `name` unless value is a count (`is_count`) >= 1."""
+    if not is_count(value) or value < 1:
         raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
@@ -157,19 +156,18 @@ class HeightMap:
 
     @classmethod
     def from_meters(cls, resolution: float, origin: tuple[float, float, float],
-                    floor: np.ndarray, ceiling: np.ndarray,
-                    error=ValueError) -> "HeightMap":
+                    floor: np.ndarray, ceiling: np.ndarray) -> "HeightMap":
         """Heights in meters, NaN where absent, snapped to the nearest face.
 
-        Raises error(message) for geometry `check_geometry` rejects and,
-        naming the first bad cell, for a non-finite height other than NaN, a
-        face below origin_z or beyond int32, or faces the constructor rejects.
+        Raises ValueError for geometry `check_geometry` rejects and, naming
+        the first bad cell, for a non-finite height other than NaN, a face
+        below origin_z or beyond int32, or faces the constructor rejects.
         """
-        check_geometry(error, resolution, origin)
+        check_geometry(ValueError, resolution, origin)
         planes = np.array((floor, ceiling), dtype=np.float64)
         if planes.ndim != 3:
-            raise error(f"floor and ceiling must be 2D planes of one shape, "
-                        f"got {np.shape(floor)} and {np.shape(ceiling)}")
+            raise ValueError(f"floor and ceiling must be 2D planes of one shape, "
+                             f"got {np.shape(floor)} and {np.shape(ceiling)}")
         absent = np.isnan(planes)
         with np.errstate(over="ignore", invalid="ignore"):
             k = np.rint((planes - origin[2]) / resolution)
@@ -178,17 +176,14 @@ class HeightMap:
             if bad.any():
                 m, n = np.argwhere(bad)[0].tolist()
                 f, c = planes[:, m, n].tolist()
-                raise error(f"height cell ({m}, {n}) with floor {f} and ceiling "
-                            f"{c}: {what}")
+                raise ValueError(f"height cell ({m}, {n}) with floor {f} and "
+                                 f"ceiling {c}: {what}")
 
         reject(np.isinf(planes).any(axis=0), "a height is not finite")
         reject((~absent & ((k < 0) | (k > np.iinfo(np.int32).max))).any(axis=0),
                "a face lies below origin_z or beyond int32")
         k = np.where(absent, -1, k).astype(np.int32)
-        try:
-            return cls(resolution, tuple(origin), k[0], k[1])
-        except ValueError as e:
-            raise error(str(e)) from None
+        return cls(resolution, tuple(origin), k[0], k[1])
 
     @property
     def extent(self) -> tuple[int, int]:

@@ -86,8 +86,8 @@ def write_occupancy(grid: OccupancyGrid, path: str | Path) -> None:
 
 
 def read_occupancy(path: str | Path) -> OccupancyGrid:
-    hdr, (values,) = _read_kind(path, ("occupancy",))
-    return OccupancyGrid(hdr.robot, hdr.resolution, hdr.origin, values)
+    return _read_kind(path, ("occupancy",), lambda hdr, values: OccupancyGrid(
+        hdr.robot, hdr.resolution, hdr.origin, values))
 
 
 # -- height ---------------------------------------------------------------
@@ -105,44 +105,46 @@ def read_height(path: str | Path) -> HeightMap:
     """Read either height kind, snapping heights to the nearest voxel face;
     floor-only files read every ceiling as absent. The cells that
     `HeightMap.from_meters` rejects raise GridFormatError naming the cell."""
-    hdr, planes = _read_kind(path, ("height-floor", "height-floor-ceiling"))
-    floor = planes[0]
-    ceiling = planes[1] if len(planes) == 2 else np.full(hdr.extent, np.nan)
-    return HeightMap.from_meters(hdr.resolution, hdr.origin, floor, ceiling,
-                                 lambda message: GridFormatError(f"{path}: {message}"))
+    def build(hdr, floor, ceiling=None):
+        if ceiling is None:
+            ceiling = np.full(hdr.extent, np.nan)
+        return HeightMap.from_meters(hdr.resolution, hdr.origin, floor, ceiling)
+    return _read_kind(path, ("height-floor", "height-floor-ceiling"), build)
 
 
 # -- slope ----------------------------------------------------------------
 
 
+def _slope_cells(values: np.ndarray) -> np.ndarray:
+    """The float32 cells of slope magnitudes, each NaN (absent) or finite and
+    >= 0; any other raises ValueError naming the first such cell."""
+    with np.errstate(over="ignore"):
+        cells = values.astype(_KINDS["slope"][0])
+    bad = (values < 0.0) | np.isinf(cells)
+    if bad.any():
+        m, n = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"slope cell ({m}, {n}) holds {values[m, n]}, "
+                         "neither NaN (absent) nor a finite float32 >= 0")
+    return cells
+
+
 def write_slope(slope: SlopeMap, path: str | Path) -> None:
     """Row-major float32 slope magnitudes; the degeneracy flags stay in memory.
     What read_slope would refuse raises ValueError before the file is opened:
-    a window that is not an int >= 1, or a cell, named, that is negative or
-    whose float32 value is infinite."""
+    a window that is not an int >= 1, or a cell `_slope_cells` refuses."""
     check_positive_int(slope.neighborhood_cells, "slope window")
-    with np.errstate(over="ignore"):
-        cells = slope.values.astype(_KINDS["slope"][0])
-    bad = (slope.values < 0.0) | np.isinf(cells)
-    if bad.any():
-        m, n = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"slope cell ({m}, {n}) holds {slope.values[m, n]}, "
-                         "neither NaN (absent) nor a finite float32 >= 0")
+    cells = _slope_cells(slope.values)
     _write(path, GridFileHeader("slope", slope.extent, slope.resolution, slope.origin,
                                 window=slope.neighborhood_cells), cells)
 
 
 def read_slope(path: str | Path) -> SlopeMap:
-    """A slope magnitude is finite and >= 0, or NaN for an absent cell; any
-    other raises GridFormatError naming the first such cell."""
-    hdr, (values,) = _read_kind(path, ("slope",))
-    bad = (values < 0.0) | np.isinf(values)
-    if bad.any():
-        m, n = np.argwhere(bad)[0].tolist()
-        raise GridFormatError(f"{path}: slope cell ({m}, {n}) holds {values[m, n]}, "
-                              "neither NaN (absent) nor finite and >= 0")
-    return SlopeMap(hdr.resolution, hdr.origin, values,
-                    np.zeros(hdr.extent, dtype=bool), hdr.window)
+    """A cell that `_slope_cells` refuses raises GridFormatError naming it."""
+    def build(hdr, values):
+        _slope_cells(values)
+        return SlopeMap(hdr.resolution, hdr.origin, values,
+                        np.zeros(hdr.extent, dtype=bool), hdr.window)
+    return _read_kind(path, ("slope",), build)
 
 
 # -- generic --------------------------------------------------------------
@@ -201,13 +203,18 @@ def check_same_cells(message: str, *named: tuple[str, object], tags: tuple[str, 
             for (name, _), key in zip(named, keys)))
 
 
-def _read_kind(path, kinds: tuple[str, ...]) -> tuple[GridFileHeader, list[np.ndarray]]:
+def _read_kind(path, kinds: tuple[str, ...], build):
+    """build(header, *planes) of a grid file of one of `kinds`; a cell that
+    build refuses (ValueError) raises GridFormatError naming the path."""
     hdr, planes = read_grid(path)
     if hdr.kind not in kinds:
         raise GridFormatError(
             f"{path}: expected a {' or '.join(kinds)} file, found kind {hdr.kind!r}"
         )
-    return hdr, planes
+    try:
+        return build(hdr, *planes)
+    except ValueError as e:
+        raise GridFormatError(f"{path}: {e}") from None
 
 
 # -- PGM export -------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Conversion parameters, their validated defaults, and the one field rule
-every parameter dataclass checks its fields by."""
+"""Conversion parameters, their validated defaults, the one field rule of every
+parameter dataclass, and the number and count tests every input shares."""
 from __future__ import annotations
 
 import math
@@ -7,22 +7,41 @@ import numbers
 import operator
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 # min_clearance / res can land a few ulps above a whole voxel count when res
 # is not a binary fraction (2.1 / 0.3 is 7.000000000000001); this tolerance
 # (meters) keeps a clearance of exactly L voxels from asking for L + 1.
 _CLEARANCE_EPS = 1e-9
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool: an int, a float, a numpy integer or float."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """An `operator.index` integer that is not a bool, Python's or numpy's."""
+    if type(value) is int:  # the common case, as cheap as an isinstance test
+        return True
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def check_fields(params) -> None:
     """Check and normalize every field of a frozen dataclass by its annotation.
 
     The annotations are strings (postponed evaluation). A "float" field, or a
-    "float | None" field that is not None, takes a real number that is not a
-    bool and stores it as a finite float. An "int" field takes an integer in
-    the sense of `operator.index` that is not a bool and stores it as an
-    int >= 0. A "bool" field takes only a bool. A wrong type raises
-    TypeError and a non-finite or negative value ValueError, both naming the
-    field. Fields of any other annotation, and range rules, are the class's.
+    "float | None" field that is not None, takes what `is_real` accepts and
+    stores it as a finite float. An "int" field takes what `is_count` accepts
+    and stores it as an int >= 0. A "bool" field takes only a bool. A wrong
+    type raises TypeError and a non-finite or negative value ValueError, both
+    naming the field. Fields of any other annotation, and range rules, are the class's.
     """
     for f in fields(params):
         name, value = f.name, getattr(params, f.name)
@@ -30,19 +49,16 @@ def check_fields(params) -> None:
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, got {value!r}")
         elif f.type == "float" or (f.type == "float | None" and value is not None):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(params, name, value)
         elif f.type == "int":
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if not is_count(value):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            value = operator.index(value)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(params, name, value)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .column_extraction import HeightMap
 from .occupancy_maps import OccupancyGrid
-from .params import ConversionParams, check_fields
+from .params import ConversionParams, check_fields, is_count, is_real
 from .slope_map import SlopeMap
 from .voxel_store import VoxelMap, VoxelState, check_geometry
 
@@ -150,13 +150,11 @@ class SceneTruth:
         kind, res, origin, extent = (doc[k] for k in ("kind", "resolution", "origin", "extent"))
         if not isinstance(kind, str):
             raise bad(f"kind must be a string, got {kind!r}")
-        if not _is_number(res):
+        if not is_real(res):
             raise bad(f"resolution must be a number, got {res!r}")
-        if not (isinstance(origin, list) and len(origin) == 3
-                and all(_is_number(c) for c in origin)):
+        if not (isinstance(origin, list) and len(origin) == 3 and all(map(is_real, origin))):
             raise bad(f"origin must be three numbers, got {origin!r}")
-        if not (isinstance(extent, list) and len(extent) == 3
-                and all(isinstance(e, int) and not isinstance(e, bool) for e in extent)):
+        if not (isinstance(extent, list) and len(extent) == 3 and all(map(is_count, extent))):
             raise bad(f"extent must be three counts, got {extent!r}")
         check_geometry(bad, res, origin, extent)
         spec = doc.get("spec", {})
@@ -177,7 +175,7 @@ class SceneTruth:
         def height(v):
             if v is None:
                 return np.nan
-            if not (_is_number(v) and math.isfinite(v)):
+            if not (is_real(v) and math.isfinite(v)):
                 raise TypeError(f"cell {v!r} is not a finite number or null")
             return v
 
@@ -190,10 +188,6 @@ class SceneTruth:
                    grid("floor", height, float), grid("ceiling", height, float),
                    grid("slope", height, float), grid("uav", occupancy, np.int8),
                    grid("ugv", occupancy, np.int8), spec)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def generate(spec: SceneSpec) -> tuple[VoxelMap, SceneTruth]:

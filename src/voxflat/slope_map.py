@@ -71,7 +71,7 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     flagged. The window's values equal the same cells of `build_slope_map`
     bit for bit, whatever the window. A radius beyond max(M, N) reads the
     whole map from every cell, so it is read as max(M, N). A radius that is
-    not an int >= 1 (a bool or a float included) raises ValueError.
+    not a count >= 1 (a bool or a float included) raises ValueError.
     """
     check_positive_int(radius, "neighborhood radius")
     radius = min(radius, max(height.extent))

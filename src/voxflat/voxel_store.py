@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 import operator
 import os
 import struct
@@ -34,6 +33,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+from .params import is_count, is_real
 
 
 class VoxelState(IntEnum):
@@ -164,31 +165,26 @@ class VoxelMap:
     Cells never written are Unknown.
     Voxel layer k spans world z in [origin_z + k*res, origin_z + (k+1)*res).
 
-    The resolution and origin coordinates are real numbers and the extent
-    three integer counts (`operator.index`), none of them a bool; anything
-    else, and what `check_geometry` rejects, raises ValueError naming the
-    field. The types are those of `params.check_fields`, which raises
-    TypeError for a wrong type; here every geometry defect, type or value, is
-    a ValueError, as `check_geometry` reports it for the VXG and G2D headers,
-    so a caller catches one error type for a bad geometry.
+    The resolution and origin coordinates are real numbers (`is_real`) and
+    the extent three counts (`is_count`); anything else, and what
+    `check_geometry` rejects, raises ValueError naming the field. The tests
+    are those of `params.check_fields`, which raises TypeError for a wrong
+    type; here every geometry defect, type or value, is a ValueError, as
+    `check_geometry` reports it for the VXG and G2D headers, so a caller
+    catches one error type for a bad geometry.
     """
 
     def __init__(self, resolution: float, origin: Sequence[float], extent: Sequence[int]):
-        try:
-            ext = tuple(map(_count, extent))
-        except TypeError:
-            ext = ()
-        if len(ext) != 3:
+        ext = tuple(extent) if np.iterable(extent) else ()
+        if len(ext) != 3 or not all(map(is_count, ext)):
             raise ValueError(f"extent must be three counts, got {extent!r}")
-        try:
-            coords = tuple(origin)
-        except TypeError:
-            coords = ()
+        ext = tuple(map(operator.index, ext))
+        coords = tuple(origin) if np.iterable(origin) else ()
         if len(coords) != 3:
             raise ValueError(f"origin must have three coordinates, got {origin!r}")
-        if not all(map(_real, coords)):
+        if not all(map(is_real, coords)):
             raise ValueError(f"origin coordinates must be real numbers, got {origin!r}")
-        if not _real(resolution):
+        if not is_real(resolution):
             raise ValueError(f"resolution must be a real number, got {resolution!r}")
         self.origin = tuple(map(float, coords))
         check_geometry(ValueError, resolution, self.origin, ext)
@@ -523,17 +519,6 @@ def write_file(path: str | Path, header_lines: Sequence[str], arrays) -> None:
         f.write("".join(line + "\n" for line in header_lines).encode("ascii"))
         for a in arrays:
             f.write(np.ascontiguousarray(a))
-
-
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _count(value) -> int:
-    """operator.index of a value that is not a bool; TypeError otherwise."""
-    if isinstance(value, bool):
-        raise TypeError(f"a bool is not a count: {value!r}")
-    return operator.index(value)
 
 
 def check_geometry(error, resolution=None, origin=None, extent=None) -> None:

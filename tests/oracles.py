@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import heapq
+import itertools
 import math
 import os
 import threading
@@ -26,9 +27,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from voxflat import (ColumnView, GridFileHeader, GridFormatError, HeightMap, VoxelMap,
-                     VoxelState, VxgError, VxgHeaderError, VxgRecordError,
-                     VxgTruncatedError, VxgVersionError)
+from voxflat import (GridFileHeader, GridFormatError, HeightMap, VoxelMap, VoxelState,
+                     VxgError, VxgHeaderError, VxgRecordError, VxgTruncatedError,
+                     VxgVersionError)
 from voxflat.column_extraction import pad_block
 from voxflat.occupancy_maps import NEIGHBORS_8
 from voxflat.voxel_store import Cell, cell_center, fmt_float, header_fields
@@ -57,24 +58,23 @@ class ColumnRanges:
         return not self.free and not self.occupied
 
 
-def extract_ranges(view: ColumnView, resolution: float, origin_z: float) -> ColumnRanges:
-    """Convert a column's runs to world-meter ranges; Unknown yields nothing.
+def extract_ranges(column: np.ndarray, resolution: float, origin_z: float) -> ColumnRanges:
+    """Convert a column's states to world-meter ranges; Unknown yields nothing.
 
-    A run starting at index z0 with length L spans the voxel faces
-    [origin_z + z0*res, origin_z + (z0+L)*res], so range heights are exact
-    voxel-count multiples of the resolution.
+    A run of equal states starting at index z0 with length L spans the voxel
+    faces [origin_z + z0*res, origin_z + (z0+L)*res], so range heights are
+    exact voxel-count multiples of the resolution.
     """
     free: list[HeightRange] = []
     occupied: list[HeightRange] = []
-    for z0, length, state in view.runs:
-        if state == VoxelState.UNKNOWN:
-            continue
-        rng = HeightRange(origin_z + z0 * resolution,
-                          origin_z + (z0 + length) * resolution)
-        if state == VoxelState.FREE:
-            free.append(rng)
-        else:
-            occupied.append(rng)
+    z0 = 0
+    for state, run in itertools.groupby(np.asarray(column).tolist()):
+        length = len(list(run))
+        if state != VoxelState.UNKNOWN:
+            rng = HeightRange(origin_z + z0 * resolution,
+                              origin_z + (z0 + length) * resolution)
+            (free if state == VoxelState.FREE else occupied).append(rng)
+        z0 += length
     return ColumnRanges(tuple(free), tuple(occupied))
 
 
@@ -422,15 +422,6 @@ def random_column(rng: np.random.Generator, K: int) -> np.ndarray:
         col[pos:pos + length] = state
         pos += length
     return col
-
-
-def column_from_array(arr: np.ndarray):
-    """Wrap a raw state array as the single column of a 1x1 voxel map."""
-    from voxflat import VoxelMap
-    vm = VoxelMap(0.1, (0.0, 0.0, 0.0), (1, 1, len(arr)))
-    updates = [(0, 0, k, VoxelState(int(v))) for k, v in enumerate(arr) if v]
-    vm.apply_cells(updates)
-    return vm.column(0, 0)
 
 
 def states_equal(a, b) -> list[str]:

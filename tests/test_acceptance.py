@@ -14,10 +14,10 @@ from voxflat import (ConversionParams, LiftParams, VoxelState,
 from voxflat.cli import main as cli_main
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import (HeightRange, best_grid_residual, column_from_array,
-                     extract_ranges, filter_free_ranges, fit_plane,
-                     height_from_ranges, make_height_map, occupancy_value,
-                     plane_residual, random_column, states_equal)
+from oracles import (HeightRange, best_grid_residual, extract_ranges,
+                     filter_free_ranges, fit_plane, height_from_ranges,
+                     make_height_map, occupancy_value, plane_residual,
+                     random_column, states_equal)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -96,12 +96,12 @@ def test_criterion_3_occupancy_oracle():
         start = int(rng.integers(0, K - 12))
         nb_col[start:start + int(rng.integers(10, K - start))] = int(F)
         ranges = filter_free_ranges(
-            extract_ranges(column_from_array(nb_col), res, 0.0), 1.0)
+            extract_ranges(nb_col, res, 0.0), 1.0)
         span = height_from_ranges(ranges)
         if span is None:
             continue
         ex_col = random_column(rng, K)
-        occupied = extract_ranges(column_from_array(ex_col), res, 0.0).occupied
+        occupied = extract_ranges(ex_col, res, 0.0).occupied
         height = make_height_map([[span.floor], [None]],
                                  [[span.ceiling], [None]], resolution=res)
         value = occupancy_value((1, 0), occupied, height, height.floor_k >= 0)

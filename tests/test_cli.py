@@ -528,11 +528,9 @@ def test_bench_corridor_slices_have_constant_recompute_counts(tmp_path):
     for m in range(M):
         batch = []
         for n in range(N):
-            view = full.column(m, n)
-            for z0, length, state in view.runs:
+            for k, state in enumerate(full.states[m, n].tolist()):
                 if state:
-                    for k in range(z0, z0 + length):
-                        batch.append(f"{m} {n} {k} {int(state)}")
+                    batch.append(f"{m} {n} {k} {state}")
         if batch:
             lines.extend(batch)
             lines.append("")
@@ -686,4 +684,23 @@ def test_lift_refuses_a_non_finite_path_lookahead(tmp_path, capsys, p_f):
                    "--mode", mode, "--start", 5, 5, "--goal", 6, 5, "--out", path_out,
                    f"--p-f={p_f}") == 1
         assert f"lift: --p-f must be finite and >= 0, got {float(p_f)}" in capsys.readouterr().err
+    assert not path_out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r-off", "nan", "height_offset must be finite, got nan"),
+    ("--r-r", "-1", "safety_radius must be positive, got -1.0"),
+    ("--r-max-z", "nan", "min_clearance must be finite, got nan"),
+])
+def test_lift_refuses_a_bad_flag_value_as_a_usage_error_naming_the_flag(
+        tmp_path, capsys, flag, value, message):
+    # each was a data error (exit 2) naming a dataclass field, or for
+    # --r-max-z nan blaming the clearance radius
+    out = convert(tmp_path, synth(tmp_path, "flat-room"))
+    path_out = tmp_path / "path.txt"
+    capsys.readouterr()
+    assert run("lift", "--grid", out / "uav_map.g2d", "--height", out / "height.g2d",
+               "--mode", "uav", "--start", 5, 5, "--goal", 6, 5, "--out", path_out,
+               f"{flag}={value}") == 1
+    assert capsys.readouterr().err == f"lift: {flag}: {message}\n"
     assert not path_out.exists()

@@ -12,23 +12,22 @@ from voxflat import (ConversionParams, HeightMap, VoxelMap, VoxelState,
 from voxflat.column_extraction import nonzero_box, pad_block, run_bands, window_reduce
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import (ColumnRanges, HeightCell, HeightRange, column_from_array,
-                     extract_ranges, filter_free_ranges, height_from_ranges,
-                     random_column, rasterize_ranges)
+from oracles import (ColumnRanges, HeightCell, HeightRange, extract_ranges,
+                     filter_free_ranges, height_from_ranges, random_column,
+                     rasterize_ranges)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
 
 def test_all_unknown_column_yields_no_ranges():
-    view = column_from_array(np.zeros(8, dtype=np.uint8))
-    cr = extract_ranges(view, 0.1, 0.0)
+    cr = extract_ranges(np.zeros(8, dtype=np.uint8), 0.1, 0.0)
     assert cr.free == () and cr.occupied == ()
 
 
 def test_index_to_meters_rule():
     col = np.zeros(6, dtype=np.uint8)
     col[1] = col[2] = int(F)
-    cr = extract_ranges(column_from_array(col), 0.1, 0.0)
+    cr = extract_ranges(col, 0.1, 0.0)
     # run (1, 2) -> [origin_z + 1*res, origin_z + 3*res]
     assert cr.free == (HeightRange(0.1, 0.30000000000000004),)
     assert cr.occupied == ()
@@ -38,7 +37,7 @@ def test_unknown_gap_splits_free_ranges():
     col = np.zeros(6, dtype=np.uint8)
     col[1] = int(F)
     col[3] = int(F)
-    cr = extract_ranges(column_from_array(col), 0.1, 0.0)
+    cr = extract_ranges(col, 0.1, 0.0)
     assert len(cr.free) == 2
     assert cr.free[0].high <= cr.free[1].low
 
@@ -48,7 +47,7 @@ def test_extraction_round_trips_through_rasterization():
     for _ in range(200):
         K = int(rng.integers(4, 24))
         col = random_column(rng, K)
-        cr = extract_ranges(column_from_array(col), 0.1, 0.0)
+        cr = extract_ranges(col, 0.1, 0.0)
         assert np.array_equal(rasterize_ranges(cr, 0.1, 0.0, K), col)
 
 
@@ -175,7 +174,7 @@ def test_convert_column_matches_the_per_column_range_rule(data, res, origin_z,
     assert floor_k.shape == ceil_k.shape == shape
     for index in np.ndindex(*shape):
         want = height_from_ranges(filter_free_ranges(
-            extract_ranges(column_from_array(columns[index]), res, origin_z),
+            extract_ranges(columns[index], res, origin_z),
             min_clearance))
         if want is None:
             assert floor_k[index] == ceil_k[index] == -1
@@ -438,14 +437,6 @@ def test_from_meters_rejects_bad_geometry(resolution, origin, message):
 def test_constructor_rejects_faces_no_conversion_makes(floor_k, ceil_k, message):
     with pytest.raises(ValueError, match=message):
         HeightMap(0.1, (0.0, 0.0, 0.0), np.array(floor_k), np.array(ceil_k))
-
-
-def test_from_meters_raises_its_error_type_for_what_the_constructor_rejects():
-    class BadHeights(Exception):
-        pass
-
-    with pytest.raises(BadHeights, match=r"cell \(0, 1\) .*at or below the floor"):
-        HeightMap.from_meters(0.1, (0.0, 0.0, 0.0), [[0.0, 0.5]], [[1.0, 0.5]], BadHeights)
 
 
 def test_constructor_stores_int32_faces_and_takes_floor_only_maps():

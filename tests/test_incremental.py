@@ -169,11 +169,8 @@ def test_open_area_reveals_grow_with_the_frontier():
             for n in range(cn - ring, cn + ring + 1):
                 if max(abs(m - cm), abs(n - cn)) != ring:
                     continue
-                view = full.column(m, n)
-                for z0, length, voxel_state in view.runs:
-                    if voxel_state:
-                        batch.extend((m, n, k, voxel_state)
-                                     for k in range(z0, z0 + length))
+                batch.extend((m, n, k, voxel_state) for k, voxel_state
+                             in enumerate(full.states[m, n].tolist()) if voxel_state)
         report = update(state, batch)
         column_counts.append(report.columns)
         occupancy_counts.append(report.occupancy_cells)
@@ -221,7 +218,7 @@ def assert_ranges_match_the_oracle(state):
     expected = set()
     for m in range(M):
         for n in range(N):
-            want = filter_free_ranges(extract_ranges(vmap.column(m, n), res, oz),
+            want = filter_free_ranges(extract_ranges(vmap.states[m, n], res, oz),
                                       state.params.min_clearance)
             if want.is_empty():
                 continue

@@ -124,6 +124,16 @@ def test_readers_reject_wrong_kinds(tmp_path):
         read_height(gpath)
 
 
+def test_height_reader_names_the_path_and_cell_of_a_ceiling_at_or_below_its_floor(tmp_path):
+    path = tmp_path / "h.g2d"
+    path.write_bytes(b"G2D 1\nkind height-floor-ceiling\nextent 1 2\nres 0.1\norigin 0 0 0\n"
+                     + np.array([[0.0, 0.5], [1.0, 0.5]], "<f4").tobytes())
+    with pytest.raises(GridFormatError) as raised:
+        read_height(path)
+    assert str(raised.value) == (f"{path}: height cell (0, 1) with floor face 5 and "
+                                 "ceiling face 5: the ceiling is at or below the floor")
+
+
 def test_truncated_grid_rejected(tmp_path):
     path = tmp_path / "g.g2d"
     write_occupancy(occupancy_grid([[0.0, 1.0]]), path)
@@ -346,8 +356,8 @@ def test_slope_reader_rejects_cells_no_slope_can_hold(tmp_path, bad):
     values = np.array([[0.0, 0.5], [np.nan, bad]])
     path = tmp_path / "s.g2d"
     write_raw_slope(values, path)
-    with pytest.raises(GridFormatError, match=rf"slope cell \(1, 1\) holds {bad}, "
-                                              r"neither NaN \(absent\) nor finite and >= 0"):
+    with pytest.raises(GridFormatError, match=rf"slope cell \(1, 1\) holds {bad}, neither "
+                                              r"NaN \(absent\) nor a finite float32 >= 0"):
         read_slope(path)
     # the generic reader returns the planes as stored
     assert read_grid(path)[1][0][1, 1] == np.float32(bad)

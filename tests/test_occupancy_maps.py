@@ -8,9 +8,9 @@ from voxflat import (ConversionParams, GridFormatError, HeightMap, OccupancyGrid
                      uav_cell_value, write_height)
 from voxflat.scenes import SceneSpec, generate
 
-from oracles import (HeightRange, column_from_array, extract_ranges,
-                     filter_free_ranges, height_from_ranges, make_height_map,
-                     occupancy_value, overlap_length, random_column)
+from oracles import (HeightRange, extract_ranges, filter_free_ranges,
+                     height_from_ranges, make_height_map, occupancy_value,
+                     overlap_length, random_column)
 
 U, O, F = VoxelState.UNKNOWN, VoxelState.OCCUPIED, VoxelState.FREE
 
@@ -188,12 +188,12 @@ def test_occupancy_agrees_with_voxel_counting_oracle():
         nb_col = np.zeros(K, dtype=np.uint8)
         start = int(rng.integers(0, K - 12))
         nb_col[start:start + int(rng.integers(10, K - start))] = int(F)
-        nb = filter_free_ranges(extract_ranges(column_from_array(nb_col), res, 0.0), 1.0)
+        nb = filter_free_ranges(extract_ranges(nb_col, res, 0.0), 1.0)
         span = height_from_ranges(nb)
         if span is None:
             continue
         ex_col = random_column(rng, K)
-        ex = extract_ranges(column_from_array(ex_col), res, 0.0)
+        ex = extract_ranges(ex_col, res, 0.0)
         height = make_height_map([[span.floor], [None]], [[span.ceiling], [None]],
                                  resolution=res)
         value = occupancy_value((1, 0), ex.occupied, height, height.floor_k >= 0)
@@ -267,7 +267,7 @@ def test_uav_kernel_matches_the_per_cell_rule(data, res, origin_z, min_occupancy
             if present[m, n]:
                 assert value == 0.0
                 continue
-            occupied = extract_ranges(vmap.column(m, n), res, origin_z).occupied
+            occupied = extract_ranges(vmap.states[m, n], res, origin_z).occupied
             ratio = occupancy_value((m, n), occupied, state.height, present)
             if ratio is None:
                 assert value == -1.0

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from voxflat import ConversionParams, LiftParams
+from voxflat import ConversionParams, LiftParams, VoxelMap
+from voxflat.column_extraction import check_positive_int
 from voxflat.scenes import SceneSpec
 
 # the required fields of each parameter class
@@ -48,3 +49,36 @@ def test_number_fields_refuse_bools_and_store_numpy_scalars_as_python_numbers(cl
         given, stored = (np.int64(3), 3) if f.type == "int" else (np.float32(0.75), 0.75)
         got = getattr(cls(**{**REQUIRED[cls], f.name: given}), f.name)
         assert type(got) is type(stored) and got == stored
+
+
+def verdicts(value, *checks):
+    """Whether each check accepts value (returns) or refuses it (raises
+    TypeError or ValueError)."""
+    out = []
+    for check in checks:
+        try:
+            check(value)
+        except (TypeError, ValueError):
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (True, False), (np.True_, False), (2.0, False), ("2", False),
+    (np.int64(2), True), (np.array(2), True)], ids=repr)
+def test_every_count_boundary_shares_one_count_rule(value, accepted):
+    # check_positive_int refused np.array(2), which the other two accepted
+    assert verdicts(value,
+                    lambda v: check_positive_int(v, "min_run"),
+                    lambda v: VoxelMap(0.1, (0.0, 0.0, 0.0), (v, 2, 2)),
+                    lambda v: LiftParams(v, 0.5)) == [accepted] * 3
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (True, False), ("0.1", False), (np.float32(0.1), True), (0.1, True)], ids=repr)
+def test_every_number_boundary_shares_one_number_rule(value, accepted):
+    assert verdicts(value,
+                    lambda v: ConversionParams(max_slope=v),
+                    lambda v: VoxelMap(v, (0.0, 0.0, 0.0), (2, 2, 2))) == [accepted] * 2

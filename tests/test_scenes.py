@@ -101,10 +101,11 @@ def truth_document(tmp_path, edit):
     lambda doc: {**doc, "floor": [[math.inf] + row[1:] for row in doc["floor"]]},
     lambda doc: {**doc, "floor": [[math.nan] + row[1:] for row in doc["floor"]]},
     lambda doc: {**doc, "slope": [[-math.inf] + row[1:] for row in doc["slope"]]},
+    lambda doc: {**doc, "extent": [True, 2, 2]},
 ], ids=["no-kind", "list", "floor-number", "short-slope-grid", "extent-mismatch",
         "ugv-number-cell", "short-extent", "number-kind", "list-spec", "nan-origin",
         "infinite-origin", "zero-resolution", "zero-extent", "infinite-floor-claim",
-        "nan-floor-claim", "infinite-slope-claim"])
+        "nan-floor-claim", "infinite-slope-claim", "bool-extent"])
 def test_truth_reader_rejects_malformed_documents(tmp_path, edit):
     path = truth_document(tmp_path, edit)
     with pytest.raises(ValueError, match="truth.json") as caught:
