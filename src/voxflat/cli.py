@@ -138,15 +138,30 @@ def _add_conversion_flags(p) -> None:
                        help=text + " (default %(default)s)")
 
 
+def _given(command: str, flag: str, params, **field):
+    """params with the flag's value put in its field; a value that the
+    dataclass refuses is a usage error naming the flag."""
+    try:
+        return dataclasses.replace(params, **field)
+    except (TypeError, ValueError) as e:
+        raise _UsageError(f"{command}: {flag}: {e}") from None
+
+
 def _params(args) -> ConversionParams:
-    return ConversionParams(**{name: getattr(args, name) for _, name, _ in _CONVERSION_FLAGS})
+    """ConversionParams with each conversion flag put in its field, one at a
+    time, so that a refused value names its flag."""
+    params = ConversionParams()
+    for flag, name, _ in _CONVERSION_FLAGS:
+        params = _given(args.command, "--" + flag.replace("_", "-"), params,
+                        **{name: getattr(args, name)})
+    return params
 
 
 def _cmd_convert(args) -> int:
+    params = _params(args)
     t0 = time.perf_counter()
     vmap, input_bytes = read_voxel_map(args.input)
     load_time = time.perf_counter() - t0
-    params = _params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -233,21 +248,21 @@ def _cmd_lift(args) -> int:
 def _lift_params(args, resolution: float) -> LiftParams:
     """The mode's LiftParams defaults with each given flag put in its field, one
     at a time, and --r-max-z checked as ConversionParams.min_clearance; a
-    value that a dataclass refuses is a usage error naming the flag."""
-    def given(flag, params, **field):
-        try:
-            return dataclasses.replace(params, **field)
-        except (TypeError, ValueError) as e:
-            raise _UsageError(f"lift: {flag}: {e}") from None
-
+    value that a dataclass refuses, or a --p-f of more cells than a float
+    holds, is a usage error naming the flag."""
+    try:
+        lookahead = None if args.p_f is None else round(args.p_f / resolution)
+    except OverflowError:
+        raise _UsageError(f"lift: --p-f: {args.p_f} m is more cells than a float "
+                          f"holds at resolution {resolution}") from None
     params = getattr(LiftParams, f"{args.mode}_defaults")(resolution)
     for flag, name, value in (
-            ("--p-f", "lookahead", None if args.p_f is None else round(args.p_f / resolution)),
+            ("--p-f", "lookahead", lookahead),
             ("--r-off", "height_offset", args.r_off), ("--r-r", "safety_radius", args.r_r)):
         if value is not None:
-            params = given(flag, params, **{name: value})
-    r_max_z = ConversionParams.min_clearance if args.r_max_z is None else given(
-        "--r-max-z", ConversionParams(), min_clearance=args.r_max_z).min_clearance
+            params = _given("lift", flag, params, **{name: value})
+    r_max_z = ConversionParams.min_clearance if args.r_max_z is None else _given(
+        "lift", "--r-max-z", ConversionParams(), min_clearance=args.r_max_z).min_clearance
     if args.mode == "uav" and not params.safety_radius <= r_max_z / 2:
         raise ValueError(f"clearance radius {params.safety_radius} outside "
                          f"(0, r_max_z/2] with r_max_z {r_max_z}")
@@ -276,12 +291,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    params = _params(args)
     if args.input:
         vmap = load_voxel_map(args.input)
     else:
         vmap, _ = generate(SceneSpec(kind=args.scene))
     batches = _read_trace(args.trace)
-    state = incremental.init(vmap, _params(args))
+    state = incremental.init(vmap, params)
     rows = [CSV_HEADER]
     for index, batch in enumerate(batches):
         report = incremental.update(state, batch)

@@ -15,10 +15,11 @@ a count (`params.is_count`, as for a `VoxelMap` extent) >= 1.
 
 A full build reads only the box that can hold output: `build_height_map` the
 bounding box of the observed columns, in row bands of about _BAND_VOXELS
-voxels of the box's width. `voxel_store.nonzero_box` finds it, and the slope
-and UAV builds' boxes and the box a VXG file stores, with reductions along
-contiguous memory (each row's maximum, then one down the hit rows only),
-never along the short k axis.
+voxels of the box's width, into a `HeightMap.empty` map, and then the box of
+present cells inside it, which the map keeps as `present_box` for the slope
+and UAV builds. `voxel_store.nonzero_box` finds both, and the box a VXG file
+stores, with reductions along contiguous memory (each row's maximum, then
+one down the hit rows only), never along the short k axis.
 
 `run_bands` cuts a box into bands of whole rows and runs them, for the
 height, slope and UAV builds, on one shared thread pool, a thread per usable
@@ -151,8 +152,16 @@ class HeightMap:
 
     @classmethod
     def empty(cls, resolution: float, origin, extent: tuple[int, int]) -> "HeightMap":
-        """A map of the given extent with every cell absent."""
-        return cls(resolution, origin, *np.full((2, *extent), -1, dtype=np.int32))
+        """A map of the given extent with every cell absent.
+
+        Its all -1 planes are made here, so they skip the constructor's
+        checks, which exist for faces from outside.
+        """
+        height = cls.__new__(cls)
+        height.resolution, height.origin = resolution, origin
+        height.floor_k, height.ceil_k = np.full((2, *extent), -1, dtype=np.int32)
+        height.present_box = None
+        return height
 
     @classmethod
     def from_meters(cls, resolution: float, origin: tuple[float, float, float],
@@ -193,8 +202,9 @@ class HeightMap:
         """Heights `origin_z + k*res` of face indices; NaN where k < 0."""
         return np.where(k < 0, np.nan, self.origin[2] + k * self.resolution)
 
-    # Meter views for output and inspection, built on first read and dropped
-    # by set_faces. Writing to them changes no stored face.
+    # Meter views for output and inspection, and the present cells' box,
+    # built on first read and dropped by set_faces. Writing to the views
+    # changes no stored face.
     @cached_property
     def floor(self) -> np.ndarray:
         return self.meters(self.floor_k)
@@ -203,11 +213,17 @@ class HeightMap:
     def ceiling(self) -> np.ndarray:
         return self.meters(self.ceil_k)
 
+    @cached_property
+    def present_box(self) -> tuple[int, int, int, int] | None:
+        """Bounding box (m0, m1, n0, n1) of the present cells, None when no
+        cell is present; `build_height_map` sets it from its observed box."""
+        return nonzero_box(self.floor_k >= 0)
+
     def set_faces(self, index, floor_k: np.ndarray, ceil_k: np.ndarray) -> None:
         """Store face indices at `index`; -1 marks an absent cell."""
         self.floor_k[index] = floor_k
         self.ceil_k[index] = ceil_k
-        for view in ("floor", "ceiling"):
+        for view in ("floor", "ceiling", "present_box"):
             self.__dict__.pop(view, None)
 
     def window(self, rows: slice, cols: slice) -> tuple[int, int, int, int]:
@@ -311,6 +327,8 @@ def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
     Only the bounding box of columns holding any voxel (`nonzero_box`) is
     read; columns outside it have no free run, and their cells stay absent.
     A band holds about _BAND_VOXELS voxels of the box; `run_bands` runs them.
+    The map's `present_box` is then found inside the observed box, so the
+    slope and UAV builds scan no plane of the whole extent for it.
     """
     M, N, K = vmap.extent
     height = HeightMap.empty(vmap.resolution, vmap.origin, (M, N))
@@ -321,5 +339,10 @@ def build_height_map(vmap: VoxelMap, min_run: int) -> HeightMap:
         height.floor_k[r, c], height.ceil_k[r, c] = convert_column(states[r, c], min_run)
 
     if box is not None:
-        run_bands(band, box, max(1, _BAND_VOXELS // ((box[3] - box[2]) * K)))
+        m0, m1, n0, n1 = box
+        run_bands(band, box, max(1, _BAND_VOXELS // ((n1 - n0) * K)))
+        present = nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0)
+        if present is not None:
+            a0, a1, b0, b1 = present
+            height.present_box = (m0 + a0, m0 + a1, n0 + b0, n0 + b1)
     return height

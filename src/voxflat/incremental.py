@@ -4,12 +4,18 @@ The correctness contract is rebuild equivalence: after any sequence of
 updates the state is bit-identical to a from-scratch conversion of the
 current voxel map. Each stage is one kernel that `init()` runs over the box
 of the extent that can hold output, and `update()` over the dirty columns
-grown by the stage's halo, the reach of its data dependencies. `init()`'s
-boxes come from `voxel_store.nonzero_box`, two reductions along
-contiguous memory: the observed columns for heights, the present cells for
-slopes, and the present cells grown by one for UAV; every cell outside a box
-keeps its absent, NaN or -1 value. `slope_at` trims any window to its
-present cells' box the same way, so `update()` shares that rule. Per stage:
+grown by the stage's halo, the reach of its data dependencies.
+
+`init()` pays for the extent only once per output plane: each is allocated
+filled with its absent value (-1 faces, NaN slope, -1 UAV and UGV), and
+every other pass runs on its stage's box. `voxel_store.nonzero_box`, two
+reductions along contiguous memory, finds the observed columns' box for
+heights, and then, inside it, the box of present cells, which
+`HeightMap.present_box` holds for the later stages to share: slopes run on
+it, UAV on it grown by one, which the aerial grid records as its
+`OccupancyGrid.known_box`, and UGV on that UAV box, outside which UGV
+equals UAV, -1. `slope_at` trims any window to its present cells' box the
+same way, so `update()` shares that rule. Per stage:
 
 - voxels: `VoxelMap.apply_cells` writes the batch by one validated scatter
   and returns the written columns as sorted (rows, cols) index arrays;
@@ -156,11 +162,11 @@ def update(state: ConversionState,
             state.slope.values[rows, cols] = values
             state.slope.degenerate[rows, cols] = degenerate
             slope_cells = values.size
-        state.uav.values[uav_rows, uav_cols] = uav_cell_value(
-            vmap, state.height, uav_rows, uav_cols, params.min_occupancy)
+        state.uav.set_values((uav_rows, uav_cols), uav_cell_value(
+            vmap, state.height, uav_rows, uav_cols, params.min_occupancy))
         ugv = ugv_values(state.uav.values[rows, cols],
                          state.slope.values[rows, cols], params.max_slope)
-        state.ugv.values[rows, cols] = ugv
+        state.ugv.set_values((rows, cols), ugv)
         occupancy_cells = ugv.size
 
     elapsed_us = (time.perf_counter_ns() - t0) // 1000

@@ -7,9 +7,10 @@ along k, and divides by the span's length in voxels. The largest ratio over
 neighbours is its value when it reaches min_occupancy; below that, and on
 cells with no present neighbour, the value is unknown (-1). `uav_cell_value`
 computes this for any window of the map, and `update()` for the dirty columns
-grown by one cell. `build_uav_map` runs it on the bounding box of the
-present cells (`nonzero_box`) grown by one cell and pads the result with -1
-to the extent: no cell outside that box has a present neighbour. A window is
+grown by one cell. `build_uav_map` fills its grid with -1 and writes the
+kernel's bands straight into it, on the bounding box of the present cells
+(`HeightMap.present_box`) grown by one cell: no cell outside that box has a
+present neighbour. The grid keeps that box as its `known_box`. A window is
 computed in bands of whole rows holding about _BAND_CELLS cells through
 `column_extraction.run_bands`, so a fully observed map's bands run on its
 thread pool, and an explored map's box or an update's window, one band, on
@@ -17,12 +18,14 @@ the caller's thread.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
-for the full build and for every update window.
+for the full build, which runs it on the aerial grid's `known_box` of a -1
+grid, and for every update window.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +67,18 @@ class OccupancyGrid:
     def extent(self) -> tuple[int, int]:
         return self.values.shape
 
+    @cached_property
+    def known_box(self) -> tuple[int, int, int, int] | None:
+        """A box (m0, m1, n0, n1) outside which every value is -1, None when
+        every value is: the bounding box of the other cells when found on
+        first read, or the box `build_uav_map` wrote. Dropped by set_values."""
+        return nonzero_box(self.values != -1.0)
+
+    def set_values(self, index, values: np.ndarray) -> None:
+        """Store values at `index`."""
+        self.values[index] = values
+        self.__dict__.pop("known_box", None)
+
 
 def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,
                    min_occupancy: float) -> np.ndarray:
@@ -75,13 +90,21 @@ def uav_cell_value(vmap: VoxelMap, height: HeightMap, rows: slice, cols: slice,
     """
     box = m0, m1, n0, n1 = height.window(rows, cols)
     values = np.empty((m1 - m0, n1 - n0))
+    _write_uav(values, vmap, height, box, min_occupancy)
+    return values
+
+
+def _write_uav(out: np.ndarray, vmap: VoxelMap, height: HeightMap,
+               box: tuple[int, int, int, int], min_occupancy: float) -> None:
+    """Aerial values of the box (m0, m1, n0, n1) into `out`, an array of its
+    shape, in bands of whole rows through `run_bands`."""
+    m0, _, n0, n1 = box
 
     def band(r: slice, c: slice) -> None:
-        values[r.start - m0:r.stop - m0] = _uav_block(
+        out[r.start - m0:r.stop - m0] = _uav_block(
             vmap, height, r.start, r.stop, c.start, c.stop, min_occupancy)
 
     run_bands(band, box, max(1, _BAND_CELLS // max(1, n1 - n0)))
-    return values
 
 
 def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
@@ -130,28 +153,29 @@ def ugv_values(uav_values: np.ndarray, slope_values: np.ndarray,
 
 def build_uav_map(vmap: VoxelMap, height: HeightMap,
                   min_occupancy: float) -> OccupancyGrid:
-    """uav_cell_value over the box of present cells grown by one; every
-    other cell has no present 8-neighbour and reads -1."""
+    """uav_cell_value, written in place, over the map's `present_box` grown
+    by one; every other cell has no present 8-neighbour and reads -1."""
     if not (0.0 < min_occupancy <= 1.0):
         raise ValueError(f"min_occupancy must be in (0, 1], got {min_occupancy}")
     if vmap.extent[:2] != height.extent:
         raise ValueError(f"voxel extent {vmap.extent} does not match height "
                          f"extent {height.extent}")
     M, N = height.extent
-    box = nonzero_box(height.floor_k >= 0)
-    if box is None:
-        values = np.full((M, N), -1.0)
-    else:  # the box's values padded with -1: every cell is written once
+    values = np.full((M, N), -1.0)
+    grid = OccupancyGrid("uav", height.resolution, height.origin, values)
+    box = height.present_box
+    if box is not None:
         rows, cols = grow(box, 1, M, N)
-        values = np.pad(uav_cell_value(vmap, height, rows, cols, min_occupancy),
-                        ((rows.start, M - rows.stop), (cols.start, N - cols.stop)),
-                        constant_values=-1.0)
-    return OccupancyGrid("uav", height.resolution, height.origin, values)
+        box = rows.start, rows.stop, cols.start, cols.stop
+        _write_uav(values[rows, cols], vmap, height, box, min_occupancy)
+    grid.known_box = box
+    return grid
 
 
 def build_ugv_map(uav: OccupancyGrid, slope: SlopeMap, max_slope: float) -> OccupancyGrid:
-    """ugv_values over the whole extent; a slope map of another extent, or a
-    max_slope that is not finite and positive, raises ValueError."""
+    """ugv_values over the aerial grid's `known_box`; outside it UGV equals
+    UAV, -1. A slope map of another extent, or a max_slope that is not
+    finite and positive, raises ValueError."""
     if uav.kind != "uav":
         raise ValueError(f"expected a uav grid, got kind {uav.kind!r}")
     if slope.extent != uav.extent:
@@ -159,5 +183,10 @@ def build_ugv_map(uav: OccupancyGrid, slope: SlopeMap, max_slope: float) -> Occu
                          f"extent {uav.extent}")
     if not 0 < max_slope < math.inf:  # NaN fails both comparisons
         raise ValueError(f"max_slope must be positive and finite, got {max_slope}")
-    return OccupancyGrid("ugv", uav.resolution, uav.origin,
-                         ugv_values(uav.values, slope.values, max_slope))
+    values = np.full(uav.extent, -1.0)
+    box = uav.known_box
+    if box is not None:
+        m0, m1, n0, n1 = box
+        box = slice(m0, m1), slice(n0, n1)
+        values[box] = ugv_values(uav.values[box], slope.values[box], max_slope)
+    return OccupancyGrid("ugv", uav.resolution, uav.origin, values)

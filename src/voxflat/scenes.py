@@ -340,7 +340,8 @@ def _assemble(spec: SceneSpec, s: _Slices) -> tuple[VoxelMap, SceneTruth]:
     uav[:, [0, N - 1]] = CLASS_UNKNOWN
     # Wall ring: full-height walls read as occupied wherever they touch a
     # cell claimed free; elsewhere their class depends on unclaimed cells.
-    free = np.pad(uav == CLASS_FREE, 1)
+    free = np.zeros((M + 2, N + 2), dtype=bool)  # the claims, grown by a False ring
+    free[1:-1, 1:-1] = uav == CLASS_FREE
     near_free = np.zeros((M, N), dtype=bool)
     for dm in range(3):
         for dn in range(3):

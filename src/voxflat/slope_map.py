@@ -25,6 +25,8 @@ reads exactly, so a flat floor has slope 0.0 and a 2:1 ramp has slope 2.0.
 `slope_at` fits the window's present-cell box in bands of _BAND_ROWS output
 rows through `column_extraction.run_bands`: a full build's bands run on its
 thread pool, and an update's window, one band, runs on the caller's thread.
+`build_slope_map` takes that box from `HeightMap.present_box`, which a built
+map holds already, so it scans no plane of the extent for it.
 """
 from __future__ import annotations
 
@@ -73,9 +75,18 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
     whole map from every cell, so it is read as max(M, N). A radius that is
     not a count >= 1 (a bool or a float included) raises ValueError.
     """
+    window = m0, m1, n0, n1 = height.window(rows, cols)
+    return _fit(height, window, nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0), radius)
+
+
+def _fit(height: HeightMap, window: tuple[int, int, int, int],
+         box: tuple[int, int, int, int] | None, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and flags of the window (m0, m1, n0, n1), fitted in bands over
+    `box`, the bounding box of its present cells in window coordinates (None
+    when it has none); absent cells outside the box read NaN already."""
     check_positive_int(radius, "neighborhood radius")
     radius = min(radius, max(height.extent))
-    m0, m1, n0, n1 = height.window(rows, cols)
+    m0, m1, n0, n1 = window
     values = np.full((m1 - m0, n1 - n0), np.nan)
     degenerate = np.zeros(values.shape, dtype=bool)
 
@@ -83,9 +94,7 @@ def slope_at(height: HeightMap, rows: slice, cols: slice,
         values[r, c], degenerate[r, c] = _kernel(
             height, m0 + r.start, m0 + r.stop, n0 + c.start, n0 + c.stop, radius)
 
-    # Only the bounding box of present cells has output; absent cells outside
-    # it read NaN already.
-    run_bands(band, nonzero_box(height.floor_k[m0:m1, n0:n1] >= 0), _BAND_ROWS)
+    run_bands(band, box, _BAND_ROWS)
     return values, degenerate
 
 
@@ -154,7 +163,8 @@ def _kernel(height: HeightMap, m0: int, m1: int, n0: int, n1: int,
 
 
 def build_slope_map(height: HeightMap, radius: int) -> SlopeMap:
-    """slope_at over the whole extent; degenerate fits become flagged zeros."""
+    """slope_at's fit over the whole extent, on the map's `present_box`;
+    degenerate fits become flagged zeros."""
     M, N = height.extent
-    values, degenerate = slope_at(height, slice(0, M), slice(0, N), radius)
+    values, degenerate = _fit(height, (0, M, 0, N), height.present_box, radius)
     return SlopeMap(height.resolution, height.origin, values, degenerate, radius)

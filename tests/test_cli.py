@@ -691,11 +691,12 @@ def test_lift_refuses_a_non_finite_path_lookahead(tmp_path, capsys, p_f):
     ("--r-off", "nan", "height_offset must be finite, got nan"),
     ("--r-r", "-1", "safety_radius must be positive, got -1.0"),
     ("--r-max-z", "nan", "min_clearance must be finite, got nan"),
+    ("--p-f", "1e308", "1e+308 m is more cells than a float holds at resolution 0.1"),
 ])
 def test_lift_refuses_a_bad_flag_value_as_a_usage_error_naming_the_flag(
         tmp_path, capsys, flag, value, message):
-    # each was a data error (exit 2) naming a dataclass field, or for
-    # --r-max-z nan blaming the clearance radius
+    # each was a data error (exit 2) naming a dataclass field, for --r-max-z
+    # nan blaming the clearance radius, or for --p-f 1e308 an OverflowError
     out = convert(tmp_path, synth(tmp_path, "flat-room"))
     path_out = tmp_path / "path.txt"
     capsys.readouterr()
@@ -704,3 +705,23 @@ def test_lift_refuses_a_bad_flag_value_as_a_usage_error_naming_the_flag(
                f"{flag}={value}") == 1
     assert capsys.readouterr().err == f"lift: {flag}: {message}\n"
     assert not path_out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r-max-z", "nan", "min_clearance must be finite, got nan"),
+    ("--r-max-z", "-1", "min_clearance must be positive, got -1.0"),
+    ("--o-min", "2", "min_occupancy must be in (0, 1], got 2.0"),
+    ("--s-a", "0", "slope_window_m must be positive, got 0.0"),
+    ("--r-ms", "inf", "max_slope must be finite, got inf"),
+])
+@pytest.mark.parametrize("command", ["convert", "bench"])
+def test_conversion_commands_refuse_a_bad_flag_value_before_reading_the_input(
+        tmp_path, capsys, command, flag, value, message):
+    # each was a data error (exit 2) naming a dataclass field, once the input
+    # was read; the input here does not exist, which would be a data error too
+    missing = tmp_path / "nope.vxg"
+    out = ["--out-dir", tmp_path / "o"] if command == "convert" else [
+        "--trace", tmp_path / "nope.txt", "--out", tmp_path / "b.csv"]
+    assert run(command, "--in", missing, *out, f"{flag}={value}") == 1
+    assert capsys.readouterr().err == f"{command}: {flag}: {message}\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()

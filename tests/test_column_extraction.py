@@ -449,8 +449,10 @@ def test_meter_views_follow_set_faces():
     height = HeightMap.empty(0.1, (0.0, 0.0, -1.0), (2, 3))
     assert height.floor_k.dtype == np.int32 and (height.floor_k == -1).all()
     assert np.isnan(height.floor).all() and np.isnan(height.ceiling).all()
+    assert height.present_box is None
     height.set_faces((slice(0, 1), slice(1, 3)), np.array([4, 5]), np.array([20, 30]))
     assert height.floor_k.tolist() == [[-1, 4, 5], [-1, -1, -1]]
+    assert height.present_box == (0, 1, 1, 3)
     assert np.array_equal(height.floor[0], [np.nan, -1.0 + 4 * 0.1, -1.0 + 5 * 0.1],
                           equal_nan=True)
     assert np.array_equal(height.ceiling[0], [np.nan, -1.0 + 20 * 0.1, -1.0 + 30 * 0.1],

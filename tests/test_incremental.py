@@ -9,7 +9,9 @@ from voxflat import (ConversionParams, DirtyReport, VoxelMap, VoxelState, init,
                      update)
 from voxflat.column_extraction import convert_column
 from voxflat.incremental import CSV_HEADER
-from voxflat.occupancy_maps import uav_cell_value
+from voxflat.occupancy_maps import ugv_values, uav_cell_value
+from voxflat.slope_map import slope_at
+from voxflat.voxel_store import nonzero_box
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import HeightRange, extract_ranges, filter_free_ranges, states_equal
@@ -275,8 +277,8 @@ def box_params(radius):
 def assert_embedded(states, extent, at, params):
     """init() of `states` placed at cell `at` of an otherwise all-Unknown
     (M, N) extent gives the small map's grids there and absent, NaN and -1
-    everywhere else; its heights and UAV values also equal the stage kernels
-    run over the whole extent."""
+    everywhere else; each grid also equals its stage kernel run over the
+    whole extent, and the present box init() shares equals a scan's."""
     m, n, K = states.shape
     big = np.zeros((*extent, K), dtype=np.uint8)
     window = slice(at[0], at[0] + m), slice(at[1], at[1] + n)
@@ -298,15 +300,23 @@ def assert_embedded(states, extent, at, params):
     assert np.array_equal(full.height.floor_k, floor_k)
     assert np.array_equal(full.height.ceil_k, ceil_k)
     M, N = extent
+    assert full.height.present_box == nonzero_box(full.height.floor_k >= 0)
+    values, degenerate = slope_at(full.height, slice(0, M), slice(0, N),
+                                  params.slope_radius_cells(0.1))
+    assert np.array_equal(full.slope.values, values, equal_nan=True)
+    assert np.array_equal(full.slope.degenerate, degenerate)
     assert np.array_equal(full.uav.values, uav_cell_value(
         full.voxels, full.height, slice(0, M), slice(0, N), params.min_occupancy))
+    assert np.array_equal(full.ugv.values, ugv_values(
+        full.uav.values, full.slope.values, params.max_slope))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), radius=st.integers(1, 3))
 def test_a_map_embedded_in_unknown_space_converts_as_it_does_alone(data, seed, radius):
     # init() reads only the box that can hold output: heights the box of
-    # observed columns, UAV the box of present cells grown by one
+    # observed columns, slopes the box of present cells found inside it, UAV
+    # and UGV that box grown by one; a 1 x 1 map is a one-column map
     m, n, K = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)),
                data.draw(st.integers(1, 10)))
     M, N = m + data.draw(st.integers(0, 8)), n + data.draw(st.integers(0, 8))

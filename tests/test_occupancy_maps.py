@@ -6,6 +6,7 @@ from voxflat import (ConversionParams, GridFormatError, HeightMap, OccupancyGrid
                      VoxelMap, VoxelState, build_height_map, build_ugv_map,
                      build_uav_map, build_slope_map, init, read_height,
                      uav_cell_value, write_height)
+from voxflat.occupancy_maps import ugv_values
 from voxflat.scenes import SceneSpec, generate
 
 from oracles import (HeightRange, extract_ranges, filter_free_ranges,
@@ -215,6 +216,20 @@ def test_degenerate_slope_cells_stay_free_in_the_ground_map():
     assert slope.degenerate[1, 1]
     ugv = build_ugv_map(uav, slope, 2.0)
     assert ugv.values[1, 1] == 0.0
+
+
+def test_ground_map_reads_aerial_values_written_outside_the_built_box():
+    # build_ugv_map runs on the aerial grid's known box: the box its build
+    # wrote, found again by a scan once set_values has written elsewhere
+    height = make_height_map([[None] * 5, [None, 0.5, None, None, None], [None] * 5])
+    uav = build_uav_map(no_voxels(height), height, 0.5)
+    slope = build_slope_map(height, 1)
+    assert uav.known_box == (0, 3, 0, 3)
+    uav.set_values((1, 4), 0.7)
+    assert uav.known_box == (1, 2, 1, 5)
+    ugv = build_ugv_map(uav, slope, 2.0)
+    assert ugv.values[1, 4] == 0.7
+    assert np.array_equal(ugv.values, ugv_values(uav.values, slope.values, 2.0))
 
 
 def test_build_map_validation():
