@@ -235,15 +235,6 @@ class HeightMap:
             raise ValueError(f"window slices must have step 1, got {rows} and {cols}")
         return m0, max(m0, m1), n0, max(n0, n1)
 
-    def faces_at(self, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Floor and ceiling faces at integer cell arrays of one shape; a cell
-        off the map reads -1 in both, as an absent cell does."""
-        M, N = self.extent
-        inside = (m >= 0) & (m < M) & (n >= 0) & (n < N)
-        m, n = np.where(inside, m, 0), np.where(inside, n, 0)
-        return (np.where(inside, self.floor_k[m, n], -1),
-                np.where(inside, self.ceil_k[m, n], -1))
-
 
 def pad_block(m0: int, m1: int, n0: int, n1: int, halo: int,
               *planes: np.ndarray) -> np.ndarray:

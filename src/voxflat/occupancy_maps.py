@@ -18,8 +18,8 @@ the caller's thread.
 
 The ground-robot grid is the aerial grid with free cells steeper than the
 traversable slope made fully occupied: `ugv_values`, one elementwise rule
-for the full build, which runs it on the aerial grid's `known_box` of a -1
-grid, and for every update window.
+for the full build, which writes it straight into the aerial grid's
+`known_box` of a -1 grid, and for every update window.
 """
 from __future__ import annotations
 
@@ -142,13 +142,21 @@ def _uav_block(vmap: VoxelMap, height: HeightMap, m0: int, m1: int, n0: int,
 
 
 def ugv_values(uav_values: np.ndarray, slope_values: np.ndarray,
-               max_slope: float) -> np.ndarray:
+               max_slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """Ground-map values: free cells steeper than max_slope become occupied.
 
     NaN slopes (absent cells) are never steep, and degenerate-fit cells carry
-    slope 0, so they stay free by design.
+    slope 0, so they stay free by design. The values are written into `out`,
+    an array of the windows' shape, or a new array when it is None, and
+    returned: the aerial values, then 1 on the steep cells.
     """
-    return np.where((uav_values == 0.0) & (slope_values > max_slope), 1.0, uav_values)
+    steep = (uav_values == 0.0) & (slope_values > max_slope)
+    if out is None:
+        out = np.array(uav_values, dtype=np.float64)
+    else:
+        np.copyto(out, uav_values)
+    np.copyto(out, 1.0, where=steep)
+    return out
 
 
 def build_uav_map(vmap: VoxelMap, height: HeightMap,
@@ -188,5 +196,5 @@ def build_ugv_map(uav: OccupancyGrid, slope: SlopeMap, max_slope: float) -> Occu
     if box is not None:
         m0, m1, n0, n1 = box
         box = slice(m0, m1), slice(n0, n1)
-        values[box] = ugv_values(uav.values[box], slope.values[box], max_slope)
+        ugv_values(uav.values[box], slope.values[box], max_slope, out=values[box])
     return OccupancyGrid("ugv", uav.resolution, uav.origin, values)

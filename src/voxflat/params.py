@@ -92,9 +92,21 @@ class ConversionParams:
             raise ValueError(f"max_slope must be positive, got {self.max_slope}")
 
     def slope_radius_cells(self, resolution: float) -> int:
-        return max(1, round(self.slope_window_m / resolution))
+        try:
+            return max(1, round(self.slope_window_m / resolution))
+        except OverflowError:
+            raise self._too_many_cells("slope_window_m", resolution) from None
 
     def min_run(self, resolution: float) -> int:
         """Fewest free voxels a run needs to be navigable: L*res reaches
         min_clearance, within _CLEARANCE_EPS."""
-        return max(1, math.ceil((self.min_clearance - _CLEARANCE_EPS) / resolution))
+        try:
+            return max(1, math.ceil((self.min_clearance - _CLEARANCE_EPS) / resolution))
+        except OverflowError:
+            raise self._too_many_cells("min_clearance", resolution) from None
+
+    def _too_many_cells(self, name: str, resolution: float) -> ValueError:
+        """The error for a length whose cell count at this resolution is beyond
+        float range, where rounding it to an int raised OverflowError."""
+        return ValueError(f"{name}: {getattr(self, name)} m is more cells than a "
+                          f"float holds at resolution {resolution}")

@@ -3,11 +3,15 @@
 The planner is an 8-connected A* over the occupancy grid, on exact integer
 path costs: 2**121 a straight step, sqrt(2) * 2**121 rounded a diagonal one.
 Its heap orders cells by (f, h, m, n), so equal f breaks toward the goal, and
-a closed cell is final. It keys cells by flat index and reads freeness
-through a view of the grid's buffer, so a plan costs work in proportion to
-the cells it expands, not to the map. Lifting gives each waypoint a windowed
-maximum of nearby floor heights plus an offset, and aerial paths get an
-additional sphere check against every height cell within the safety radius.
+a closed cell is final. A popped cell generates only the natural and forced
+neighbours of the step that reached it, the neighbour pruning of jump point
+search (Harabor & Grastien, AAAI 2011) without its jumps, so it never scans
+past the goal. It keys cells by flat index and reads freeness through a view
+of the grid's buffer, so a plan costs work in proportion to the cells it
+expands, not to the map. Lifting gives each waypoint a windowed maximum of
+nearby floor heights plus an offset, and aerial paths get an additional
+sphere check against every height cell within the safety radius; both read
+the faces through one padded block of their waypoints' box.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .column_extraction import HeightMap, window_reduce
+from .column_extraction import HeightMap, pad_block, window_reduce
 from .occupancy_maps import OccupancyGrid
 from .params import check_fields
 from .voxel_store import Cell, cell_center, int_records, read_records
@@ -86,6 +90,22 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     The A* heap orders cells by (f, h, m, n): equal f breaks toward the goal
     (smaller h), then on (m, n), so results are deterministic.
 
+    Moves are pruned as in jump point search (Harabor & Grastien, AAAI 2011)
+    for these corner-cutting moves, which need only their target free. The
+    start makes all eight. Any other cell makes the natural moves of the step
+    (dm, dn) that reached it: after a straight step the same step again;
+    after a diagonal one that step and its two straight parts, (dm, 0) and
+    (0, dn). It also makes a forced move wherever a side cell is not free: a
+    straight step forces the diagonal past each side cell (m + dn, n + dm)
+    and (m - dn, n - dm) that is not free, and a diagonal one forces (m - dm,
+    n + dn) when (m - dm, n) is not free and (m + dm, n - dn) when (m, n - dn)
+    is not. A pruned move's target has a route through free cells from the
+    cell's parent, avoiding the cell, that costs no more, so pruning drops
+    only routes that another of no greater cost stands for, and a closed
+    cell's cost is still final. The path costs what unpruned A*'s does, but
+    among routes of equal cost it may be another one. Moves are tabled per
+    grid width by `_moves`.
+
     The integer order keeps the order of true costs s + d*sqrt(2) (s straight
     and d diagonal steps) among routes of at most L steps when U > (1 +
     sqrt(2)) * L**2 / 2. D is off by at most 1/2, so the rounding terms
@@ -115,13 +135,16 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     (sm, sn), (gm, gn) = ends
     source = sm * N + sn
     target = gm * N + gn
-    steps = [(dm, dn, dm * N + dn, cost) for dm, dn, cost in _STEPS]
+    moves = _moves(N)
     a, b = abs(sm - gm), abs(sn - gn)
     h = _UNIT * a + _EXTRA * b if a > b else _UNIT * b + _EXTRA * a
     heap = [(h, h, source)]
     # g of each reached cell; a closed cell's is -1, below any route's cost
     best_g = {source: 0}
     parent: dict[int, int] = {}
+    # the step that last improved each cell's g, as an index into _STEPS;
+    # the start's is len(_STEPS), whose row of moves holds all eight
+    came = {source: len(_STEPS)}
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         c = pop(heap)[2]
@@ -138,21 +161,53 @@ def plan_2d(grid: OccupancyGrid, start: Cell, goal: Cell) -> list[Cell] | None:
         m, n = divmod(c, N)
         border = m == 0 or n == 0 or m == M - 1 or n == N - 1
         am, an = m - gm, n - gn
-        for dm, dn, dc, cost in steps:
+        for dm, dn, dc, cost, step, side in moves[came[c]]:
             if border and not (0 <= m + dm < M and 0 <= n + dn < N):
                 continue
             nc = c + dc
-            if cells[nc]:  # any nonzero value, NaN included, is not free
+            # any nonzero value, NaN included, is not free; a forced move is
+            # made only when its side cell (on the map whenever nc is) is not
+            if cells[nc] or (side and not cells[c + side]):
                 continue
             ng = g + cost
             if ng < best_g.get(nc, _NEVER):
                 best_g[nc] = ng
                 parent[nc] = c
+                came[nc] = step
                 a = abs(am + dm)
                 b = abs(an + dn)
                 h = _UNIT * a + _EXTRA * b if a > b else _UNIT * b + _EXTRA * a
                 push(heap, (ng + h, h, nc))
     return None
+
+
+@lru_cache(maxsize=16)
+def _moves(N: int) -> tuple[tuple[tuple[int, int, int, int, int, int], ...], ...]:
+    """plan_2d's successor rows on a grid N cells wide: row k lists the moves
+    a cell reached by step k of _STEPS makes, and a last row the start's, all
+    eight. A move is (dm, dn, flat offset, cost, its index in _STEPS, side),
+    where side is 0 for a natural move and, for a forced one, the flat offset
+    of the side cell whose being non-free forces it. Rows are keyed by step,
+    never by flat offset: dm*N + dn is one offset for two steps when N <= 2.
+    """
+    index = {(dm, dn): k for k, (dm, dn, _) in enumerate(_STEPS)}
+
+    def move(dm, dn, side=(0, 0)):
+        k = index[dm, dn]
+        return dm, dn, dm * N + dn, _STEPS[k][2], k, side[0] * N + side[1]
+
+    rows = []
+    for dm, dn, _ in _STEPS:
+        if dm and dn:  # diagonal: itself, its straight parts, past each side
+            row = (move(dm, dn), move(dm, 0), move(0, dn),
+                   move(-dm, dn, (-dm, 0)), move(dm, -dn, (0, -dn)))
+        else:  # straight: ahead, and diagonally past each side
+            sm, sn = dn, dm  # a unit step across the direction of travel
+            row = (move(dm, dn), move(dm + sm, dn + sn, (sm, sn)),
+                   move(dm - sm, dn - sn, (-sm, -sn)))
+        rows.append(row)
+    rows.append(tuple(move(dm, dn) for dm, dn, _ in _STEPS))
+    return tuple(rows)
 
 
 def lift_path(path: Sequence[Cell] | np.ndarray, height: HeightMap,
@@ -169,7 +224,8 @@ def lift_path(path: Sequence[Cell] | np.ndarray, height: HeightMap,
     if isinstance(path, np.ndarray):
         path = path.tolist()
     m, n = int_records(path, 2, "waypoint").T
-    floor_k = height.faces_at(m, n)[0]
+    block, at, _ = _padded(height, m, n, 0, height.floor_k)
+    floor_k = block[0].take(at)
     missing = floor_k < 0
     if missing.any():
         idx = int(np.argmax(missing))
@@ -210,7 +266,8 @@ def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap
     M, N = height.extent
     # An offset of max(M, N) cells or more leaves the map from any waypoint
     # on it, so the disc is clipped there however large the radius.
-    dm, dn = _disc(radius, res, min(math.ceil(radius / res), max(M, N)))
+    reach = min(math.ceil(radius / res), max(M, N))
+    dm, dn = _disc(radius, res, reach)
     try:
         points = np.array(path, dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric waypoints
@@ -227,8 +284,6 @@ def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap
     m = np.floor((x - height.origin[0]) / res)
     n = np.floor((y - height.origin[1]) / res)
     off_map = ~((m >= 0) & (m < M) & (n >= 0) & (n < N))
-    m = np.where(off_map, 0, m).astype(np.int64)
-    n = np.where(off_map, 0, n).astype(np.int64)
     # Faces of every waypoint x disc offset, -1 off the map and where absent:
     # the highest floor face is -1 only with no height cell. Read as uint32, a
     # missing ceiling's -1 is the largest value, so it is never the lowest.
@@ -237,10 +292,11 @@ def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap
     low = np.empty(m.size, dtype=np.uint32)
     step = max(1, _GATHER_CELLS // dm.size)
     for s in range(0, m.size, step):
-        floor_k, ceil_k = height.faces_at(m[s:s + step, None] + dm,
-                                          n[s:s + step, None] + dn)
+        block, at, W = _padded(height, m[s:s + step], n[s:s + step], reach,
+                               height.floor_k, height.ceil_k)
+        floor_k, ceil_k = block.take(at[:, None] + (dm * W + dn), axis=1)
         top[s:s + step] = floor_k.max(axis=1)
-        low[s:s + step] = ceil_k.astype(np.uint32).min(axis=1)
+        low[s:s + step] = ceil_k.view(np.uint32).min(axis=1)
     no_height = top < 0
     max_floor = height.meters(top)
     min_ceiling = np.where(low > np.iinfo(np.int32).max, np.inf, height.meters(low))
@@ -262,6 +318,23 @@ def enforce_clearance(path: Sequence[Waypoint3D] | np.ndarray, height: HeightMap
         )
     z = np.minimum(np.maximum(z, lo), hi)
     return [(wx, wy, wz) for (wx, wy, _), wz in zip(path, z.tolist())]
+
+
+def _padded(height: HeightMap, m: np.ndarray, n: np.ndarray, reach: int,
+            *planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One `pad_block` of the planes over the box of the cells (m, n) grown
+    by reach, as a (planes, block cells) array; each cell's flat index into
+    it; and the block's width. Cells are first clipped to one past the map's
+    edge, so a cell off the map stays off it and reads -1, as an absent one
+    does, and an offset of up to reach cells from a cell stays in the block."""
+    M, N = height.extent
+    m = np.minimum(np.maximum(m, -1), M).astype(np.int64, copy=False)
+    n = np.minimum(np.maximum(n, -1), N).astype(np.int64, copy=False)
+    m0, n0 = int(m.min()), int(n.min())
+    block = pad_block(m0, int(m.max()) + 1, n0, int(n.max()) + 1, reach, *planes)
+    W = block.shape[2]
+    corner = (m0 - reach) * W + (n0 - reach)  # the block's first cell
+    return block.reshape(len(planes), -1), m * W + n - corner, W
 
 
 @lru_cache(maxsize=16)

@@ -175,6 +175,18 @@ def test_convert_refuses_a_vxg_1_file(tmp_path, capsys):
     assert "unsupported VXG version 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, name", [("--r-max-z", "min_clearance"),
+                                        ("--s-a", "slope_window_m")])
+def test_convert_with_a_length_of_more_cells_than_a_float_holds_is_a_data_error(
+        tmp_path, capsys, flag, name):
+    # an OverflowError traceback from init(), once the input was read
+    vxg = synth(tmp_path, "ramp")
+    capsys.readouterr()
+    assert run("convert", "--in", vxg, "--out-dir", tmp_path / "o", f"{flag}=1e308") == 2
+    assert capsys.readouterr().err == (f"error: {name}: 1e+308 m is more cells than a "
+                                       f"float holds at resolution 0.1\n")
+
+
 def test_diff_of_incomparable_grids_is_a_data_error(tmp_path, capsys):
     out = convert(tmp_path, synth(tmp_path, "flat-room", "--size-x", "2.0", "--size-y", "1.6"))
     assert run("diff", out / "uav_map.g2d", out / "height.g2d") == 2

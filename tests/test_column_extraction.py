@@ -366,18 +366,6 @@ def test_nonzero_box_is_the_box_of_observed_columns(shape, seed, density):
     assert nonzero_box(states.any(axis=2)) == want
 
 
-def test_height_faces_at_reads_minus_one_off_the_map_and_where_no_floor():
-    height = HeightMap(0.1, (0.0, 0.0, 0.0), np.array([[0, -1]], np.int32),
-                       np.array([[20, -1]], np.int32))
-    m = np.array([[0, 0], [-1, 1]])
-    n = np.array([[0, 1], [0, 0]])
-    floor_k, ceil_k = height.faces_at(m, n)
-    assert floor_k.tolist() == [[0, -1], [-1, -1]]
-    assert ceil_k.tolist() == [[20, -1], [-1, -1]]
-    assert np.array_equal(height.meters(ceil_k), [[2.0, np.nan], [np.nan, np.nan]],
-                          equal_nan=True)
-
-
 def test_from_meters_snaps_heights_to_faces():
     nan = np.nan
     # origin_z 1.0 at 0.5 m: 1.74 is face 1.48 and snaps to 1, 3.4 to 5, and

@@ -232,6 +232,21 @@ def test_ground_map_reads_aerial_values_written_outside_the_built_box():
     assert np.array_equal(ugv.values, ugv_values(uav.values, slope.values, 2.0))
 
 
+def test_ground_rule_writes_into_the_given_window():
+    # build_ugv_map writes the rule straight into its grid; the values are
+    # those of the elementwise rule with or without `out`
+    nan = np.nan
+    uav = np.array([[-1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, -1.0]])
+    slope = np.array([[3.0, 3.0, 2.0, 3.0], [3.0, nan, 0.0, nan]])
+    want = np.where((uav == 0.0) & (slope > 2.0), 1.0, uav)
+    assert want.tolist() == [[-1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.0, -1.0]]
+    assert np.array_equal(ugv_values(uav, slope, 2.0), want)
+    grid = np.full((4, 6), -1.0)
+    got = ugv_values(uav, slope, 2.0, out=grid[1:3, 2:])
+    assert got.base is grid and np.array_equal(grid[1:3, 2:], want)
+    assert (np.delete(grid, [1, 2], axis=0) == -1.0).all() and (grid[:, :2] == -1.0).all()
+
+
 def test_build_map_validation():
     height = make_height_map([[0.0]])
     with pytest.raises(ValueError):

@@ -34,6 +34,18 @@ def test_conversion_params_reject_values_out_of_range(name, value, message):
         ConversionParams(**{name: value})
 
 
+@pytest.mark.parametrize("name, cells", [("min_clearance", "min_run"),
+                                         ("slope_window_m", "slope_radius_cells")])
+def test_a_length_of_more_cells_than_a_float_holds_names_its_field(name, cells):
+    # a finite 1e308 m at 0.1 m is an infinite quotient: math.ceil and round
+    # raised OverflowError from init()
+    params = ConversionParams(**{name: 1e308})
+    with pytest.raises(ValueError, match=rf"^{name}: 1e\+308 m is more cells than a "
+                                         r"float holds at resolution 0\.1$"):
+        getattr(params, cells)(0.1)
+    assert getattr(ConversionParams(**{name: 1e300}), cells)(0.1) > 10**300
+
+
 @pytest.mark.parametrize("cls", REQUIRED, ids=lambda cls: cls.__name__)
 def test_number_fields_refuse_bools_and_store_numpy_scalars_as_python_numbers(cls):
     # ConversionParams(max_slope=True) and LiftParams(5, True) were accepted,

@@ -139,12 +139,79 @@ def plan_outcome(plan, grid, start, goal):
         return str(error)
 
 
+def plan_cost_outcome(plan, grid, start, goal):
+    """A plan's integer cost, None when there is no path, or its error."""
+    outcome = plan_outcome(plan, grid, start, goal)
+    return integer_path_cost(outcome) if isinstance(outcome, list) else outcome
+
+
 @settings(max_examples=400, deadline=None)
 @given(planner_cases())
 def test_planner_matches_the_tuple_keyed_reference(case):
+    # Pruned expansion may pick another route of equal cost than the
+    # unpruned reference does, so costs are compared, not paths.
     grid, start, goal = case
-    assert plan_outcome(plan_2d, grid, start, goal) == plan_outcome(
+    assert plan_cost_outcome(plan_2d, grid, start, goal) == plan_cost_outcome(
         plan_2d_reference, grid, start, goal)
+
+
+# every kind of cell value: free (0, and -0.0, which equals it) and each
+# non-free kind, occupied, unknown, NaN and a fractional occupancy
+_VALUE_KINDS = (0.0, 0.0, 0.0, -0.0, 1.0, -1.0, math.nan, 0.5)
+
+
+@st.composite
+def pruning_cases(draw):
+    """A grid down to 1 x N or N x 1 and two free endpoints: random values,
+    or walls of one non-free kind across every third row or column, each
+    with one gap, which force the pruned search around corners."""
+    M, N = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.sampled_from(_VALUE_KINDS),
+                                        min_size=M * N, max_size=M * N))).reshape(M, N)
+    else:
+        values = np.zeros((M, N))
+        wall = draw(st.sampled_from(_VALUE_KINDS[4:]))
+        across = draw(st.booleans())
+        lines = values.T if across else values  # a view: walls of columns
+        for row in range(draw(st.integers(0, 2)), lines.shape[0], 3):
+            lines[row] = wall
+            lines[row, draw(st.integers(0, lines.shape[1] - 1))] = 0.0
+    cell = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1))
+    start, goal = draw(cell), draw(cell)
+    values[start] = values[goal] = 0.0
+    return OccupancyGrid("uav", 0.1, (0.0, 0.0, 0.0), values), start, goal
+
+
+@settings(max_examples=500, deadline=None)
+@given(pruning_cases())
+def test_pruned_planner_is_optimal_free_and_deterministic(case):
+    grid, start, goal = case
+    values = grid.values
+    path = plan_2d(grid, start, goal)
+    want = plan_2d_reference(grid, start, goal)
+    assert plan_2d(grid, start, goal) == path
+    if want is None:
+        assert path is None
+        return
+    assert path[0] == start and path[-1] == goal
+    assert integer_path_cost(path) == integer_path_cost(want)
+    for (m0, n0), (m1, n1) in zip(path, path[1:]):
+        assert max(abs(m1 - m0), abs(n1 - n0)) == 1
+        assert values[m1, n1] == 0.0
+
+
+def test_pruning_keys_moves_by_step_not_by_flat_offset():
+    # On a grid 2 cells wide the steps (-1, 1) and (0, -1) have one flat
+    # offset, -1. Moves keyed by flat offset took the diagonal step into
+    # (3, 1) for (0, -1), pruned the way north past the wall at (2, 0) and
+    # found no path.
+    rows = ["00", "00", "10", "00", "00", "10", "01"]
+    grid = grid_from_rows([[float(c) for c in row] for row in rows])
+    path = plan_2d(grid, (4, 0), (0, 1))
+    assert path == [(4, 0), (3, 1), (2, 1), (1, 1), (0, 1)]
+    assert integer_path_cost(path) == integer_path_cost(
+        plan_2d_reference(grid, (4, 0), (0, 1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,6 +375,17 @@ def test_lift_errors_on_missing_height_identifying_the_waypoint():
     path = [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(ValueError, match=r"waypoint 1 at cell \(1, 0\)"):
         lift_path(path, height, LiftParams(1, 0.1))
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (3, 0), (0, 2), (2**62, 0),
+                                  (-2**62, 1), (2**70, 2**70)])
+def test_lift_errors_on_a_waypoint_off_the_map(cell):
+    # an off-map waypoint reads -1, as an absent cell does, and a far one
+    # widens no block beyond one cell past the map's edge
+    height = make_height_map([[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]])
+    with pytest.raises(ValueError, match=rf"^waypoint 1 at cell \({cell[0]}, {cell[1]}\) "
+                                         "has no height data$"):
+        lift_path([(0, 0), cell, (2, 1)], height, LiftParams(1, 0.1))
 
 
 def test_window_monotonicity_in_lookahead():
